@@ -2,10 +2,10 @@
 """Sweep symmetry-type fractions per discriminant and write the CSV."""
 
 import argparse
+import csv
 from dataclasses import dataclass
 from pathlib import Path
 
-from surdsym.census import SYMMETRY_ORDER, stats_rows
 from surdsym.cli import main as cli_main
 
 
@@ -22,12 +22,12 @@ class StatsRun:
                        "--out", str(self.out)])
         if rc != 0:
             raise SystemExit(rc)
-        rows = stats_rows(min(self.delta_max, 400))
-        tail = rows[-1]
-        label = ", ".join(f"{s.value}={c}"
-                          for s, c in zip(SYMMETRY_ORDER, tail.counts))
+        with self.out.open(newline="") as fh:
+            *_, tail = csv.DictReader(fh)
+        label = ", ".join(f"{col[len('count_'):]}={n}"
+                          for col, n in tail.items() if col.startswith("count_"))
         print(f"wrote {self.out} ({self.delta_max} max delta); "
-              f"sample row delta={tail.delta}: {label}")
+              f"sample row delta={tail['delta']}: {label}")
 
 
 def parse_args() -> StatsRun:

@@ -21,10 +21,11 @@ from .reduction import (ReducedCycle, SumRuleResult, check_sum_rule,
                         is_reduced, reduce_classical, reduce_to_H0,
                         reduced_cycle, reduced_representative)
 from .oracle import (OracleCounts, OracleInconclusive, domain_fast,
-                     h0_cycle_walk, orbit_bfs, verify_counts, verify_symmetry)
+                     h0_class_key, h0_cycle_walk, orbit_bfs, verify_counts,
+                     verify_symmetry)
 from .census import (StatRow, SumRuleFinding, census_for_delta,
                      census_nonsquare_primitive, census_square,
-                     first_occurrence, full_census, h0_class_key, stats_rows,
+                     first_occurrence, full_census, stats_rows,
                      sum_rule_sweep, valid_deltas)
 
 __version__ = "0.1.0"
@@ -46,10 +47,9 @@ __all__ = [
     "ReducedCycle", "SumRuleResult", "check_sum_rule", "is_reduced",
     "reduce_classical", "reduce_to_H0", "reduced_cycle",
     "reduced_representative",
-    "OracleCounts", "OracleInconclusive", "domain_fast", "h0_cycle_walk",
-    "orbit_bfs", "verify_counts", "verify_symmetry",
+    "OracleCounts", "OracleInconclusive", "domain_fast", "h0_class_key",
+    "h0_cycle_walk", "orbit_bfs", "verify_counts", "verify_symmetry",
     "StatRow", "SumRuleFinding", "census_for_delta",
     "census_nonsquare_primitive", "census_square", "first_occurrence",
-    "full_census", "h0_class_key", "stats_rows", "sum_rule_sweep",
-    "valid_deltas",
+    "full_census", "stats_rows", "sum_rule_sweep", "valid_deltas",
 ]

@@ -1,27 +1,32 @@
 """Class census per discriminant: enumerate, walk, classify, and aggregate.
 
-The non-square engine enumerates every primitive H0 form of a discriminant
-(m > 0 > n, k**2 - 4mn = delta), partitions them into successor cycles
-(A when m+n+k < 0, else B, both staying inside H0), and reads t, t_up,
-t_down and the period word straight off each cycle.  Imprimitive classes are
-scaled copies of primitive ones from delta / s**2.  Square discriminants are
-k straight rows (m, 0, k).  Every class report is cross-checked against the
-independent continued-fraction path before it is emitted.
+The non-square engine works on the reduced surds (P + sqrt(delta)) / Q of a
+discriminant, found from the divisors of (delta - P**2) / 4 (read off a
+smallest-prime-factor table shared by a sweep).  The regular continued
+fraction permutes them in cycles; one walk of a cycle of length L gives its
+digit word, which is the period of one class when L is odd and of two classes
+when L is even.  The H0 forms of such a class are the A- and B-runs between
+the cycle's states, so each class's least H0 member (its representative), its
+period rotated as the continued fraction of that representative gives it, and
+t, t_up, t_down all follow from the one walk.  Imprimitive classes are scaled
+copies of primitive ones from delta / s**2.  Square discriminants are k
+straight rows (m, 0, k).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, isqrt
 from multiprocessing import Pool
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cf import cf_surd, modular_cf_surd
+from .cf import modular_cf_surd
 from .exact import is_square
 from .forms import Form, InternalError, scale
-from .periods import (ClassReport, SymmetryType, canonical_rotation,
-                      classify_period, classify_square, counts_nonsquare,
-                      counts_square, square_cf_display)
+from .periods import (ClassReport, SymmetryType, classify_period,
+                      classify_square, counts_nonsquare, counts_square,
+                      square_cf_display)
 from .reduction import reduced_representative
 
 
@@ -38,112 +43,121 @@ def valid_deltas(delta_max: int, include_square: bool = True,
     return out
 
 
-def _h0_primitive_triples(delta: int) -> List[Tuple[int, int, int]]:
-    """All primitive (m, n, k) with m > 0 > n and k**2 - 4mn = delta, sorted."""
-    out = []
-    kmax = isqrt(delta - 1)  # need k*k < delta so that mn < 0
-    for ak in range(delta % 2, kmax + 1, 2):
-        v = (delta - ak * ak) // 4  # = m * (-n) > 0
-        for m in range(1, isqrt(v) + 1):
-            if v % m:
-                continue
-            for a, b in ((m, v // m), (v // m, m)) if m * m != v else ((m, m),):
-                for k in ((ak, -ak) if ak else (0,)):
-                    if gcd(gcd(a, b), abs(k)) == 1:
-                        out.append((a, -b, k))
-    out.sort()
-    return out
+def _smallest_prime_factors(n: int) -> List[int]:
+    """spf[i] is the least prime factor of i, for 2 <= i <= n."""
+    spf = list(range(n + 1))
+    for p in range(2, isqrt(n) + 1):
+        if spf[p] == p:
+            for q in range(p * p, n + 1, p):
+                if spf[q] == q:
+                    spf[q] = p
+    return spf
 
 
-def _cycle_of(start: Tuple[int, int, int]):
-    """Successor cycle through an H0 triple: (members in order, step letters)."""
-    members = [start]
-    steps = []
-    m, n, k = start
-    while True:
-        s = m + n + k
-        if s < 0:
-            steps.append("A")
-            m, n, k = m, s, 2 * m + k
-        else:
-            steps.append("B")
-            m, n, k = s, n, 2 * n + k
-        if (m, n, k) == start:
-            return members, steps
-        members.append((m, n, k))
+def _divisors(v: int, spf: Sequence[int]) -> List[int]:
+    """Every divisor of v >= 1, unordered, from the table of least prime factors."""
+    divs = [1]
+    while v > 1:
+        p = spf[v]
+        lower = divs
+        while v % p == 0:
+            v //= p
+            lower = [d * p for d in lower]
+            divs += lower
+    return divs
 
 
-def _aligned_pi(steps: Sequence[str]) -> Tuple[int, ...]:
-    """Run lengths of the cyclic step word, rotated to start an A-run.
+def _reduced_states(delta: int, r: int, spf: Sequence[int]) -> List[Tuple[int, int]]:
+    """Every reduced surd (P + sqrt(delta)) / Q whose form (Q/2, -c, -P),
+    c = (delta - P**2) / (2Q), is integral and primitive.
 
-    Odd (1-indexed) positions of the result are A-exponents, even positions
-    B-exponents; this is the alignment cf_period_to_modular_period expects.
+    Reduced means xi > 1 > 0 > xi' > -1, i.e. 0 < P <= r and
+    r - P < Q <= r + P with r = isqrt(delta).
     """
-    t = len(steps)
-    anchor = next(i for i in range(t) if steps[i] == "A" and steps[i - 1] == "B")
-    rotated = steps[anchor:] + steps[:anchor]
-    runs = []
-    for letter in rotated:
-        if runs and runs[-1][0] == letter:
-            runs[-1][1] += 1
-        else:
-            runs.append([letter, 1])
-    if len(runs) % 2 or any(r[0] != "AB"[i % 2] for i, r in enumerate(runs)):
-        raise InternalError(f"step word did not alternate cleanly: {runs}")
-    return tuple(r[1] for r in runs)
+    states = []
+    for p in range(2 - delta % 2, r + 1, 2):
+        v = (delta - p * p) // 4  # = a * c for the form (a, -c, -p)
+        for a in _divisors(v, spf):
+            if r - p < 2 * a <= r + p and gcd(gcd(a, v // a), p) == 1:
+                states.append((p, 2 * a))
+    return states
 
 
-def _primitive_root(word: Tuple[int, ...]) -> Tuple[int, ...]:
-    n = len(word)
-    dbl = word + word
-    for p in range(1, n + 1):
-        if n % p == 0 and dbl[p:p + n] == word:
-            return word[:p]
-    raise InternalError(f"no cyclic root found for {word}")
+def _least_member(a_runs: Sequence[int], ps: Sequence[int], qs: Sequence[int],
+                  digits: Sequence[int]) -> Tuple[int, int, int, int, bool]:
+    """The lexicographically least H0 member of one class, located on its
+    cycle: (m, n, k, index where its period starts, preperiod length odd).
+
+    With f_j = (Q_j/2, -Q_{j-1}/2, -P_j), the class's H0 cycle is made of
+    the A-runs A^i f_j, 0 <= i < a_j, for j in a_runs, each followed by the
+    B-run from A^{a_j} f_j = antipodal(f_{j+1}).  Past a B-run's first
+    member, a member's cycle neighbours are its images under B and B^-1,
+    whose m are m + n + k and m + n - k; as n < 0 one of them is below m,
+    so the member is never least.  That leaves A^i f_j, 0 <= i <= a_j, where
+    m = Q_j/2 is fixed and n is convex in i, least at i = P_j/Q_j.
+    """
+    best = None
+    for j in a_runs:
+        m = qs[j] // 2
+        if best and m > best[0]:
+            continue
+        c, p, a = qs[j - 1] // 2, ps[j], digits[j]
+        vertex = min(p // qs[j], a)
+        for i in {vertex, min(vertex + 1, a)}:
+            cand = (m, m * i * i - p * i - c, 2 * m * i - p, j + (i > 0), i > 0)
+            if best is None or cand < best:
+                best = cand
+    return best
 
 
-def census_nonsquare_primitive(delta: int) -> Tuple[ClassReport, ...]:
+def census_nonsquare_primitive(delta: int,
+                               spf: Optional[Sequence[int]] = None
+                               ) -> Tuple[ClassReport, ...]:
     """Reports for all primitive classes of a non-square discriminant,
-    ordered by their lexicographically least H0 representative."""
+    ordered by their lexicographically least H0 representative.
+
+    ``spf`` is a smallest-prime-factor table covering (delta - 1) // 4; a
+    sweep builds it once and passes it to every discriminant.
+    """
     if delta <= 0 or delta % 4 not in (0, 1) or is_square(delta):
         raise ValueError(f"{delta} is not a valid non-square discriminant")
+    if spf is None:
+        spf = _smallest_prime_factors(delta // 4)
+    r = isqrt(delta)
     reports = []
     visited = set()
-    for triple in _h0_primitive_triples(delta):
-        if triple in visited:
+    for start in _reduced_states(delta, r, spf):
+        if start in visited:
             continue
-        members, steps = _cycle_of(triple)
-        visited.update(members)
-        t = len(steps)
-        t_up = steps.count("B")
-        pi = _aligned_pi(steps)
-        gamma_struct = _primitive_root(pi)
-        rep = Form(*triple)
-        exp = cf_surd(rep)
-        gamma = exp.period
-        if canonical_rotation(gamma) != canonical_rotation(gamma_struct):
-            raise InternalError(
-                f"walk period {gamma_struct} vs CF period {gamma} for {rep}")
-        parity = "odd" if len(exp.preperiod) % 2 == 1 else "even"
-        if counts_nonsquare(gamma, parity) != (t, t_up, t - t_up):
-            raise InternalError(
-                f"walk counts ({t},{t_up},{t - t_up}) disagree with CF counts "
-                f"{counts_nonsquare(gamma, parity)} for {rep}")
-        reports.append(ClassReport(rep, delta, gamma, None, len(gamma),
-                                   t, t_up, t - t_up,
-                                   classify_period(gamma_struct), True))
+        ps, qs, digits = [], [], []
+        p, q = start
+        for _ in range(delta):  # there are fewer than delta reduced states
+            a = (p + r) // q
+            ps.append(p)
+            qs.append(q)
+            digits.append(a)
+            p = a * q - p
+            q = (delta - p * p) // q
+            if (p, q) == start:
+                break
+        else:
+            raise InternalError(f"state {start} of {delta} is not on a cycle")
+        visited.update(zip(ps, qs))
+        n = len(digits)
+        symmetry = classify_period(tuple(digits))
+        if n % 2:  # one class, with an A-run at every state
+            classes = (range(n),)
+        else:     # two classes, with A-runs on the even or the odd states
+            classes = (range(0, n, 2), range(1, n, 2))
+        for a_runs in classes:
+            m, nn, k, s, odd = _least_member(a_runs, ps, qs, digits)
+            s %= n
+            gamma = tuple(digits[s:] + digits[:s])
+            t, t_up, t_down = counts_nonsquare(gamma, "odd" if odd else "even")
+            reports.append(ClassReport(Form(m, nn, k), delta, gamma, None, n,
+                                       t, t_up, t_down, symmetry, True))
+    reports.sort(key=lambda report: report.representative.coeffs())
     return tuple(reports)
-
-
-def h0_class_key(f: Form) -> Form:
-    """The lexicographically least H0 member of f's class — the census's
-    choice of representative — for any H0 form of non-square discriminant."""
-    if not (f.m > 0 and f.n < 0):
-        raise ValueError(f"form {f} is not in H0")
-    if is_square(f.k * f.k - 4 * f.m * f.n):
-        raise ValueError(f"form {f} has square discriminant")
-    members, _ = _cycle_of(f.coeffs())
-    return Form(*min(members))
 
 
 def census_square(delta: int) -> Tuple[ClassReport, ...]:
@@ -191,12 +205,14 @@ def full_census(delta_max: int, jobs: int = 1,
     if delta_max < 1:
         raise ValueError("delta_max must be >= 1")
     nonsq = valid_deltas(delta_max, include_square=False)
+    work = partial(census_nonsquare_primitive,
+                   spf=_smallest_prime_factors(delta_max // 4))
     if jobs > 1 and len(nonsq) > 8:
         with Pool(jobs) as pool:
-            prim_rows = pool.map(census_nonsquare_primitive, nonsq,
+            prim_rows = pool.map(work, nonsq,
                                  chunksize=max(1, len(nonsq) // (8 * jobs)))
     else:
-        prim_rows = [census_nonsquare_primitive(d) for d in nonsq]
+        prim_rows = [work(d) for d in nonsq]
     primitive = dict(zip(nonsq, prim_rows))
     out: Dict[int, Tuple[ClassReport, ...]] = {}
     for d in valid_deltas(delta_max, include_square=include_square):

@@ -108,6 +108,9 @@ def cmd_period(args) -> int:
     d = discriminant(f)
     if d <= 0:
         raise ValueError(f"form {f} is not indefinite (delta={d})")
+    if f.m == f.n == 0:
+        raise ValueError(f"form {f} has m = n = 0: its roots are 0 and "
+                         f"infinity, so xi_plus has no continued fraction")
     if f.m == 0:
         f = Form(f.n, f.m, -f.k)  # complementary form, same class, m != 0
     exp = cf_surd(f)
@@ -176,9 +179,15 @@ def cmd_orbit(args) -> int:
     return 0
 
 
-def cmd_table(args) -> int:
+def _check_sweep_args(args) -> None:
     if args.delta_max < 1:
         raise ValueError("--delta-max must be >= 1")
+    if args.jobs < 1:
+        raise ValueError("--jobs must be >= 1")
+
+
+def cmd_table(args) -> int:
+    _check_sweep_args(args)
     zero = args.which == "zero"
     census = full_census(args.delta_max, jobs=args.jobs)
     records = []
@@ -206,8 +215,7 @@ def _stat_record(row: StatRow) -> dict:
 
 
 def cmd_stats(args) -> int:
-    if args.delta_max < 1:
-        raise ValueError("--delta-max must be >= 1")
+    _check_sweep_args(args)
     records = [_stat_record(r) for r in stats_rows(args.delta_max, jobs=args.jobs)]
     fmt = args.format if args.format != "md" else "csv"
     _emit(_render(records, STATS_FIELDS, fmt), args.out)

@@ -99,6 +99,14 @@ def h0_cycle_walk(f: Form) -> Tuple[Tuple[Form, ...], GeneratorWord]:
     return tuple(cycle), tuple(word)
 
 
+def h0_class_key(f: Form) -> Form:
+    """The lexicographically least member of f's H0 cycle, which the census
+    reports as its class's representative; f must be an H0 form of
+    non-square discriminant."""
+    cycle, _ = h0_cycle_walk(f)
+    return min(cycle)
+
+
 @dataclass(frozen=True)
 class OracleCounts:
     """Tallies of one class's members over the six bounded domains."""

@@ -11,14 +11,14 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from surdsym.census import (first_occurrence, full_census, h0_class_key,
-                            stats_rows, sum_rule_sweep)
+from surdsym.census import (first_occurrence, full_census, stats_rows,
+                            sum_rule_sweep)
 from surdsym.cf import (cf_period_to_modular_period, modular_cf_surd,
                         period_to_forms)
 from surdsym.cli import main as cli_main
 from surdsym.exact import is_square
 from surdsym.forms import Form
-from surdsym.oracle import verify_counts, verify_symmetry
+from surdsym.oracle import h0_class_key, verify_counts, verify_symmetry
 from surdsym.periods import SymmetryType, canonical_rotation, classify_class
 from surdsym.reduction import reduced_cycle
 

@@ -1,6 +1,7 @@
 """Census sweeps: per-discriminant enumeration, stats, and the sum rule."""
 
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 
@@ -10,6 +11,7 @@ from surdsym.census import (SYMMETRY_ORDER, StatRow, census_for_delta,
                             sum_rule_sweep, valid_deltas)
 from surdsym.exact import is_square
 from surdsym.forms import Form, content, discriminant, is_primitive
+from surdsym.oracle import h0_class_key
 from surdsym.periods import SymmetryType, canonical_rotation, classify_class
 
 
@@ -109,6 +111,40 @@ class TestCensusRows:
     def test_square_census_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             census_square(5)
+
+
+def primitive_h0_form_count(delta):
+    """Number of primitive (m, n, k) with m > 0 > n and k**2 - 4mn = delta,
+    by trial division."""
+    count = 0
+    kmax = isqrt(delta - 1)
+    for k in range(-kmax, kmax + 1):
+        if (delta - k * k) % 4:
+            continue
+        v = (delta - k * k) // 4
+        for m in range(1, isqrt(v) + 1):
+            if v % m == 0 and gcd(gcd(m, v // m), k) == 1:
+                count += 1 if m * m == v else 2
+    return count
+
+
+class TestPrimitiveEngine:
+    def test_rows_match_independent_derivations_to_3000(self):
+        """Each primitive row's representative is the least form of its H0
+        cycle walked step by step; its period, counts and type are those of
+        the continued fraction of that representative; and the rows' H0
+        cycles together hold every primitive H0 form of the discriminant."""
+        for d in valid_deltas(3000, include_square=False):
+            rows = census_nonsquare_primitive(d)
+            for r in rows:
+                rep = r.representative
+                assert h0_class_key(rep) == rep, (d, rep)
+                direct = classify_class(rep)
+                assert (r.gamma, r.p_or_l, r.t, r.t_up, r.t_down,
+                        r.symmetry) == \
+                    (direct.gamma, direct.p_or_l, direct.t, direct.t_up,
+                     direct.t_down, direct.symmetry), (d, rep)
+            assert sum(r.t for r in rows) == primitive_h0_form_count(d), d
 
 
 class TestStats:

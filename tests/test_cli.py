@@ -72,6 +72,12 @@ class TestSmallCommands:
         rc, out, _ = run(capsys, "period", "0", "-2", "3")
         assert rc == 0 and out == "preperiod [-2,2]\nperiod []\n"
 
+    def test_period_of_zero_form_is_an_error(self, capsys):
+        rc, out, err = run(capsys, "period", "0", "0", "5")
+        assert rc == 1 and out == ""
+        assert err == ("error: form (0,0,5) has m = n = 0: its roots are 0 "
+                       "and infinity, so xi_plus has no continued fraction\n")
+
     def test_counts(self, capsys):
         rc, out, _ = run(capsys, "counts", "2", "-1", "-3")
         assert rc == 0 and out == "t=10 t_up=5 t_down=5\n"
@@ -150,15 +156,23 @@ class TestTable:
         assert rows[0]["cf"] == "[]"  # the (0,0,1) row
 
     def test_jobs_do_not_change_bytes(self, capsys):
-        rc1, out1, _ = run(capsys, "table", "--delta-max", "150",
+        rc1, out1, _ = run(capsys, "table", "--delta-max", "2000",
                            "--format", "csv", "--jobs", "1")
-        rc2, out2, _ = run(capsys, "table", "--delta-max", "150",
+        rc2, out2, _ = run(capsys, "table", "--delta-max", "2000",
                            "--format", "csv", "--jobs", "3")
         assert rc1 == rc2 == 0 and out1 == out2
 
     def test_bad_delta_max(self, capsys):
         rc, _, err = run(capsys, "table", "--delta-max", "0")
         assert rc == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["table", "stats"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_bad_jobs(self, capsys, command, jobs):
+        rc, out, err = run(capsys, command, "--delta-max", "50",
+                           "--jobs", jobs)
+        assert rc == 1 and out == ""
+        assert err == "error: --jobs must be >= 1\n"
 
     def test_markdown_renders(self, capsys):
         rc, out, _ = run(capsys, "table", "--delta-max", "8")

@@ -11,8 +11,9 @@ from math import isqrt
 import pytest
 
 from goldens import NONSQUARE_ROWS, SQUARE_ROWS
-from surdsym.census import full_census, h0_class_key
+from surdsym.census import full_census
 from surdsym.forms import Form, discriminant
+from surdsym.oracle import h0_class_key
 from surdsym.periods import canonical_rotation
 
 
