@@ -1,12 +1,12 @@
 """surdsym: exact classification of indefinite binary quadratic forms by the
 symmetry type of their continued-fraction periods."""
 
-from .exact import Surd, ceil_surd, floor_surd, is_square, isqrt
+from .exact import is_square, isqrt
 from .forms import (GENERATORS, INVOLUTION_NAMES, DomainLabel, Form,
                     GeneratorWord, InternalError, adjoint, antipodal,
                     apply_generator, apply_word, complementary, conjugate,
                     content, discriminant, domain_of, gen_power, involution,
-                    is_primitive, roots, scale, word_str)
+                    is_primitive, scale, word_str)
 from .cf import (CFExpansion, ModularCF, SquareDiscriminantError,
                  cf_parity_variant, cf_period_to_modular_period, cf_rational,
                  cf_surd, cf_value, modular_cf_surd, period_inverse_pair,
@@ -20,9 +20,8 @@ from .periods import (ClassificationError, ClassReport, SymmetryType,
 from .reduction import (ReducedCycle, SumRuleResult, check_sum_rule,
                         is_reduced, reduce_classical, reduce_to_H0,
                         reduced_cycle, reduced_representative)
-from .oracle import (OracleCounts, OracleInconclusive, domain_fast,
-                     h0_class_key, h0_cycle_walk, orbit_bfs, verify_counts,
-                     verify_symmetry)
+from .oracle import (OracleCounts, OracleInconclusive, h0_class_key,
+                     h0_cycle_walk, orbit_bfs, verify_counts, verify_symmetry)
 from .census import (StatRow, SumRuleFinding, census_for_delta,
                      census_nonsquare_primitive, census_square,
                      first_occurrence, full_census, stats_rows,
@@ -31,11 +30,11 @@ from .census import (StatRow, SumRuleFinding, census_for_delta,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Surd", "ceil_surd", "floor_surd", "is_square", "isqrt",
+    "is_square", "isqrt",
     "GENERATORS", "INVOLUTION_NAMES", "DomainLabel", "Form", "GeneratorWord",
     "InternalError", "adjoint", "antipodal", "apply_generator", "apply_word",
     "complementary", "conjugate", "content", "discriminant", "domain_of",
-    "gen_power", "involution", "is_primitive", "roots", "scale", "word_str",
+    "gen_power", "involution", "is_primitive", "scale", "word_str",
     "CFExpansion", "ModularCF", "SquareDiscriminantError", "cf_parity_variant",
     "cf_period_to_modular_period", "cf_rational", "cf_surd", "cf_value",
     "modular_cf_surd", "period_inverse_pair", "period_of_class",
@@ -47,7 +46,7 @@ __all__ = [
     "ReducedCycle", "SumRuleResult", "check_sum_rule", "is_reduced",
     "reduce_classical", "reduce_to_H0", "reduced_cycle",
     "reduced_representative",
-    "OracleCounts", "OracleInconclusive", "domain_fast", "h0_class_key",
+    "OracleCounts", "OracleInconclusive", "h0_class_key",
     "h0_cycle_walk", "orbit_bfs", "verify_counts", "verify_symmetry",
     "StatRow", "SumRuleFinding", "census_for_delta",
     "census_nonsquare_primitive", "census_square", "first_occurrence",

@@ -21,7 +21,7 @@ from math import gcd, isqrt
 from multiprocessing import Pool
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cf import modular_cf_surd
+from .cf import _regular_walk, modular_cf_surd
 from .exact import is_square
 from .forms import Form, InternalError, scale
 from .periods import (ClassReport, SymmetryType, classify_period,
@@ -83,10 +83,11 @@ def _reduced_states(delta: int, r: int, spf: Sequence[int]) -> List[Tuple[int, i
     return states
 
 
-def _least_member(a_runs: Sequence[int], ps: Sequence[int], qs: Sequence[int],
+def _least_member(a_runs: Sequence[int], cycle: Sequence[Tuple[int, int]],
                   digits: Sequence[int]) -> Tuple[int, int, int, int, bool]:
     """The lexicographically least H0 member of one class, located on its
-    cycle: (m, n, k, index where its period starts, preperiod length odd).
+    cycle of states (P_j, Q_j): (m, n, k, index where its period starts,
+    preperiod length odd).
 
     With f_j = (Q_j/2, -Q_{j-1}/2, -P_j), the class's H0 cycle is made of
     the A-runs A^i f_j, 0 <= i < a_j, for j in a_runs, each followed by the
@@ -98,11 +99,12 @@ def _least_member(a_runs: Sequence[int], ps: Sequence[int], qs: Sequence[int],
     """
     best = None
     for j in a_runs:
-        m = qs[j] // 2
+        p, q = cycle[j]
+        m = q // 2
         if best and m > best[0]:
             continue
-        c, p, a = qs[j - 1] // 2, ps[j], digits[j]
-        vertex = min(p // qs[j], a)
+        c, a = cycle[j - 1][1] // 2, digits[j]
+        vertex = min(p // q, a)
         for i in {vertex, min(vertex + 1, a)}:
             cand = (m, m * i * i - p * i - c, 2 * m * i - p, j + (i > 0), i > 0)
             if best is None or cand < best:
@@ -123,26 +125,16 @@ def census_nonsquare_primitive(delta: int,
         raise ValueError(f"{delta} is not a valid non-square discriminant")
     if spf is None:
         spf = _smallest_prime_factors(delta // 4)
-    r = isqrt(delta)
     reports = []
-    visited = set()
-    for start in _reduced_states(delta, r, spf):
+    visited = {}
+    for start in _reduced_states(delta, isqrt(delta), spf):
         if start in visited:
             continue
-        ps, qs, digits = [], [], []
-        p, q = start
-        for _ in range(delta):  # there are fewer than delta reduced states
-            a = (p + r) // q
-            ps.append(p)
-            qs.append(q)
-            digits.append(a)
-            p = a * q - p
-            q = (delta - p * p) // q
-            if (p, q) == start:
-                break
-        else:
+        states, digits, back = _regular_walk(*start, delta)
+        if back:
             raise InternalError(f"state {start} of {delta} is not on a cycle")
-        visited.update(zip(ps, qs))
+        visited.update(states)
+        cycle = list(states)
         n = len(digits)
         symmetry = classify_period(tuple(digits))
         if n % 2:  # one class, with an A-run at every state
@@ -150,7 +142,7 @@ def census_nonsquare_primitive(delta: int,
         else:     # two classes, with A-runs on the even or the odd states
             classes = (range(0, n, 2), range(1, n, 2))
         for a_runs in classes:
-            m, nn, k, s, odd = _least_member(a_runs, ps, qs, digits)
+            m, nn, k, s, odd = _least_member(a_runs, cycle, digits)
             s %= n
             gamma = tuple(digits[s:] + digits[:s])
             t, t_up, t_down = counts_nonsquare(gamma, "odd" if odd else "even")
@@ -204,6 +196,8 @@ def full_census(delta_max: int, jobs: int = 1,
     """Census of every valid discriminant up to delta_max, keyed by delta."""
     if delta_max < 1:
         raise ValueError("delta_max must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     nonsq = valid_deltas(delta_max, include_square=False)
     work = partial(census_nonsquare_primitive,
                    spf=_smallest_prime_factors(delta_max // 4))

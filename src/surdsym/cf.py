@@ -1,16 +1,20 @@
 """Continued fractions: rational, regular surd, and minus ("modular") variants.
 
-Surd expansions run on the integer state (P, Q) with fixed radicand D:
-the current complete quotient is (P + sqrt(D)) / Q and every update keeps the
-invariant Q | (D - P**2).  Periods are detected by first repetition of the
-(P, Q) state, which for both variants coincides with digit-level minimality.
+Quadratic-surd expansions run on the integer state (P, Q) with fixed
+radicand D: the current complete quotient is (P + sqrt(D)) / Q and every
+update keeps the invariant Q | (D - P**2).  Periods are detected by first
+repetition of the (P, Q) state, which for both variants coincides with
+digit-level minimality.
+``_regular_walk`` is the one regular recurrence: ``cf_surd``, the reduced
+representative and the census's cycle walk all read its states and digits.
+The minus recurrence keeps its own loop in ``modular_cf_surd``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Tuple
+from typing import Dict, List, Tuple
 
 from .exact import is_square, isqrt
 from .forms import Form, InternalError, antipodal, discriminant
@@ -114,11 +118,27 @@ def cf_parity_variant(cf: CFExpansion, parity: str) -> CFExpansion:
     return CFExpansion(tuple(digits), ())
 
 
-def _floor_pq(p: int, q: int, r: int) -> int:
-    """floor((p + sqrt(D))/q) given r = isqrt(D), D non-square."""
-    if q > 0:
-        return (p + r) // q
-    return -((p + r) // (-q)) - 1
+def _regular_walk(p: int, q: int, d: int
+                  ) -> Tuple[Dict[Tuple[int, int], int], List[int], int]:
+    """Regular continued fraction of (p + sqrt(d)) / q, d > 0 non-square and
+    q | (d - p**2), up to the first repeated state.
+
+    Returns (states, digits, start): ``states`` maps each state (P_j, Q_j) to
+    j in walk order, ``digits[j]`` is the floor of state j's value, and the
+    period is ``digits[start:]``.  The state after (P_j, Q_j) has
+    Q_{j+1} * Q_j = d - P_{j+1}**2.
+    """
+    r = isqrt(d)
+    states = {}
+    digits = []
+    while (p, q) not in states:
+        states[(p, q)] = len(digits)
+        # floor((p + sqrt(d))/q) from r = floor(sqrt(d)); d is not a square
+        a = (p + r) // q if q > 0 else -((p + r) // -q) - 1
+        digits.append(a)
+        p = a * q - p
+        q = (d - p * p) // q
+    return states, digits, states[(p, q)]
 
 
 def cf_surd(f: Form) -> CFExpansion:
@@ -137,17 +157,7 @@ def cf_surd(f: Form) -> CFExpansion:
         if den < 0:
             num, den = -num, -den
         return cf_rational(num, den)
-    r = isqrt(d)
-    p, q = -f.k, 2 * f.m
-    digits = []
-    seen = {}
-    while (p, q) not in seen:
-        seen[(p, q)] = len(digits)
-        a = _floor_pq(p, q, r)
-        digits.append(a)
-        p = a * q - p
-        q = (d - p * p) // q
-    start = seen[(p, q)]
+    _, digits, start = _regular_walk(-f.k, 2 * f.m, d)
     return CFExpansion(tuple(digits[:start]), tuple(digits[start:]))
 
 
@@ -193,7 +203,8 @@ def modular_cf_surd(f: Form) -> ModularCF:
     seen = {}
     while (p, q) not in seen:
         seen[(p, q)] = len(digits)
-        b = _floor_pq(p, q, r) + 1  # ceiling; the value is irrational
+        # ceiling of the irrational (p + sqrt(d))/q, from r = floor(sqrt(d))
+        b = (p + r) // q + 1 if q > 0 else -((p + r) // -q)
         digits.append(b)
         p = b * q - p
         q = (p * p - d) // q

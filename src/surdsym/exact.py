@@ -1,14 +1,12 @@
-"""Exact integer and quadratic-surd arithmetic.
+"""Exact integer square roots.
 
-Everything in this module is exact: integers are Python's arbitrary-precision
-ints and quadratic irrationals are kept symbolically as (P + sqrt(D)) / Q.
-``__float__`` exists for display only and is never used in any decision.
+Quadratic surds (P + sqrt(D)) / Q are never stored as numbers: the
+continued-fraction code in :mod:`surdsym.cf` carries them as integer states
+(P, Q) and takes floors from ``isqrt(D)``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 
 def isqrt(n: int) -> int:
@@ -24,141 +22,3 @@ def is_square(n: int) -> bool:
         return False
     r = math.isqrt(n)
     return r * r == n
-
-
-def _sign_u_plus_v_root(u, v, d: int) -> int:
-    """Exact sign of u + v*sqrt(d) for rational u, v and integer d >= 0."""
-    if d < 0:
-        raise ValueError("negative radicand")
-    if d == 0 or v == 0:
-        return (u > 0) - (u < 0)
-    if u == 0:
-        return (v > 0) - (v < 0)
-    if u > 0 and v > 0:
-        return 1
-    if u < 0 and v < 0:
-        return -1
-    # Opposite signs: compare u*u against v*v*d; the sign follows the larger.
-    uu, vv = u * u, v * v * d
-    if uu == vv:
-        return 0
-    big_is_rational = uu > vv
-    if u > 0:  # v < 0
-        return 1 if big_is_rational else -1
-    return -1 if big_is_rational else 1
-
-
-@dataclass(frozen=True)
-class Surd:
-    """The real number (P + sqrt(D)) / Q with integers P, Q != 0, D >= 0.
-
-    Use :meth:`normalized` to build a Surd satisfying the divisibility
-    invariant Q | (D - P**2) required by the continued-fraction recurrences.
-    """
-
-    P: int
-    Q: int
-    D: int
-
-    def __post_init__(self) -> None:
-        if self.Q == 0:
-            raise ValueError("Surd with zero denominator")
-        if self.D < 0:
-            raise ValueError("Surd with negative radicand")
-
-    @classmethod
-    def normalized(cls, p: int, q: int, d: int) -> "Surd":
-        """Build (p + sqrt(d))/q scaled, if needed, so that q | (d - p*p)."""
-        if q == 0:
-            raise ValueError("Surd with zero denominator")
-        if d < 0:
-            raise ValueError("Surd with negative radicand")
-        if (d - p * p) % q != 0:
-            s = abs(q)
-            p, q, d = p * s, q * s, d * s * s
-        return cls(p, q, d)
-
-    def normalize(self) -> "Surd":
-        """Idempotent: returns an equal-valued Surd with Q | (D - P**2)."""
-        return Surd.normalized(self.P, self.Q, self.D)
-
-    @property
-    def is_rational(self) -> bool:
-        return is_square(self.D)
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return Fraction(self.P + isqrt(self.D), self.Q)
-
-    def compare_to(self, r) -> int:
-        """Exact sign of (self - r) for an int or Fraction r."""
-        r = Fraction(r)
-        sq = (self.Q > 0) - (self.Q < 0)
-        return _sign_u_plus_v_root(Fraction(self.P) - r * self.Q, 1, self.D) * sq
-
-    def _key(self):
-        if self.is_rational:
-            return (self.as_fraction(), Fraction(0))
-        sq = 1 if self.Q > 0 else -1
-        return (Fraction(self.P, self.Q), Fraction(sq * self.D, self.Q * self.Q))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Surd):
-            return self._key() == other._key()
-        if isinstance(other, (int, Fraction)):
-            return self._key() == (Fraction(other), Fraction(0))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __add__(self, t: int) -> "Surd":
-        if not isinstance(t, int):
-            return NotImplemented
-        return Surd(self.P + t * self.Q, self.Q, self.D)
-
-    def __sub__(self, t: int) -> "Surd":
-        if not isinstance(t, int):
-            return NotImplemented
-        return Surd(self.P - t * self.Q, self.Q, self.D)
-
-    def __neg__(self) -> "Surd":
-        return Surd(self.P, -self.Q, self.D)
-
-    def reciprocal(self) -> "Surd":
-        """1 / value, exactly."""
-        if self.is_rational:
-            num = self.P + isqrt(self.D)
-            if num == 0:
-                raise ZeroDivisionError("reciprocal of zero surd")
-            return Surd.normalized(self.Q, num, 0)
-        s = 1 if self.Q > 0 else -1
-        return Surd.normalized(-self.Q * self.P * s, (self.D - self.P * self.P) * s,
-                               self.Q * self.Q * self.D)
-
-    def __float__(self) -> float:
-        return (self.P + math.sqrt(self.D)) / self.Q
-
-    def __repr__(self) -> str:
-        return f"({self.P}+sqrt({self.D}))/{self.Q}"
-
-
-def floor_surd(s: Surd) -> int:
-    """Exact floor of (P + sqrt(D))/Q, by sign-correct case analysis on Q."""
-    r = isqrt(s.D)
-    if r * r == s.D:
-        return (s.P + r) // s.Q  # rational value, Python floor division is exact
-    if s.Q > 0:
-        # For integers c: c <= (P + sqrt(D))/Q  iff  cQ - P <= floor(sqrt(D)).
-        return (s.P + r) // s.Q
-    # Q < 0 and the value irrational: floor(-y) = -floor(y) - 1.
-    return -((s.P + r) // (-s.Q)) - 1
-
-
-def ceil_surd(s: Surd) -> int:
-    """Exact ceiling; equals floor + 1 unless the value is an integer."""
-    r = isqrt(s.D)
-    if r * r == s.D:
-        return -((-(s.P + r)) // s.Q)
-    return floor_surd(s) + 1

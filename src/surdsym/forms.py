@@ -1,8 +1,9 @@
 """Indefinite binary quadratic forms, generator actions, and domain tests.
 
 A form ``Form(m, n, k)`` stands for m*x**2 + n*y**2 + k*x*y, with
-discriminant k**2 - 4*m*n > 0.  The two roots of m*t**2 + k*t + n are kept
-exactly as :class:`~surdsym.exact.Surd` values.
+discriminant k**2 - 4*m*n > 0.  Its roots xi_plus, xi_minus =
+(-k +- sqrt(delta)) / (2m) are never computed: the domain of a form follows
+from the signs of m, n, k and f(+-1) = m + n +- k.
 """
 from __future__ import annotations
 
@@ -10,8 +11,6 @@ import enum
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Tuple
-
-from .exact import Surd
 
 
 class InternalError(RuntimeError):
@@ -138,44 +137,36 @@ def word_str(word: GeneratorWord) -> str:
     return " ".join(parts)
 
 
-def roots(f: Form) -> Tuple[Surd, Surd]:
-    """(xi_plus, xi_minus): the roots (-k +- sqrt(delta)) / (2m), exactly.
-
-    Requires delta > 0 and m != 0 (for m == 0, reroute through R first).
-    """
-    d = discriminant(f)
-    if d <= 0:
-        raise ValueError(f"form {f} is not indefinite (delta={d})")
-    if f.m == 0:
-        raise ValueError(f"form {f} has m=0; apply R and use the swapped roots")
-    # (d - k*k) = -4mn is always divisible by 2m, so both are already normalized.
-    return (Surd.normalized(-f.k, 2 * f.m, d), Surd.normalized(f.k, -2 * f.m, d))
-
-
 def domain_of(f: Form) -> DomainLabel:
-    """Classify f into the cylinder-domain partition; exact root comparisons."""
-    d = discriminant(f)
+    """Classify f into the cylinder-domain partition by integer sign tests.
+
+    The domains are intervals for the roots: HA has xi_plus in (-1, 0) and
+    xi_minus < -1, HAbar xi_plus > 1 and xi_minus in (0, 1), HB xi_plus < -1
+    and xi_minus in (-1, 0), HBbar xi_plus in (0, 1) and xi_minus > 1.  When
+    m and n share a sign, the roots share the sign of -k/m, xi_plus is the
+    larger root iff m > 0, and +-1 lies strictly between the roots iff
+    f(+-1) = m + n +- k has the sign of -m; a root on +-1 is f(+-1) = 0.
+    """
+    m, n, k = f.m, f.n, f.k
+    d = k * k - 4 * m * n
     if d <= 0:
         raise ValueError(f"form {f} is not indefinite (delta={d})")
-    if f.m > 0 and f.n < 0:
+    if m > 0 and n < 0:
         return DomainLabel.H0
-    if f.m < 0 and f.n > 0:
+    if m < 0 and n > 0:
         return DomainLabel.H0R
-    if f.m == 0 or f.n == 0:
+    if m == 0 or n == 0 or m + n + k == 0 or m + n - k == 0:
         return DomainLabel.BOUNDARY
-    xp, xm = roots(f)
-    cp1, cp0, cpm1 = xp.compare_to(1), xp.compare_to(0), xp.compare_to(-1)
-    cm1, cm0, cmm1 = xm.compare_to(1), xm.compare_to(0), xm.compare_to(-1)
-    if cp1 == 0 or cpm1 == 0 or cm1 == 0 or cmm1 == 0:
-        return DomainLabel.BOUNDARY
-    if cpm1 > 0 and cp0 < 0 and cmm1 < 0:
-        return DomainLabel.HA
-    if cp1 > 0 and cm0 > 0 and cm1 < 0:
-        return DomainLabel.HABAR
-    if cpm1 < 0 and cmm1 > 0 and cm0 < 0:
-        return DomainLabel.HB
-    if cp0 > 0 and cp1 < 0 and cm1 > 0:
-        return DomainLabel.HBBAR
+    if m > 0:
+        if k < 0 and m + n + k < 0:
+            return DomainLabel.HABAR
+        if k > 0 and m + n - k < 0:
+            return DomainLabel.HA
+    else:
+        if k > 0 and m + n + k > 0:
+            return DomainLabel.HBBAR
+        if k < 0 and m + n - k > 0:
+            return DomainLabel.HB
     return DomainLabel.OUTER
 
 

@@ -213,34 +213,6 @@ def verify_symmetry(f: Form, coeff_bound: int = 0) -> SymmetryType:
     return _with_escalation(f, coeff_bound, work)
 
 
-def domain_fast(m: int, n: int, k: int) -> DomainLabel:
-    """Integer-only equivalent of forms.domain_of (property-tested against it).
-
-    The six domains reduce to coefficient sign conditions because a root at
-    +-1 means f(+-1) = 0 and the interval tests amount to signs of m, n, k,
-    m+n+k and m+n-k.
-    """
-    if m > 0 and n < 0:
-        return DomainLabel.H0
-    if m < 0 and n > 0:
-        return DomainLabel.H0R
-    if m == 0 or n == 0:
-        return DomainLabel.BOUNDARY
-    if m + n + k == 0 or m + n - k == 0:
-        return DomainLabel.BOUNDARY
-    if m > 0 and n > 0:
-        if k < 0 and m + n + k < 0:
-            return DomainLabel.HABAR
-        if k > 0 and m + n - k < 0:
-            return DomainLabel.HA
-    elif m < 0 and n < 0:
-        if k > 0 and m + n + k > 0:
-            return DomainLabel.HBBAR
-        if k < 0 and m + n - k > 0:
-            return DomainLabel.HB
-    return DomainLabel.OUTER
-
-
 def verify_counts(f: Form, coeff_bound: int = 0) -> OracleCounts:
     """Per-domain member tallies of C(f) over the six bounded domains."""
 
@@ -249,7 +221,7 @@ def verify_counts(f: Form, coeff_bound: int = 0) -> OracleCounts:
         _h0_set_checked(triples, square, bound)  # completeness certificate
         tally = {label: 0 for label in DomainLabel}
         for g in triples:
-            tally[domain_fast(*g)] += 1
+            tally[domain_of(Form(*g))] += 1
         return OracleCounts(tally[DomainLabel.H0], tally[DomainLabel.H0R],
                             tally[DomainLabel.HA], tally[DomainLabel.HABAR],
                             tally[DomainLabel.HB], tally[DomainLabel.HBBAR])

@@ -10,8 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .cf import SquareDiscriminantError, cf_surd, modular_cf_surd
-from .exact import is_square, isqrt
+from .cf import (SquareDiscriminantError, _regular_walk, cf_surd,
+                 modular_cf_surd)
+from .exact import is_square
 from .forms import (Form, GeneratorWord, InternalError, apply_generator,
                     discriminant, gen_power, involution)
 from .periods import SymmetryType
@@ -42,27 +43,13 @@ def reduced_representative(f: Form) -> Form:
     d = _require_nonsquare(f)
     if is_reduced(f):
         return f
-    r = isqrt(d)
-    # States (P_j, Q_j) of the expansion; the j-th state form is
-    # (Q_j/2, -Q_{j-1}/2, -P_j) and lies in C(f) exactly when j is even.
-    states = [(-f.k, 2 * f.m)]
-    seen = {states[0]: 0}
-    p, q = states[0]
-    while True:
-        if q > 0:
-            a = (p + r) // q
-        else:
-            a = -((p + r) // (-q)) - 1
-        p = a * q - p
-        q = (d - p * p) // q
-        if (p, q) in seen:
-            n_pre = seen[(p, q)]
-            break
-        seen[(p, q)] = len(states)
-        states.append((p, q))
+    # The j-th state form (Q_j/2, -Q_{j-1}/2, -P_j) of the expansion lies in
+    # C(f) exactly when j is even; Q_{j-1} = (d - P_j**2) / Q_j.
+    states, _, n_pre = _regular_walk(-f.k, 2 * f.m, d)
     j0 = n_pre if n_pre % 2 == 0 else n_pre + 1
-    pj, qj = states[j0] if j0 < len(states) else states[n_pre]
-    q_prev = states[j0 - 1][1] if j0 >= 1 else -2 * f.n
+    order = list(states)
+    pj, qj = order[j0] if j0 < len(order) else order[n_pre]
+    q_prev = (d - pj * pj) // qj
     fj = Form(qj // 2, -q_prev // 2, -pj)
     h = gen_power(fj, "A", -1)
     if not is_reduced(h):

@@ -98,6 +98,13 @@ class TestCensusRows:
     def test_jobs_do_not_change_results(self):
         assert full_census(120, jobs=1) == full_census(120, jobs=4)
 
+    def test_rejects_bad_jobs(self):
+        for jobs in (0, -3):
+            with pytest.raises(ValueError, match="jobs must be >= 1"):
+                full_census(50, jobs=jobs)
+            with pytest.raises(ValueError, match="jobs must be >= 1"):
+                sum_rule_sweep(50, jobs=jobs)
+
     def test_rejects_bad_delta_max(self):
         with pytest.raises(ValueError):
             full_census(0)

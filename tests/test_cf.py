@@ -1,14 +1,36 @@
 """Unit tests for regular and minus continued fractions of surds."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from surdsym.cf import (CFExpansion, ModularCF, SquareDiscriminantError,
-                        cf_parity_variant, cf_period_to_modular_period,
-                        cf_rational, cf_surd, cf_value, modular_cf_surd,
-                        period_inverse_pair, period_of_class, period_to_forms)
-from surdsym.forms import Form, antipodal, discriminant, roots
+                        _regular_walk, cf_parity_variant,
+                        cf_period_to_modular_period, cf_rational, cf_surd,
+                        cf_value, modular_cf_surd, period_inverse_pair,
+                        period_of_class, period_to_forms)
+from surdsym.forms import Form, antipodal, discriminant
+
+
+def _above(p, q, d, c):
+    """(p + sqrt(d))/q > c for non-square d > 0, decided from the bracket
+    isqrt(d) < sqrt(d) < isqrt(d) + 1: sqrt(d) > t iff t <= isqrt(d)."""
+    t = c * q - p
+    return t <= math.isqrt(d) if q > 0 else t > math.isqrt(d)
+
+
+def _assert_walk_floors(p, q, d):
+    """Every digit of the walk from (p, q) is the floor of its state."""
+    states, digits, start = _regular_walk(p, q, d)
+    assert list(states.values()) == list(range(len(digits)))
+    assert 0 <= start < len(digits)
+    for (ps, qs), j in states.items():
+        assert qs != 0 and (d - ps * ps) % qs == 0, (p, q, d, j)
+        a = digits[j]
+        assert _above(ps, qs, d, a) and not _above(ps, qs, d, a + 1), \
+            (p, q, d, j)
+    return states, digits, start
 
 
 class TestRationalCF:
@@ -95,15 +117,50 @@ class TestCFSurd:
         assert cf.digits(7) == (1, 1, 3, 1, 1, 3, 1)
 
     def test_matches_float_expansion(self):
-        import math
         for f in (Form(2, -1, -3), Form(5, -3, -13), Form(3, -11, -2),
                   Form(1, -4, -1), Form(7, -3, -8)):
             cf = cf_surd(f)
-            xp, _ = roots(f)
-            x = float(xp)
+            x = (-f.k + math.sqrt(discriminant(f))) / (2 * f.m)
             for digit in cf.digits(8):
                 assert digit == math.floor(x)
                 x = 1.0 / (x - digit)
+
+
+class TestRegularWalk:
+    def test_first_digit_is_floor_on_grid(self):
+        """Both signs of q, every q | d - p**2 with |q| <= 60."""
+        n_neg = 0
+        for d in (2, 3, 5, 7, 10, 13, 48, 97, 101, 1000003):
+            for p in range(-15, 16):
+                v = d - p * p
+                for q in range(1, 61):
+                    if v % q:
+                        continue
+                    for sq in (q, -q):
+                        _, digits, _ = _assert_walk_floors(p, sq, d)
+                        assert digits[0] == math.floor((p + math.sqrt(d)) / sq)
+                        n_neg += sq < 0
+        assert n_neg > 500
+
+    def test_floor_near_ten_to_thirty(self):
+        """d = 10**30 + 1 = x**2 + 1, where sqrt(d) = [x; 2x, 2x, ...].
+        Shifts, negations and reciprocals of sqrt(d) keep the period (2x,)
+        and give states with q < 0 and |q| far beyond 2**64."""
+        x = 10 ** 15
+        d = x * x + 1
+        states, digits, start = _assert_walk_floors(0, 1, d)
+        assert digits == [x, 2 * x] and start == 1
+        seeds = [(0, 1)]
+        for _ in range(6):
+            p, q = seeds[-1]
+            seeds.append((p + 7 * q, q))            # xi + 7
+            seeds.append((p, -q))                   # -xi
+            seeds.append((-p, (d - p * p) // q))    # 1 / xi
+        assert any(q < 0 for _, q in seeds)
+        assert max(abs(q) for _, q in seeds) > 10 ** 25
+        for p, q in seeds:
+            _, digits, start = _assert_walk_floors(p, q, d)
+            assert digits[start:] == [2 * x], (p, q)
 
 
 class TestPeriodOfClass:
@@ -145,6 +202,16 @@ class TestModularCF:
     def test_square_delta_rejected(self):
         with pytest.raises(SquareDiscriminantError):
             modular_cf_surd(Form(1, 0, 3))
+
+    def test_matches_float_expansion(self):
+        """b = ceil(x), then x -> 1 / (b - x); m < 0 gives a negative q."""
+        for f in (Form(2, -1, -3), Form(-2, 1, -3), Form(-5, 3, 13),
+                  Form(-3, -2, 8), Form(2, 4, -7)):
+            mcf = modular_cf_surd(f)
+            x = (-f.k + math.sqrt(discriminant(f))) / (2 * f.m)
+            for b in (mcf.preperiod + mcf.period * 3)[:8]:
+                assert b == math.ceil(x), f
+                x = 1.0 / (b - x)
 
 
 class TestPeriodConversion:

@@ -1,11 +1,6 @@
-"""Unit tests for exact quadratic-surd arithmetic."""
+"""Unit tests for exact integer square roots."""
 
-import math
-from fractions import Fraction
-
-import pytest
-
-from surdsym.exact import Surd, ceil_surd, floor_surd, is_square, isqrt
+from surdsym.exact import is_square, isqrt
 
 
 class TestIsqrt:
@@ -24,135 +19,3 @@ class TestIsqrt:
         for n in range(2000):
             assert is_square(n) == (n in squares)
         assert not is_square(-4)
-
-
-class TestSurdBasics:
-    def test_normalized_scales(self):
-        s = Surd.normalized(1, 3, 5)
-        assert (s.P, s.Q, s.D) == (3, 9, 45)
-        assert (s.D - s.P * s.P) % s.Q == 0
-        assert abs(float(s) - (1 + 5 ** 0.5) / 3) < 1e-12
-
-    def test_normalize_idempotent(self):
-        s = Surd.normalized(-4, 6, 7)
-        assert s.normalize() == s
-        assert (s.D - s.P * s.P) % s.Q == 0
-
-    def test_zero_q_rejected(self):
-        with pytest.raises(ValueError):
-            Surd.normalized(1, 0, 5)
-
-    def test_negative_d_rejected(self):
-        with pytest.raises(ValueError):
-            Surd.normalized(1, 2, -3)
-
-    def test_rational_detection(self):
-        assert Surd.normalized(1, 2, 9).is_rational
-        assert Surd.normalized(1, 2, 9).as_fraction() == Fraction(2, 1)
-        assert not Surd.normalized(1, 2, 8).is_rational
-        with pytest.raises(ValueError):
-            Surd.normalized(1, 2, 8).as_fraction()
-
-    def test_equality_across_scalings(self):
-        a = Surd.normalized(1, 2, 5)
-        b = Surd.normalized(2, 4, 20)
-        assert a == b
-        assert hash(a) == hash(b)
-
-    def test_equality_with_int_and_fraction(self):
-        assert Surd.normalized(3, 1, 4) == 5  # (3 + 2)/1
-        assert Surd.normalized(1, 2, 4) == Fraction(3, 2)
-        assert Surd.normalized(1, 2, 5) != Fraction(3, 2)
-
-    def test_negative_q_value(self):
-        s = Surd.normalized(-1, -2, 5)  # (-1 + sqrt5)/(-2) < 0
-        assert float(s) < 0
-
-    def test_neg_and_sub(self):
-        s = Surd.normalized(1, 2, 5)
-        assert -(-s) == s
-        assert (s - 3) + 3 == s
-        assert abs(float(-s) + float(s)) < 1e-12
-        assert (-s).compare_to(-2) > 0 and (-s).compare_to(-1) < 0
-
-    def test_reciprocal(self):
-        s = Surd.normalized(1, 2, 5)
-        r = s.reciprocal()
-        assert abs(float(r) * float(s) - 1) < 1e-12
-        # reciprocal of a rational surd stays exact
-        t = Surd.normalized(1, 2, 9)  # value 2
-        assert t.reciprocal() == Fraction(1, 2)
-
-    def test_reciprocal_of_zero(self):
-        zero = Surd.normalized(-2, 1, 4)
-        with pytest.raises(ZeroDivisionError):
-            zero.reciprocal()
-
-
-class TestFloorCeil:
-    def test_floor_matches_float_grid(self):
-        cases = []
-        for d in (2, 3, 5, 7, 10, 48, 97, 101):
-            for p in range(-12, 13):
-                for q in (-7, -3, -2, -1, 1, 2, 3, 7):
-                    cases.append((p, q, d))
-        for p, q, d in cases:
-            s = Surd.normalized(p, q, d)
-            f = floor_surd(s)
-            x = (p + d ** 0.5) / q
-            assert f == math.floor(x), (p, q, d)
-            assert ceil_surd(s) == math.ceil(x), (p, q, d)
-
-    def test_floor_rational_exact(self):
-        for p in range(-10, 11):
-            for q in (-4, -1, 1, 4):
-                for root in (0, 1, 3):
-                    s = Surd.normalized(p, q, root * root)
-                    assert floor_surd(s) == (p + root) // q
-                    assert ceil_surd(s) == -((-(p + root)) // q)
-
-    def test_floor_huge_discriminant(self):
-        d = 10 ** 30 + 7
-        s = Surd.normalized(-(10 ** 15), 2, d)
-        f = floor_surd(s)
-        assert Fraction(f) <= Fraction(-(10 ** 15) + isqrt(d), 2)
-        assert s.compare_to(f) >= 0
-        assert s.compare_to(f + 1) < 0
-
-    def test_floor_ceil_bracket_property(self):
-        for d in (2, 5, 13, 77):
-            for p in range(-6, 7):
-                for q in (-5, -1, 1, 5):
-                    s = Surd.normalized(p, q, d)
-                    f, c = floor_surd(s), ceil_surd(s)
-                    assert s.compare_to(f) >= 0 > s.compare_to(f + 1)
-                    assert c == f + (0 if s.is_rational and s.as_fraction == f else 1)
-
-
-class TestCompare:
-    def test_compare_to_fraction_ordering(self):
-        s = Surd.normalized(1, 2, 5)  # (1+sqrt5)/2 ~ 1.618
-        assert s.compare_to(Fraction(8, 5)) > 0
-        assert s.compare_to(Fraction(13, 8)) < 0
-        assert s.compare_to(1) > 0
-        assert s.compare_to(2) < 0
-
-    def test_compare_exact_tie(self):
-        s = Surd.normalized(1, 2, 9)
-        assert s.compare_to(2) == 0
-
-    def test_compare_negative_q(self):
-        s = Surd.normalized(1, -2, 5)  # (1+sqrt5)/(-2) ~ -1.618
-        assert s.compare_to(-2) > 0
-        assert s.compare_to(-1) < 0
-
-    def test_compare_consistent_with_floats(self):
-        for d in (3, 8, 15):
-            for p in range(-5, 6):
-                for q in (-3, -1, 2, 4):
-                    s = Surd.normalized(p, q, d)
-                    x = (p + d ** 0.5) / q
-                    for r in (Fraction(-7, 3), 0, Fraction(5, 2)):
-                        got = s.compare_to(r)
-                        want = (x > float(r)) - (x < float(r))
-                        assert got == want, (p, q, d, r)

@@ -1,14 +1,15 @@
-"""Unit tests for forms, generators, involutions, roots and domains."""
+"""Unit tests for forms, generators, involutions and domains."""
+
+import random
 
 import pytest
 
-from surdsym.exact import Surd
+from domain_by_roots import domain_by_roots
 from surdsym.forms import (INVOLUTION_NAMES, DomainLabel, Form, adjoint,
                            antipodal, apply_generator, apply_word,
                            complementary, conjugate, content, discriminant,
                            domain_of, gen_power, involution, is_primitive,
-                           roots, scale, word_str)
-from surdsym.oracle import domain_fast
+                           scale, word_str)
 
 SAMPLE_FORMS = [
     Form(2, -1, -3), Form(5, -3, -13), Form(1, -1, 1), Form(2, 4, -7),
@@ -109,49 +110,6 @@ class TestGenerators:
         assert word_str((("A", 1), ("R", 1))) == "A R"
 
 
-class TestRoots:
-    def test_root_values(self):
-        xi_plus, xi_minus = roots(Form(2, -1, -3))
-        # (3 + sqrt17)/4 and (3 - sqrt17)/4
-        assert xi_plus == Surd.normalized(3, 4, 17)
-        assert xi_plus.compare_to(1) > 0
-        assert xi_minus.compare_to(0) < 0
-
-    def test_root_action_of_a(self):
-        # xi(Af) = xi(f) - 1
-        for f in SAMPLE_FORMS:
-            if f.m == 0:
-                continue
-            xp, xm = roots(f)
-            axp, axm = roots(apply_generator(f, "A"))
-            assert axp == xp - 1
-            assert axm == xm - 1
-
-    def test_root_action_of_b(self):
-        # 1/xi(Bf) = 1/xi(f) - 1
-        for f in SAMPLE_FORMS:
-            if f.m == 0 or f.n == 0:
-                continue
-            xp, _ = roots(f)
-            bxp, _ = roots(apply_generator(f, "B"))
-            if xp.compare_to(0) != 0:
-                assert bxp.reciprocal() == xp.reciprocal() - 1
-
-    def test_root_action_of_r(self):
-        # xi(Rf) = -1/xi(f)
-        for f in SAMPLE_FORMS:
-            if f.m == 0 or f.n == 0:
-                continue
-            xp, _ = roots(f)
-            rxp, rxm = roots(apply_generator(f, "R"))
-            assert xp.reciprocal().__neg__() in (rxp, rxm)
-
-    def test_rational_roots_for_square_delta(self):
-        xp, xm = roots(Form(1, 0, 3))
-        assert xp.is_rational and xm.is_rational
-        assert {xp.as_fraction(), xm.as_fraction()} == {0, -3}
-
-
 class TestDomains:
     def test_h0(self):
         assert domain_of(Form(2, -1, -3)) == DomainLabel.H0
@@ -169,6 +127,7 @@ class TestDomains:
         assert domain_of(Form(0, -2, 3)) == DomainLabel.BOUNDARY
 
     def test_domain_fast_equivalence_on_grid(self):
+        """The integer sign tests agree with exact root comparisons."""
         span = range(-6, 7)
         n_checked = 0
         for m in span:
@@ -177,9 +136,34 @@ class TestDomains:
                     if k * k - 4 * m * n <= 0:
                         continue
                     f = Form(m, n, k)
-                    assert domain_fast(m, n, k) == domain_of(f), f
+                    assert domain_of(f) == domain_by_roots(m, n, k), f
                     n_checked += 1
         assert n_checked > 1000
+
+    def test_matches_root_comparison_on_large_coefficients(self):
+        """Seeded random forms with coefficients up to 10**12, drawn with
+        log-uniform sizes, and forms with a root placed on +-1."""
+        rng = random.Random(12)
+        seen = set()
+        for _ in range(20000):
+            m, n, k = (rng.choice((-1, 1)) * int(10 ** rng.uniform(0, 12))
+                       for _ in range(3))
+            if k * k - 4 * m * n <= 0:
+                continue
+            label = domain_of(Form(m, n, k))
+            assert label == domain_by_roots(m, n, k), (m, n, k)
+            seen.add(label)
+        assert seen == set(DomainLabel)
+        for _ in range(2000):
+            # m*t**2 + k*t + n with k = -s*(m + n) has the root t = s = +-1;
+            # with m*n > 0 the form lies on the boundary
+            s, sign = rng.choice((-1, 1)), rng.choice((-1, 1))
+            m, n = (sign * rng.randrange(1, 10 ** 12) for _ in range(2))
+            k = -s * (m + n)
+            if k * k - 4 * m * n <= 0:
+                continue
+            assert domain_of(Form(m, n, k)) == domain_by_roots(m, n, k) \
+                == DomainLabel.BOUNDARY, (m, n, k)
 
     def test_all_six_domains_inhabited(self):
         seen = set()
@@ -188,7 +172,7 @@ class TestDomains:
             for n in span:
                 for k in span:
                     if k * k - 4 * m * n > 0:
-                        seen.add(domain_fast(m, n, k))
+                        seen.add(domain_of(Form(m, n, k)))
         expected = {DomainLabel.H0, DomainLabel.H0R, DomainLabel.HA,
                     DomainLabel.HABAR, DomainLabel.HB, DomainLabel.HBBAR,
                     DomainLabel.BOUNDARY}

@@ -2,10 +2,11 @@
 
 import pytest
 
+from domain_by_roots import domain_by_roots
 from surdsym.forms import (DomainLabel, Form, antipodal, complementary,
                            conjugate, domain_of)
-from surdsym.oracle import (OracleInconclusive, domain_fast, h0_cycle_walk,
-                            orbit_bfs, verify_counts, verify_symmetry)
+from surdsym.oracle import (OracleInconclusive, h0_cycle_walk, orbit_bfs,
+                            verify_counts, verify_symmetry)
 from surdsym.periods import SymmetryType
 
 
@@ -59,13 +60,15 @@ class TestH0CycleWalk:
 
 class TestDomainFast:
     def test_matches_definitional_on_grid(self):
+        """The domain test the oracle tallies with agrees with exact root
+        comparisons."""
         span = range(-7, 8)
         for m in span:
             for n in span:
                 for k in span:
                     if k * k - 4 * m * n <= 0:
                         continue
-                    assert domain_fast(m, n, k) == domain_of(Form(m, n, k))
+                    assert domain_of(Form(m, n, k)) == domain_by_roots(m, n, k)
 
 
 class TestVerifySymmetry:

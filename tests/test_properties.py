@@ -6,7 +6,8 @@ Every property runs at least 500 randomized cases with exact assertions
 
 from hypothesis import assume, given, settings, strategies as st
 
-from surdsym.cf import period_inverse_pair, period_of_class
+from surdsym.cf import (cf_surd, period_inverse_pair, period_of_class,
+                        period_to_forms)
 from surdsym.exact import is_square
 from surdsym.forms import (INVOLUTION_NAMES, Form, apply_word, discriminant,
                            gen_power, involution)
@@ -15,6 +16,7 @@ from surdsym.periods import (SymmetryType, canonical_rotation, classify_class,
                              counts_nonsquare, counts_square,
                              is_bipalindromic, is_palindromic_cyclic,
                              is_primitive_period)
+from surdsym.reduction import is_reduced, reduced_cycle, reduced_representative
 
 BASE = settings(max_examples=500, deadline=None, derandomize=True)
 
@@ -39,6 +41,14 @@ words = st.lists(st.tuples(st.sampled_from(("A", "B", "R", "A-", "B-")),
 
 period_words = st.lists(st.integers(min_value=1, max_value=4),
                         min_size=1, max_size=8).map(tuple)
+
+
+# A/B words with large exponents, to disguise a form up to a coefficient cap.
+disguise_words = st.lists(st.tuples(st.sampled_from(("A", "B", "A-", "B-")),
+                                    st.integers(min_value=1, max_value=10 ** 6)),
+                          min_size=1, max_size=12)
+
+BIG = 10 ** 30
 
 
 def nonsquare_h0(f: Form) -> bool:
@@ -163,3 +173,29 @@ def test_counts_match_period_sum(f):
     r = classify_class(f)
     assert r.t == t
     assert {r.t_up, r.t_down} == {t_up, t_down}
+
+
+def _disguise(f: Form, word) -> Form:
+    """f moved by the longest prefix of word that keeps max |coeff| <= BIG."""
+    for step in word:
+        g = apply_word(f, (step,))
+        if g.max_abs() > BIG:
+            break
+        f = g
+    return f
+
+
+@settings(max_examples=500, deadline=500, derandomize=True)
+@given(period_words, disguise_words)
+def test_large_coefficient_reduction(s, word):
+    """A period form disguised by A/B words to coefficients up to 10**30
+    reduces to a reduced form of its own class, whose period is a rotation
+    of the disguised form's; each case has a 500 ms deadline."""
+    assume(is_primitive_period(s))
+    f0 = period_to_forms(s)[0]
+    f = _disguise(f0, word)
+    h = reduced_representative(f)
+    assert is_reduced(h)
+    assert h in reduced_cycle(f0).forms
+    assert canonical_rotation(cf_surd(f).period) == \
+        canonical_rotation(cf_surd(h).period)
