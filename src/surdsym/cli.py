@@ -171,7 +171,7 @@ def cmd_orbit(args) -> int:
         lines = [f"{g.m} {g.n} {g.k}  {domain_of(g).value}"
                  for g in orbit_bfs(f, args.bound)]
     elif is_square(d):
-        rep = normalize_square_form(f, args.bound or 0)
+        rep = normalize_square_form(f)
         lines = [f"{rep.m} {rep.n} {rep.k}  normal form"]
     else:
         lines = _orbit_tour(f)

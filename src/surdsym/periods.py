@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional, Tuple
-
-from collections import deque
 
 from .cf import CFExpansion, cf_parity_variant, cf_rational, cf_surd
 from .exact import is_square, isqrt
-from .forms import (GENERATORS, Form, InternalError, apply_generator,
-                    discriminant, is_primitive)
+from .forms import Form, InternalError, discriminant, is_primitive
 
 
 class SymmetryType(enum.Enum):
@@ -60,34 +58,36 @@ def is_primitive_period(s: Tuple[int, ...]) -> bool:
     return not any(n % d == 0 and dbl[d:d + n] == s for d in range(1, n))
 
 
+def _reflection_kinds(s: Tuple[int, ...]) -> Tuple[bool, bool]:
+    """(palindromic, bipalindromic) from the reflections of the cyclic word.
+
+    A reflection is a c with s[j] == s[(c - j) mod n] for all j; the rotation
+    of s[::-1] starting at n - 1 - c equals s exactly then.  A rotation
+    starting at i is its own reversal iff c = 2i + n - 1 is a reflection, and
+    it splits into palindromes of odd lengths L and n - L iff c = 2i + L - 1
+    is one.  So for odd n every reflection is palindromic; for even n odd c
+    are palindromic and even c bipalindromic.
+    """
+    n = len(s)
+    rev2 = s[::-1] * 2
+    pal = bip = False
+    for o in range(n):
+        if rev2[o] == s[0] and rev2[o:o + n] == s:
+            if n % 2 or o % 2 == 0:  # c = n - 1 - o is odd
+                pal = True
+            else:
+                bip = True
+    return pal, bip
+
+
 def is_palindromic_cyclic(s: Tuple[int, ...]) -> bool:
     """True iff some rotation of s reads the same forwards and backwards."""
-    s = tuple(s)
-    if not s:
-        return False
-    dbl = s + s
-    n = len(s)
-    for i in range(n):
-        rot = dbl[i:i + n]
-        if rot == rot[::-1]:
-            return True
-    return False
+    return _reflection_kinds(tuple(s))[0]
 
 
 def is_bipalindromic(s: Tuple[int, ...]) -> bool:
     """True iff some rotation splits into two odd-length plain palindromes."""
-    s = tuple(s)
-    n = len(s)
-    if n == 0 or n % 2 != 0:
-        return False
-    dbl = s + s
-    for i in range(n):
-        rot = dbl[i:i + n]
-        for cut in range(1, n, 2):  # both pieces must have odd length
-            left, right = rot[:cut], rot[cut:]
-            if left == left[::-1] and right == right[::-1]:
-                return True
-    return False
+    return _reflection_kinds(tuple(s))[1]
 
 
 def classify_period(s: Tuple[int, ...]) -> SymmetryType:
@@ -97,8 +97,7 @@ def classify_period(s: Tuple[int, ...]) -> SymmetryType:
         raise ValueError(f"period digits must be positive integers: {s}")
     if not is_primitive_period(s):
         raise ValueError(f"period {s} is not primitive")
-    pal = is_palindromic_cyclic(s)
-    bip = is_bipalindromic(s)
+    pal, bip = _reflection_kinds(s)
     odd = len(s) % 2 == 1
     if pal and bip:
         # For primitive words the two reflection types exclude each other.
@@ -205,30 +204,30 @@ class ClassReport:
         return not self.primitive
 
 
-def normalize_square_form(f: Form, coeff_bound: int = 0) -> Form:
+def normalize_square_form(f: Form) -> Form:
     """The (m, 0, k) representative, 0 <= m < k, of a square-delta class.
 
-    Breadth-first walk over the generator graph, capped by a coefficient
-    bound that doubles (three times at most) if no normal form is found.
+    With s = isqrt(delta), f has a primitive zero (b, d): a root
+    (-k +- s) / (2m) in lowest terms, or (1, 0) and (-n, k) when m = 0.
+    Extended Euclid (a modular inverse) completes it to a det-1 substitution
+    (x, y) -> (ax + by, cx + dy), which sends f to (f(a, c), 0, +-s); of the
+    two zeros, the one giving +s is used.  B^e then takes m into [0, s).
+    O(log max|coeff|) arithmetic steps.
     """
+    m, n, k = f.m, f.n, f.k
     d = discriminant(f)
     if d <= 0 or not is_square(d):
         raise ValueError(f"form {f} does not have a positive square discriminant")
-    bound = coeff_bound or max(4 * d, 2 * f.max_abs(), 16)
-    for _ in range(4):
-        seen = {f}
-        queue = deque((f,))
-        while queue:
-            g = queue.popleft()
-            if g.n == 0 and g.k > 0:
-                return Form(g.m % g.k, 0, g.k)
-            for gen in GENERATORS:
-                h = apply_generator(g, gen)
-                if h not in seen and h.max_abs() <= bound:
-                    seen.add(h)
-                    queue.append(h)
-        bound *= 2
-    raise InternalError(f"no (m,0,k) representative for {f} within bound {bound // 2}")
+    s = isqrt(d)
+    zeros = ((1, 0), (-n, k)) if m == 0 else ((-k + s, 2 * m), (-k - s, 2 * m))
+    for b, dd in zeros:
+        g = gcd(b, dd)
+        b, dd = b // g, dd // g
+        a = pow(dd, -1, abs(b)) if b else dd  # a*dd - b*c == 1
+        c = (a * dd - 1) // b if b else 0
+        if 2 * m * a * b + 2 * n * c * dd + k * (a * dd + b * c) == s:
+            return Form((m * a * a + n * c * c + k * a * c) % s, 0, s)
+    raise InternalError(f"no zero of {f} gives an (m,0,{s}) form")
 
 
 def classify_class(f: Form) -> ClassReport:

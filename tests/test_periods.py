@@ -1,8 +1,15 @@
 """Unit tests for period word predicates, counts, and class reports."""
 
+import itertools
+import time
+
 import pytest
 
-from surdsym.forms import Form
+from palindromes_by_rotation import (bipalindromic_by_rotation,
+                                     palindromic_by_rotation)
+from surdsym.exact import is_square
+from surdsym.forms import Form, discriminant
+from surdsym.oracle import orbit_bfs
 from surdsym.periods import (ClassificationError, ClassReport, SymmetryType,
                              canonical_rotation, classify_class,
                              classify_period, classify_square,
@@ -54,6 +61,13 @@ class TestRotationsAndPredicates:
         assert is_bipalindromic((5, 2, 1, 2))  # (5) + (2,1,2)
         assert not is_bipalindromic((1, 2, 3))
         assert not is_bipalindromic((1, 2, 2, 1))
+
+    def test_predicates_match_rotation_reference(self):
+        # every word over {1,2,3} of length <= 10, primitive or not
+        for n in range(11):
+            for w in itertools.product((1, 2, 3), repeat=n):
+                assert is_palindromic_cyclic(w) == palindromic_by_rotation(w), w
+                assert is_bipalindromic(w) == bipalindromic_by_rotation(w), w
 
     def test_classify_period_all_five(self):
         assert classify_period((1, 1, 3)) is SUPER          # palindromic, odd
@@ -136,6 +150,44 @@ class TestNormalizeSquareForm:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             normalize_square_form(Form(2, -1, -3))
+
+    @pytest.mark.parametrize("f, rep", [
+        ((0, 2, 7), (4, 0, 7)), ((0, 2, -7), (2, 0, 7)),
+        ((0, -2, 7), (3, 0, 7)), ((0, -2, -7), (5, 0, 7)),
+        ((0, 3, 7), (5, 0, 7)), ((0, 3, -7), (3, 0, 7)),
+        ((3, 0, 7), (3, 0, 7)), ((3, 0, -7), (5, 0, 7)),
+        ((-2, 0, 7), (5, 0, 7)), ((-2, 0, -7), (3, 0, 7)),
+        ((0, 0, 5), (0, 0, 5)), ((0, 0, -5), (0, 0, 5))])
+    def test_m_or_n_zero(self, f, rep):
+        assert normalize_square_form(Form(*f)) == Form(*rep)
+
+    def test_matches_bfs_on_grid(self):
+        """Every square-delta form with |m|, |n| <= 12 and |k| <= 25 gets the
+        one (m', 0, k' > 0) member, m' taken mod k', of its bounded BFS orbit.
+        Forms of one BFS component share the orbit, so each component is
+        searched once per bound."""
+        forms = [Form(m, n, k) for m in range(-12, 13) for n in range(-12, 13)
+                 for k in range(-25, 26)
+                 if k * k - 4 * m * n > 0 and is_square(k * k - 4 * m * n)]
+        assert len(forms) == 5042
+        grid = set(forms)
+        known = {}
+        for f in forms:
+            bound = max(4 * discriminant(f), 2 * f.max_abs(), 16)
+            if (bound, f) not in known:
+                orbit = orbit_bfs(f, bound)
+                reps = {Form(g.m % g.k, 0, g.k) for g in orbit
+                        if g.n == 0 and g.k > 0}
+                assert len(reps) == 1, (f, reps)
+                known.update(((bound, g), reps) for g in orbit if g in grid)
+            assert known[(bound, f)] == {normalize_square_form(f)}, f
+
+    def test_large_coefficients_answer_fast(self):
+        # delta = 49, in the class of (3, 0, 7); a bounded BFS never finished
+        start = time.perf_counter()
+        r = classify_class(Form(6963662, 21085771815, 766378987))
+        assert time.perf_counter() - start < 0.05
+        assert r.representative == Form(3, 0, 7)
 
 
 class TestClassifyClass:

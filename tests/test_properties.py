@@ -15,7 +15,7 @@ from surdsym.periods import (SymmetryType, canonical_rotation, classify_class,
                              classify_period, classify_square,
                              counts_nonsquare, counts_square,
                              is_bipalindromic, is_palindromic_cyclic,
-                             is_primitive_period)
+                             is_primitive_period, normalize_square_form)
 from surdsym.reduction import is_reduced, reduced_cycle, reduced_representative
 
 BASE = settings(max_examples=500, deadline=None, derandomize=True)
@@ -47,6 +47,12 @@ period_words = st.lists(st.integers(min_value=1, max_value=4),
 disguise_words = st.lists(st.tuples(st.sampled_from(("A", "B", "A-", "B-")),
                                     st.integers(min_value=1, max_value=10 ** 6)),
                           min_size=1, max_size=12)
+
+# The same with R steps, for square-discriminant forms.
+square_disguise_words = st.lists(
+    st.tuples(st.sampled_from(("A", "B", "R", "A-", "B-")),
+              st.integers(min_value=1, max_value=10 ** 6)),
+    min_size=1, max_size=12)
 
 BIG = 10 ** 30
 
@@ -199,3 +205,15 @@ def test_large_coefficient_reduction(s, word):
     assert h in reduced_cycle(f0).forms
     assert canonical_rotation(cf_surd(f).period) == \
         canonical_rotation(cf_surd(h).period)
+
+
+@settings(max_examples=500, deadline=500, derandomize=True)
+@given(st.integers(min_value=1, max_value=500), st.data(), square_disguise_words)
+def test_large_coefficient_square_normal_form(k, data, word):
+    """A form (m, 0, k), 0 <= m < k, of any content, disguised by A/B/R words
+    to coefficients up to 10**30, normalizes back to (m, 0, k) and keeps its
+    symmetry type; each case has a 500 ms deadline."""
+    m = data.draw(st.integers(min_value=0, max_value=k - 1))
+    f = _disguise(Form(m, 0, k), word)
+    assert normalize_square_form(f) == Form(m, 0, k)
+    assert classify_class(f).symmetry is classify_square(m, k)
