@@ -21,13 +21,13 @@ from math import gcd, isqrt
 from multiprocessing import Pool
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cf import _regular_walk, modular_cf_surd
+from .cf import _regular_walk
 from .exact import is_square
 from .forms import Form, InternalError, scale
 from .periods import (ClassReport, SymmetryType, classify_period,
                       classify_square, counts_nonsquare, counts_square,
                       square_cf_display)
-from .reduction import reduced_representative
+from .reduction import _SUM_RULE_TYPES, check_sum_rule, reduced_cycle
 
 
 def valid_deltas(delta_max: int, include_square: bool = True,
@@ -264,32 +264,16 @@ class SumRuleFinding:
     symmetry: SymmetryType
     modular_period: Tuple[int, ...]
 
-    @property
-    def holds(self) -> bool:
-        return sum(self.modular_period) == 3 * len(self.modular_period)
-
 
 def _sum_rule_for_delta(args) -> Tuple[int, List[SumRuleFinding]]:
     delta, rep_triples_syms = args
-    checked = 0
     failures = []
-    for (m, n, k), code in rep_triples_syms:
-        rep = Form(m, n, k)
-        sym = SymmetryType.from_code(code)
-        h = reduced_representative(rep)
-        mcf = modular_cf_surd(h)
-        if mcf.preperiod:
-            raise InternalError(f"reduced form {h} gave mixed minus CF")
-        finding = SumRuleFinding(delta, rep, sym, mcf.period)
-        checked += 1
-        if not finding.holds:
-            failures.append(finding)
-    return checked, failures
-
-
-_SYMMETRIC_THREE = frozenset((SymmetryType.SUPERSYMMETRIC,
-                              SymmetryType.ANTISYMMETRIC,
-                              SymmetryType.M_PLUS_N_SYMMETRIC))
+    for triple, code in rep_triples_syms:
+        rep, sym = Form(*triple), SymmetryType.from_code(code)
+        cycle = reduced_cycle(rep)
+        if not check_sum_rule(cycle, sym):
+            failures.append(SumRuleFinding(delta, rep, sym, cycle.modular_period))
+    return len(rep_triples_syms), failures
 
 
 def sum_rule_sweep(delta_max: int, jobs: int = 1) -> Tuple[int, List[SumRuleFinding]]:
@@ -299,7 +283,7 @@ def sum_rule_sweep(delta_max: int, jobs: int = 1) -> Tuple[int, List[SumRuleFind
     tasks = []
     for d in sorted(census):
         picked = [(r.representative.coeffs(), r.symmetry.code)
-                  for r in census[d] if r.symmetry in _SYMMETRIC_THREE]
+                  for r in census[d] if r.symmetry in _SUM_RULE_TYPES]
         if picked:
             tasks.append((d, picked))
     if jobs > 1 and len(tasks) > 8:

@@ -5,9 +5,8 @@ radicand D: the current complete quotient is (P + sqrt(D)) / Q and every
 update keeps the invariant Q | (D - P**2).  Periods are detected by first
 repetition of the (P, Q) state, which for both variants coincides with
 digit-level minimality.
-``_regular_walk`` is the one regular recurrence: ``cf_surd``, the reduced
-representative and the census's cycle walk all read its states and digits.
-The minus recurrence keeps its own loop in ``modular_cf_surd``.
+``_regular_walk`` and ``_minus_walk`` are the one loop of each recurrence;
+every form that reduction and the H0 tour report is a ``_state_form``.
 """
 from __future__ import annotations
 
@@ -141,6 +140,29 @@ def _regular_walk(p: int, q: int, d: int
     return states, digits, states[(p, q)]
 
 
+def _minus_walk(p: int, q: int, d: int
+                ) -> Tuple[Dict[Tuple[int, int], int], List[int], int]:
+    """``_regular_walk`` for the minus CF: ceiling digits, and the state
+    after (P_j, Q_j) has Q_{j+1} * Q_j = P_{j+1}**2 - d."""
+    r = isqrt(d)
+    states = {}
+    digits = []
+    while (p, q) not in states:
+        states[(p, q)] = len(digits)
+        # ceiling of the irrational (p + sqrt(d))/q, from r = floor(sqrt(d))
+        b = (p + r) // q + 1 if q > 0 else -((p + r) // -q)
+        digits.append(b)
+        p = b * q - p
+        q = (p * p - d) // q
+    return states, digits, states[(p, q)]
+
+
+def _state_form(p: int, q: int, d: int) -> Form:
+    """The form whose xi_plus is (p + sqrt(d)) / q: the inverse of the state
+    (-k, 2m) of a form; walks from such a state keep 2q | d - p**2."""
+    return Form(q // 2, (p * p - d) // (2 * q), -p)
+
+
 def cf_surd(f: Form) -> CFExpansion:
     """Regular continued fraction of xi_plus(f) = (-k + sqrt(delta)) / (2m).
 
@@ -197,18 +219,7 @@ def modular_cf_surd(f: Form) -> ModularCF:
         raise SquareDiscriminantError(f"form {f} has square discriminant")
     if f.m == 0:
         raise ValueError(f"form {f} has m=0; apply R first")
-    r = isqrt(d)
-    p, q = -f.k, 2 * f.m
-    digits = []
-    seen = {}
-    while (p, q) not in seen:
-        seen[(p, q)] = len(digits)
-        # ceiling of the irrational (p + sqrt(d))/q, from r = floor(sqrt(d))
-        b = (p + r) // q + 1 if q > 0 else -((p + r) // -q)
-        digits.append(b)
-        p = b * q - p
-        q = (p * p - d) // q
-    start = seen[(p, q)]
+    _, digits, start = _minus_walk(-f.k, 2 * f.m, d)
     return ModularCF(tuple(digits[:start]), tuple(digits[start:]))
 
 

@@ -11,14 +11,16 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
+import tempfile
 from typing import List, Optional, Sequence
 
-from .census import StatRow, full_census, stats_rows, valid_deltas
-from .cf import cf_surd, modular_cf_surd
+from .census import StatRow, census_square, full_census, stats_rows, valid_deltas
+from .cf import _regular_walk, _state_form, cf_surd, modular_cf_surd
 from .exact import is_square
-from .forms import Form, InternalError, discriminant, domain_of, word_str
-from .oracle import OracleInconclusive, orbit_bfs
+from .forms import Form, InternalError, antipodal, discriminant, domain_of, word_str
+from .oracle import orbit_bfs
 from .periods import ClassReport, classify_class, normalize_square_form
 from .reduction import reduce_to_H0
 
@@ -85,11 +87,22 @@ def _render(records: List[dict], fields: Sequence[str], fmt: str) -> str:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    """Write text to stdout, or to out via a temp file: no partial file is left."""
+    if not out:
         sys.stdout.write(text)
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out)),
+                               prefix=".surdsym-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp's 0o600 -> the mode open() gives
+        os.replace(tmp, out)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _form_args(args) -> Form:
@@ -140,23 +153,25 @@ def cmd_modular(args) -> int:
 
 
 def _orbit_tour(f: Form) -> List[str]:
-    """Run-boundary forms of the H0 cycle through f, with their periods."""
-    from .oracle import h0_cycle_walk
+    """Run-boundary forms of the H0 cycle through f, with their periods.
 
+    Peeling the CF digits of xi_plus from the H0 form f by alternating A and
+    B runs passes the j-th state form, antipodal for odd j; from the period
+    start on, these are the run starts in cycle order (2P of them for an odd
+    period length P)."""
     if f.m * f.n >= 0:
         f = reduce_to_H0(f)[0]
     if f.m < 0:  # H0R member: complementary partner lies in the same class
         f = Form(f.n, f.m, -f.k)
-    cycle, _ = h0_cycle_walk(f)
-    t = len(cycle)
-    def step(i):
-        g = cycle[i]
-        return "A" if g.m + g.n + g.k < 0 else "B"
-    starts = [i for i in range(t) if step(i) != step(i - 1)]
+    d = discriminant(f)
+    states, digits, start = _regular_walk(-f.k, 2 * f.m, d)
+    cycle, period = list(states)[start:], digits[start:]
+    n = len(period)
     lines = []
-    for i in starts:
-        g = cycle[i]
-        lines.append(f"{g.m} {g.n} {g.k}  {_seq(cf_surd(g).period)}")
+    for i in range(n if n % 2 == 0 else 2 * n):
+        g = _state_form(*cycle[i % n], d)
+        g = antipodal(g) if (start + i) % 2 else g
+        lines.append(f"{g.m} {g.n} {g.k}  {_seq(period[i % n:] + period[:i % n])}")
     return lines
 
 
@@ -165,6 +180,8 @@ def cmd_orbit(args) -> int:
     d = discriminant(f)
     if d <= 0:
         raise ValueError(f"form {f} is not indefinite (delta={d})")
+    if args.bound is not None and not args.all:
+        raise ValueError("--bound requires --all")
     if args.all:
         if not args.bound:
             raise ValueError("--all requires --bound")
@@ -189,11 +206,11 @@ def _check_sweep_args(args) -> None:
 def cmd_table(args) -> int:
     _check_sweep_args(args)
     zero = args.which == "zero"
-    census = full_census(args.delta_max, jobs=args.jobs)
-    records = []
-    for d in valid_deltas(args.delta_max, include_square=zero,
-                          include_nonsquare=not zero):
-        records.extend(_report_record(r) for r in census[d])
+    deltas = valid_deltas(args.delta_max, include_square=zero,
+                          include_nonsquare=not zero)
+    census = ({d: census_square(d) for d in deltas} if zero
+              else full_census(args.delta_max, jobs=args.jobs))
+    records = [_report_record(r) for d in deltas for r in census[d]]
     _emit(_render(records, ZERO_FIELDS if zero else NONZERO_FIELDS,
                   args.format), args.out)
     return 0
@@ -254,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("reduce", cmd_reduce, "reduce to a form with mn <= 0")
     add("modular", cmd_modular, "minus (modular) CF of xi_plus")
     p_orbit = add("orbit", cmd_orbit, "cycle tour (or --all: bounded BFS orbit)")
-    p_orbit.add_argument("--bound", type=int, default=0)
+    p_orbit.add_argument("--bound", type=int)
     p_orbit.add_argument("--all", action="store_true")
     p_table = add("table", cmd_table, "class table for all delta <= --delta-max",
                   form=False, fmt=True, sweep=True)
@@ -268,7 +285,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OracleInconclusive, InternalError) as exc:
+    except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OverflowError) as exc:

@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .cf import (SquareDiscriminantError, _regular_walk, cf_surd,
-                 modular_cf_surd)
+from .cf import (SquareDiscriminantError, _minus_walk, _regular_walk,
+                 _state_form)
 from .exact import is_square
-from .forms import (Form, GeneratorWord, InternalError, apply_generator,
+from .forms import (Form, GeneratorWord, InternalError, antipodal,
                     discriminant, gen_power, involution)
 from .periods import SymmetryType
 
@@ -43,15 +43,12 @@ def reduced_representative(f: Form) -> Form:
     d = _require_nonsquare(f)
     if is_reduced(f):
         return f
-    # The j-th state form (Q_j/2, -Q_{j-1}/2, -P_j) of the expansion lies in
-    # C(f) exactly when j is even; Q_{j-1} = (d - P_j**2) / Q_j.
+    # The j-th state form of the expansion lies in C(f) exactly when j is even.
     states, _, n_pre = _regular_walk(-f.k, 2 * f.m, d)
     j0 = n_pre if n_pre % 2 == 0 else n_pre + 1
     order = list(states)
     pj, qj = order[j0] if j0 < len(order) else order[n_pre]
-    q_prev = (d - pj * pj) // qj
-    fj = Form(qj // 2, -q_prev // 2, -pj)
-    h = gen_power(fj, "A", -1)
+    h = gen_power(_state_form(pj, qj, d), "A", -1)
     if not is_reduced(h):
         raise InternalError(f"representative {h} of {f} is not reduced")
     return h
@@ -75,27 +72,20 @@ def reduced_cycle(f: Form) -> ReducedCycle:
     """All reduced forms of C(f), in cycle order, with the minus-CF period.
 
     Starts at the canonical reduced representative h; successive forms are
-    R(A^{c_i}(previous)) for the period digits c_i, closing back at h.
+    R(A^{c_i}(previous)) for the period digits c_i, closing back at h.  As
+    the state of R(A^c(h)) is the minus state after h's, they are the state
+    forms of the minus CF of xi_plus(h).
     """
     h0 = reduced_representative(f)
-    mcf = modular_cf_surd(h0)
-    if mcf.preperiod:
-        raise InternalError(
-            f"minus CF of reduced form {h0} is not purely periodic: {mcf}")
-    digits = mcf.period
-    forms = [h0]
-    cur = h0
-    for i, c in enumerate(digits):
-        cur = apply_generator(gen_power(cur, "A", c), "R")
-        if not is_reduced(cur):
-            raise InternalError(f"cycle step left the reduced set: {cur}")
-        if i < len(digits) - 1:
-            forms.append(cur)
-    if cur != h0:
-        raise InternalError(f"reduced cycle of {f} did not close: ended at {cur}")
-    if len(set(forms)) != len(forms):
-        raise InternalError(f"reduced cycle of {f} revisited a form")
-    return ReducedCycle(tuple(forms), digits)
+    d = discriminant(h0)
+    states, digits, start = _minus_walk(-h0.k, 2 * h0.m, d)
+    if start:
+        raise InternalError(f"minus CF of reduced form {h0} is not purely periodic")
+    forms = tuple(_state_form(p, q, d) for p, q in states)
+    for g in forms:
+        if not is_reduced(g):
+            raise InternalError(f"cycle of {f} left the reduced set: {g}")
+    return ReducedCycle(forms, tuple(digits))
 
 
 _H0_INVOLUTION_ORDER = ("identity", "conjugate", "adjoint", "antipodal")
@@ -110,6 +100,8 @@ def reduce_to_H0(f: Form) -> Tuple[Form, GeneratorWord, str]:
     of the regular CF of that root is peeled off with alternating A and B
     exponents (stopping as soon as mn <= 0), and iota is applied again; since
     each involution maps mn <= 0 forms to mn <= 0 forms, the result stands.
+    Peeling a_0 ... a_{j-1} reaches the j-th state form (antipodal for odd
+    j), whose mn is (P_j**2 - delta) / 4: the peel stops at P_j**2 < delta.
     """
     d = discriminant(f)
     if d <= 0:
@@ -125,36 +117,31 @@ def reduce_to_H0(f: Form) -> Tuple[Form, GeneratorWord, str]:
             break
     else:
         raise InternalError(f"no involution of {f} has a positive first root")
-    word = []
-    cur = g
-    gens = ("A", "B")
-    for i, a in enumerate(cf_surd(g).preperiod):
-        if cur.m * cur.n <= 0:
-            break
-        if a > 0:
-            cur = gen_power(cur, gens[i % 2], a)
-            word.append((gens[i % 2], a))
-    if cur.m * cur.n > 0:
-        raise InternalError(f"preperiod of {g} did not reach mn <= 0: {cur}")
+    states, digits, n_pre = _regular_walk(-g.k, 2 * g.m, d)
+    first = next(((j, p, q) for j, (p, q) in enumerate(states) if p * p < d),
+                 None)
+    if first is None or first[0] > n_pre:
+        raise InternalError(f"preperiod of {g} did not reach mn <= 0")
+    j, p, q = first
+    cur = _state_form(p, q, d)
+    cur = antipodal(cur) if j % 2 else cur
+    word = tuple(("AB"[i % 2], a) for i, a in enumerate(digits[:j]) if a > 0)
     out = cur if tag == "identity" else involution(cur, tag)
-    return out, tuple(word), tag
+    return out, word, tag
 
 
 def reduce_classical(f: Form) -> Tuple[Form, GeneratorWord]:
     """Reduce a form with m > 0, n > 0, k < 0 by the word R A^{b_M} ... R A^{b_0},
     where b_0 ... b_M is the minus-CF preperiod of xi_plus(f)."""
-    _require_nonsquare(f)
+    d = _require_nonsquare(f)
     if not (f.m > 0 and f.n > 0 and f.k < 0):
         raise ValueError(f"reduce_classical needs m>0, n>0, k<0; got {f}")
-    word = []
-    cur = f
-    for b in modular_cf_surd(f).preperiod:
-        cur = apply_generator(gen_power(cur, "A", b), "R")
-        word.append(("A", b))
-        word.append(("R", 1))
-    if not is_reduced(cur):
-        raise InternalError(f"classical reduction of {f} ended unreduced: {cur}")
-    return cur, tuple(word)
+    # Each step R A^b moves the state form on by one minus state.
+    states, digits, start = _minus_walk(-f.k, 2 * f.m, d)
+    h = _state_form(*list(states)[start], d)
+    if not is_reduced(h):
+        raise InternalError(f"classical reduction of {f} ended unreduced: {h}")
+    return h, tuple(step for b in digits[:start] for step in (("A", b), ("R", 1)))
 
 
 _SUM_RULE_TYPES = frozenset((SymmetryType.SUPERSYMMETRIC,

@@ -3,13 +3,18 @@
 import csv
 import io
 import json
+import os
 import shutil
 import subprocess
+import time
 from fractions import Fraction
 
 import pytest
 
-from surdsym.cli import build_parser, main
+from surdsym.cli import _orbit_tour, build_parser, main
+from surdsym.forms import Form
+from test_reduction import NONSQUARE_GRID
+from tour_by_h0_walk import tour_by_h0_walk
 
 
 def run(capsys, *argv):
@@ -126,6 +131,23 @@ class TestOrbit:
         rc, out, _ = run(capsys, "orbit", "2", "2", "-5")
         assert rc == 0 and out == "2 0 3  normal form\n"
 
+    @pytest.mark.parametrize("form", [("2", "2", "-5"), ("5", "-3", "-13")])
+    def test_bound_requires_all(self, capsys, form):
+        rc, out, err = run(capsys, "orbit", *form, "--bound", "3")
+        assert rc == 1 and out == ""
+        assert err == "error: --bound requires --all\n"
+
+    def test_tour_matches_h0_walk_on_grid(self):
+        for f in NONSQUARE_GRID:
+            assert _orbit_tour(f) == tour_by_h0_walk(f), f
+
+    def test_tour_of_huge_coefficients_is_fast(self):
+        # The H0 cycle of this class has t = 4 * 10**12 forms.
+        t0 = time.perf_counter()
+        lines = _orbit_tour(Form(1, -10 ** 24 - 1, 0))
+        assert time.perf_counter() - t0 < 0.05
+        assert len(lines) == 2
+
 
 class TestTable:
     def test_csv_delta_20(self, capsys):
@@ -217,6 +239,37 @@ class TestOutAndEntry:
         text = target.read_text()
         assert text.startswith("delta,m,n,k,gamma")
         assert "5,1,-1,-1,[1],1,2,1,1,super,0" in text
+        assert os.listdir(tmp_path) == ["table.csv"]
+
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "table.csv"
+        target.write_text("old bytes\n")
+        real_fdopen = os.fdopen
+
+        class HalfWriter:
+            """Writes half the text, then fails as a full disk would."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:len(text) // 2])
+                self.fh.flush()
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "fdopen",
+                            lambda *a, **kw: HalfWriter(real_fdopen(*a, **kw)))
+        with pytest.raises(OSError, match="no space"):
+            main(["table", "--delta-max", "20", "--format", "csv",
+                  "--out", str(target)])
+        assert target.read_text() == "old bytes\n"
+        assert os.listdir(tmp_path) == ["table.csv"]
 
     def test_parser_has_all_subcommands(self):
         parser = build_parser()

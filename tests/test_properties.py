@@ -17,6 +17,7 @@ from surdsym.periods import (SymmetryType, canonical_rotation, classify_class,
                              is_bipalindromic, is_palindromic_cyclic,
                              is_primitive_period, normalize_square_form)
 from surdsym.reduction import is_reduced, reduced_cycle, reduced_representative
+from test_reduction import h0_word_holds, r_a_steps_close
 
 BASE = settings(max_examples=500, deadline=None, derandomize=True)
 
@@ -196,7 +197,9 @@ def _disguise(f: Form, word) -> Form:
 def test_large_coefficient_reduction(s, word):
     """A period form disguised by A/B words to coefficients up to 10**30
     reduces to a reduced form of its own class, whose period is a rotation
-    of the disguised form's; each case has a 500 ms deadline."""
+    of the disguised form's; its reduced cycle steps by R A^c and the
+    reduce_to_H0 word reaches the form returned.  Each case has a 500 ms
+    deadline."""
     assume(is_primitive_period(s))
     f0 = period_to_forms(s)[0]
     f = _disguise(f0, word)
@@ -205,6 +208,8 @@ def test_large_coefficient_reduction(s, word):
     assert h in reduced_cycle(f0).forms
     assert canonical_rotation(cf_surd(f).period) == \
         canonical_rotation(cf_surd(h).period)
+    assert r_a_steps_close(reduced_cycle(f))
+    assert h0_word_holds(f)
 
 
 @settings(max_examples=500, deadline=500, derandomize=True)

@@ -3,11 +3,37 @@
 import pytest
 
 from surdsym.cf import SquareDiscriminantError, modular_cf_surd
-from surdsym.forms import Form, apply_word, discriminant, domain_of, DomainLabel
+from surdsym.exact import is_square
+from surdsym.forms import (Form, apply_word, discriminant, domain_of,
+                           DomainLabel, gen_power, involution)
 from surdsym.periods import SymmetryType, classify_class
 from surdsym.reduction import (ReducedCycle, check_sum_rule, is_reduced,
                                reduce_classical, reduce_to_H0,
                                reduced_cycle, reduced_representative)
+
+
+NONSQUARE_GRID = [f for f in (Form(m, n, k) for m in range(-12, 13)
+                               for n in range(-12, 13) for k in range(-25, 26))
+                  if discriminant(f) > 0 and not is_square(discriminant(f))]
+
+
+def r_a_steps_close(cyc: ReducedCycle) -> bool:
+    """forms[i+1] == R(A^{c_i}(forms[i])) for every i, cyclically."""
+    forms = cyc.forms
+    return all(gen_power(gen_power(g, "A", c), "R", 1) == h
+               for g, c, h in zip(forms, cyc.modular_period,
+                                  forms[1:] + forms[:1]))
+
+
+def h0_word_holds(f: Form) -> bool:
+    """reduce_to_H0's word has positive exponents and sends iota(f) to
+    iota(out)."""
+    out, word, tag = reduce_to_H0(f)
+    if any(e < 1 for _, e in word):
+        return False
+    if tag == "identity":
+        return apply_word(f, word) == out
+    return apply_word(involution(f, tag), word) == involution(out, tag)
 
 
 class TestIsReduced:
@@ -76,6 +102,31 @@ class TestReducedCycle:
         assert any(base.modular_period[i:] + base.modular_period[:i]
                    == other.modular_period for i in range(n))
         assert set(base.forms) == set(other.forms)
+
+
+class TestGeneratorRelationsOnGrid:
+    """The forms read off continued-fraction states are the forms the
+    generator words reach, on every non-square form with |m|, |n| <= 12 and
+    |k| <= 25."""
+
+    def test_reduced_cycle_steps_by_r_a_power(self):
+        for f in NONSQUARE_GRID:
+            cyc = reduced_cycle(f)
+            assert r_a_steps_close(cyc), f
+            assert len(set(cyc.forms)) == len(cyc.forms), f
+
+    def test_reduce_to_h0_word(self):
+        for f in NONSQUARE_GRID:
+            assert h0_word_holds(f), f
+
+    def test_reduce_classical_word(self):
+        checked = 0
+        for f in NONSQUARE_GRID:
+            if f.m > 0 and f.n > 0 and f.k < 0:
+                h, word = reduce_classical(f)
+                assert apply_word(f, word) == h, f
+                checked += 1
+        assert checked > 1000
 
 
 class TestReduceToH0:
