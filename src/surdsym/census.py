@@ -24,9 +24,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .cf import _regular_walk
 from .exact import is_square
 from .forms import Form, InternalError, scale
-from .periods import (ClassReport, SymmetryType, classify_period,
-                      classify_square, counts_nonsquare, counts_square,
-                      square_cf_display)
+from .periods import (ClassReport, SymmetryType, _square_report,
+                      classify_period, counts_nonsquare)
 from .reduction import _SUM_RULE_TYPES, check_sum_rule, reduced_cycle
 
 
@@ -157,14 +156,7 @@ def census_square(delta: int) -> Tuple[ClassReport, ...]:
     if delta <= 0 or not is_square(delta):
         raise ValueError(f"{delta} is not a positive square")
     k = isqrt(delta)
-    reports = []
-    for m in range(k):
-        t, t_up, t_down = counts_square(m, k)
-        disp = square_cf_display(m, k)
-        prim = gcd(m, k) == 1
-        reports.append(ClassReport(Form(m, 0, k), delta, (), disp, len(disp),
-                                   t, t_up, t_down, classify_square(m, k), prim))
-    return tuple(reports)
+    return tuple(_square_report(Form(m, 0, k)) for m in range(k))
 
 
 def _scaled_rows(delta: int,
@@ -191,6 +183,16 @@ def census_for_delta(delta: int,
     return tuple(rows)
 
 
+def _map(func, items: Sequence, jobs: int) -> list:
+    """[func(x) for x in items], sharded over a pool of ``jobs`` worker
+    processes when there are enough items; the order of items is kept."""
+    if jobs > 1 and len(items) > 8:
+        with Pool(jobs) as pool:
+            return pool.map(func, items,
+                            chunksize=max(1, len(items) // (8 * jobs)))
+    return [func(x) for x in items]
+
+
 def full_census(delta_max: int, jobs: int = 1,
                 include_square: bool = True) -> Dict[int, Tuple[ClassReport, ...]]:
     """Census of every valid discriminant up to delta_max, keyed by delta."""
@@ -201,13 +203,7 @@ def full_census(delta_max: int, jobs: int = 1,
     nonsq = valid_deltas(delta_max, include_square=False)
     work = partial(census_nonsquare_primitive,
                    spf=_smallest_prime_factors(delta_max // 4))
-    if jobs > 1 and len(nonsq) > 8:
-        with Pool(jobs) as pool:
-            prim_rows = pool.map(work, nonsq,
-                                 chunksize=max(1, len(nonsq) // (8 * jobs)))
-    else:
-        prim_rows = [work(d) for d in nonsq]
-    primitive = dict(zip(nonsq, prim_rows))
+    primitive = dict(zip(nonsq, _map(work, nonsq, jobs)))
     out: Dict[int, Tuple[ClassReport, ...]] = {}
     for d in valid_deltas(delta_max, include_square=include_square):
         out[d] = census_square(d) if is_square(d) else census_for_delta(d, primitive)
@@ -265,33 +261,21 @@ class SumRuleFinding:
     modular_period: Tuple[int, ...]
 
 
-def _sum_rule_for_delta(args) -> Tuple[int, List[SumRuleFinding]]:
-    delta, rep_triples_syms = args
+def _sum_rule_failures(reports: Sequence[ClassReport]) -> List[SumRuleFinding]:
     failures = []
-    for triple, code in rep_triples_syms:
-        rep, sym = Form(*triple), SymmetryType.from_code(code)
-        cycle = reduced_cycle(rep)
-        if not check_sum_rule(cycle, sym):
-            failures.append(SumRuleFinding(delta, rep, sym, cycle.modular_period))
-    return len(rep_triples_syms), failures
+    for r in reports:
+        cycle = reduced_cycle(r.representative)
+        if not check_sum_rule(cycle, r.symmetry):
+            failures.append(SumRuleFinding(r.delta, r.representative, r.symmetry,
+                                           cycle.modular_period))
+    return failures
 
 
 def sum_rule_sweep(delta_max: int, jobs: int = 1) -> Tuple[int, List[SumRuleFinding]]:
     """Check sum(c_i) == 3 * len(c) over every Super/Anti/MPlusN class of
     non-square delta <= delta_max.  Returns (checked, failures)."""
     census = full_census(delta_max, jobs=jobs, include_square=False)
-    tasks = []
-    for d in sorted(census):
-        picked = [(r.representative.coeffs(), r.symmetry.code)
-                  for r in census[d] if r.symmetry in _SUM_RULE_TYPES]
-        if picked:
-            tasks.append((d, picked))
-    if jobs > 1 and len(tasks) > 8:
-        with Pool(jobs) as pool:
-            results = pool.map(_sum_rule_for_delta, tasks,
-                               chunksize=max(1, len(tasks) // (8 * jobs)))
-    else:
-        results = [_sum_rule_for_delta(t) for t in tasks]
-    checked = sum(c for c, _ in results)
-    failures = [f for _, fs in results for f in fs]
-    return checked, failures
+    tasks = [[r for r in reports if r.symmetry in _SUM_RULE_TYPES]
+             for reports in census.values()]
+    failures = [f for fs in _map(_sum_rule_failures, tasks, jobs) for f in fs]
+    return sum(len(t) for t in tasks), failures

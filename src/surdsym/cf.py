@@ -16,7 +16,7 @@ from math import gcd
 from typing import Dict, List, Tuple
 
 from .exact import is_square, isqrt
-from .forms import Form, InternalError, antipodal, discriminant
+from .forms import Form, antipodal, discriminant
 
 
 class SquareDiscriminantError(ValueError):
@@ -189,21 +189,6 @@ def period_of_class(f: Form) -> Tuple[int, ...]:
         raise SquareDiscriminantError(f"form {f} has square discriminant")
     # Non-square delta forces m != 0 (m = 0 would give delta = k**2).
     return cf_surd(f).period
-
-
-def period_inverse_pair(f: Form) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """(period of C(f), period of the conjugate class).
-
-    The second word is a reversal of the first up to rotation.
-    """
-    gamma = period_of_class(f)
-    gamma_inv = period_of_class(Form(f.m, f.n, -f.k))
-    dbl = gamma_inv + gamma_inv
-    rev = tuple(reversed(gamma))
-    n = len(gamma)
-    if len(gamma_inv) != n or not any(dbl[i:i + n] == rev for i in range(n)):
-        raise InternalError(f"period inverse mismatch: {gamma} vs {gamma_inv}")
-    return gamma, gamma_inv
 
 
 def modular_cf_surd(f: Form) -> ModularCF:

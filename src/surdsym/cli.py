@@ -1,5 +1,5 @@
 """Command-line interface: classify, period, counts, reduce, modular, orbit,
-table, stats.
+table, stats, sumrule.
 
 Exit codes: 0 success, 1 input error, 2 internal-consistency failure.
 All enumeration output is deterministic (delta ascending, representatives in
@@ -16,7 +16,8 @@ import sys
 import tempfile
 from typing import List, Optional, Sequence
 
-from .census import StatRow, census_square, full_census, stats_rows, valid_deltas
+from .census import (StatRow, census_square, full_census, stats_rows,
+                     sum_rule_sweep, valid_deltas)
 from .cf import _regular_walk, _state_form, cf_surd, modular_cf_surd
 from .exact import is_square
 from .forms import Form, InternalError, antipodal, discriminant, domain_of, word_str
@@ -234,9 +235,21 @@ def _stat_record(row: StatRow) -> dict:
 def cmd_stats(args) -> int:
     _check_sweep_args(args)
     records = [_stat_record(r) for r in stats_rows(args.delta_max, jobs=args.jobs)]
-    fmt = args.format if args.format != "md" else "csv"
-    _emit(_render(records, STATS_FIELDS, fmt), args.out)
+    _emit(_render(records, STATS_FIELDS, args.format), args.out)
     return 0
+
+
+def cmd_sumrule(args) -> int:
+    """Exit 2 when a class breaks sum(c_i) == 3t: the minus-CF reduction and
+    the census disagree, which is an internal-consistency failure."""
+    _check_sweep_args(args)
+    checked, failures = sum_rule_sweep(args.delta_max, jobs=args.jobs)
+    lines = [f"VIOLATION delta={f.delta} rep={f.representative} "
+             f"period={_modular_seq(f.modular_period)}" for f in failures]
+    lines.append(f"checked {checked} super/anti/(m+n) classes with "
+                 f"delta <= {args.delta_max}: {len(failures)} violations")
+    _emit("\n".join(lines) + "\n", args.out)
+    return 2 if failures else 0
 
 
 def _add_form_arguments(p: argparse.ArgumentParser) -> None:
@@ -245,19 +258,28 @@ def _add_form_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("k", type=int)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, leaving exit code 2 to internal-consistency
+    failures; subparsers are built from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="surdsym",
         description="Classify classes of indefinite binary quadratic forms by "
                     "the symmetry of their continued-fraction periods.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, form=True, fmt=False, sweep=False):
+    def add(name, func, help_text, form=True, fmt=(), sweep=False):
         p = sub.add_parser(name, help=help_text)
         if form:
             _add_form_arguments(p)
-        if fmt:
-            p.add_argument("--format", choices=("md", "csv", "json"), default="md")
+        if fmt:  # the first choice is the default
+            p.add_argument("--format", choices=fmt, default=fmt[0])
         if sweep:
             p.add_argument("--delta-max", type=int, required=True)
             p.add_argument("--jobs", type=int, default=1)
@@ -265,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    add("classify", cmd_classify, "full class report for one form", fmt=True)
+    add("classify", cmd_classify, "full class report for one form",
+        fmt=("md", "csv", "json"))
     add("period", cmd_period, "regular CF preperiod and period of xi_plus")
     add("counts", cmd_counts, "t, t_up, t_down of the class")
     add("reduce", cmd_reduce, "reduce to a form with mn <= 0")
@@ -274,10 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_orbit.add_argument("--bound", type=int)
     p_orbit.add_argument("--all", action="store_true")
     p_table = add("table", cmd_table, "class table for all delta <= --delta-max",
-                  form=False, fmt=True, sweep=True)
+                  form=False, fmt=("md", "csv", "json"), sweep=True)
     p_table.add_argument("--which", choices=("nonzero", "zero"), default="nonzero")
     add("stats", cmd_stats, "symmetry-type counts and fractions per delta",
-        form=False, fmt=True, sweep=True)
+        form=False, fmt=("csv", "json"), sweep=True)
+    add("sumrule", cmd_sumrule, "check sum(c_i) == 3t for every super/anti/"
+        "(m+n) class with delta <= --delta-max", form=False, sweep=True)
     return parser
 
 

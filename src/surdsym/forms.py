@@ -48,8 +48,6 @@ class DomainLabel(enum.Enum):
 #: pairs with positive exponents, e.g. (("A", 2), ("B", 1), ("R", 1)).
 GeneratorWord = Tuple[Tuple[str, int], ...]
 
-GENERATORS = ("A", "B", "R", "A-", "B-")
-
 INVOLUTION_NAMES = ("complementary", "conjugate", "adjoint", "antipodal", "opposite")
 
 
@@ -86,21 +84,6 @@ def adjoint(f: Form) -> Form:
 
 def antipodal(f: Form) -> Form:
     return involution(f, "antipodal")
-
-
-def apply_generator(f: Form, g: str) -> Form:
-    m, n, k = f.m, f.n, f.k
-    if g == "A":
-        return Form(m, m + n + k, 2 * m + k)
-    if g == "B":
-        return Form(m + n + k, n, 2 * n + k)
-    if g == "R":
-        return Form(n, m, -k)
-    if g == "A-":
-        return Form(m, m + n - k, k - 2 * m)
-    if g == "B-":
-        return Form(m + n - k, n, k - 2 * n)
-    raise ValueError(f"unknown generator {g!r}")
 
 
 def gen_power(f: Form, g: str, e: int) -> Form:

@@ -28,13 +28,6 @@ class SymmetryType(enum.Enum):
     def code(self) -> str:
         return self.value
 
-    @classmethod
-    def from_code(cls, code: str) -> "SymmetryType":
-        for t in cls:
-            if t.value == code:
-                return t
-        raise ValueError(f"unknown symmetry code {code!r}")
-
 
 class ClassificationError(InternalError):
     """A period matched two supposedly exclusive symmetry patterns."""
@@ -230,23 +223,28 @@ def normalize_square_form(f: Form) -> Form:
     raise InternalError(f"no zero of {f} gives an (m,0,{s}) form")
 
 
+def _square_report(rep: Form) -> ClassReport:
+    """Report for the square-delta class of its representative (m, 0, k),
+    0 <= m < k.  Content is a class invariant, so the class is primitive
+    iff gcd(m, k) == 1."""
+    m, k = rep.m, rep.k
+    t, t_up, t_down = counts_square(m, k)
+    disp = square_cf_display(m, k)
+    return ClassReport(rep, k * k, (), disp, len(disp), t, t_up, t_down,
+                       classify_square(m, k), gcd(m, k) == 1)
+
+
 def classify_class(f: Form) -> ClassReport:
     """Full report for the class of f.  Non-square delta requires no search;
     square delta is first normalized to its (m, 0, k) representative."""
     d = discriminant(f)
     if d <= 0:
         raise ValueError(f"form {f} is not indefinite (delta={d})")
-    prim = is_primitive(f)
     if is_square(d):
-        rep = normalize_square_form(f)
-        kk = rep.k
-        t, t_up, t_down = counts_square(rep.m, kk)
-        disp = square_cf_display(rep.m, kk)
-        return ClassReport(rep, d, (), disp, len(disp), t, t_up, t_down,
-                           classify_square(rep.m, kk), prim)
+        return _square_report(normalize_square_form(f))
     exp = cf_surd(f)
     gamma = exp.period
     n_pre = len(exp.preperiod)
     t, t_up, t_down = counts_nonsquare(gamma, "odd" if n_pre % 2 == 1 else "even")
     return ClassReport(f, d, gamma, None, len(gamma), t, t_up, t_down,
-                       classify_period(gamma), prim)
+                       classify_period(gamma), is_primitive(f))

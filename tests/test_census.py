@@ -115,6 +115,12 @@ class TestCensusRows:
         assert rows[0].symmetry is SymmetryType.SUPERSYMMETRIC
         assert (rows[0].t, rows[0].t_up, rows[0].t_down) == (10, 5, 5)
 
+    def test_classify_class_matches_square_census(self):
+        for k in range(1, 61):
+            rows = census_square(k * k)
+            for m in range(k):
+                assert classify_class(Form(m, 0, k)) == rows[m]
+
     def test_square_census_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             census_square(5)

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import pytest
 
+import surdsym.census
+from surdsym.census import sum_rule_sweep
 from surdsym.cli import _orbit_tour, build_parser, main
 from surdsym.forms import Form
 from test_reduction import NONSQUARE_GRID
@@ -188,7 +190,7 @@ class TestTable:
         rc, _, err = run(capsys, "table", "--delta-max", "0")
         assert rc == 1 and err.startswith("error:")
 
-    @pytest.mark.parametrize("command", ["table", "stats"])
+    @pytest.mark.parametrize("command", ["table", "stats", "sumrule"])
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_bad_jobs(self, capsys, command, jobs):
         rc, out, err = run(capsys, command, "--delta-max", "50",
@@ -228,6 +230,64 @@ class TestStats:
         assert rc == 0
         recs = json.loads(out)
         assert recs[-1]["frac_k"] == "2/3"
+
+    def test_default_format_is_csv(self, capsys):
+        assert (run(capsys, "stats", "--delta-max", "60") ==
+                run(capsys, "stats", "--delta-max", "60", "--format", "csv"))
+
+
+class TestSumRule:
+    def test_count_matches_library(self, capsys):
+        checked, failures = sum_rule_sweep(600)
+        rc, out, err = run(capsys, "sumrule", "--delta-max", "600")
+        assert rc == 0 and err == "" and failures == []
+        assert out == (f"checked {checked} super/anti/(m+n) classes with "
+                       f"delta <= 600: 0 violations\n")
+
+    def test_jobs_do_not_change_bytes(self, capsys):
+        assert (run(capsys, "sumrule", "--delta-max", "600", "--jobs", "1") ==
+                run(capsys, "sumrule", "--delta-max", "600", "--jobs", "3"))
+
+    def test_violation_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(surdsym.census, "check_sum_rule",
+                            lambda cycle, symmetry: False)
+        rc, out, _ = run(capsys, "sumrule", "--delta-max", "13")
+        assert rc == 2
+        assert out == (
+            "VIOLATION delta=5 rep=(1,-1,-1) period=((3))\n"
+            "VIOLATION delta=8 rep=(1,-2,0) period=((4,2))\n"
+            "VIOLATION delta=13 rep=(1,-3,-1) period=((5,2,2))\n"
+            "checked 3 super/anti/(m+n) classes with delta <= 13: "
+            "3 violations\n")
+
+
+USAGE_ERRORS = [
+    ["table", "--delta-max", "10", "--format", "xml"],
+    ["stats", "--delta-max", "10", "--format", "md"],
+    ["classify", "1", "2"],
+    ["table", "--delta-max", "abc"],
+    ["sumrule"],
+    ["frobnicate"],
+    [],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS,
+                         ids=[" ".join(a) or "(none)" for a in USAGE_ERRORS])
+def test_usage_errors_exit_1(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    _, err = capsys.readouterr()
+    assert err.startswith("usage: surdsym")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sumrule", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: surdsym")
 
 
 class TestOutAndEntry:
@@ -277,7 +337,7 @@ class TestOutAndEntry:
                    if isinstance(a, type(parser._subparsers._group_actions[0])))
         names = set(sub.choices)
         assert names == {"classify", "period", "counts", "reduce",
-                         "modular", "orbit", "table", "stats"}
+                         "modular", "orbit", "table", "stats", "sumrule"}
 
     @pytest.mark.skipif(shutil.which("surdsym") is None,
                         reason="console script not installed")

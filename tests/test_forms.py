@@ -6,7 +6,7 @@ import pytest
 
 from domain_by_roots import domain_by_roots
 from surdsym.forms import (INVOLUTION_NAMES, DomainLabel, Form, adjoint,
-                           antipodal, apply_generator, apply_word,
+                           antipodal, apply_word,
                            complementary, conjugate, content, discriminant,
                            domain_of, gen_power, involution, is_primitive,
                            scale, word_str)
@@ -66,26 +66,26 @@ class TestInvolutions:
 class TestGenerators:
     def test_a_and_b_closed_forms(self):
         f = Form(2, -1, -3)
-        assert apply_generator(f, "A") == Form(2, -2, 1)
-        assert apply_generator(f, "B") == Form(-2, -1, -5)
-        assert apply_generator(f, "R") == Form(-1, 2, 3)
+        assert gen_power(f, "A", 1) == Form(2, -2, 1)
+        assert gen_power(f, "B", 1) == Form(-2, -1, -5)
+        assert gen_power(f, "R", 1) == Form(-1, 2, 3)
 
     def test_inverses(self):
         for f in SAMPLE_FORMS:
-            assert apply_generator(apply_generator(f, "A"), "A-") == f
-            assert apply_generator(apply_generator(f, "B"), "B-") == f
-            assert apply_generator(apply_generator(f, "R"), "R") == f
+            assert gen_power(gen_power(f, "A", 1), "A-", 1) == f
+            assert gen_power(gen_power(f, "B", 1), "B-", 1) == f
+            assert gen_power(gen_power(f, "R", 1), "R", 1) == f
 
     def test_gen_power_matches_iteration(self):
         for f in SAMPLE_FORMS:
             for g in ("A", "B"):
                 cur = f
                 for e in range(1, 6):
-                    cur = apply_generator(cur, g)
+                    cur = gen_power(cur, g, 1)
                     assert gen_power(f, g, e) == cur
                 cur = f
                 for e in range(1, 6):
-                    cur = apply_generator(cur, g + "-")
+                    cur = gen_power(cur, g + "-", 1)
                     assert gen_power(f, g, -e) == cur
                 assert gen_power(f, g, 0) == f
 
@@ -93,14 +93,14 @@ class TestGenerators:
         for f in SAMPLE_FORMS:
             d = discriminant(f)
             for g in ("A", "B", "R", "A-", "B-"):
-                assert discriminant(apply_generator(f, g)) == d
+                assert discriminant(gen_power(f, g, 1)) == d
 
     def test_apply_word(self):
         f = Form(2, 4, -7)
         assert apply_word(f, [("A", 2)]) == gen_power(f, "A", 2)
         w = [("A", 1), ("R", 1), ("B", 2)]
-        g = apply_generator(f, "A")
-        g = apply_generator(g, "R")
+        g = gen_power(f, "A", 1)
+        g = gen_power(g, "R", 1)
         g = gen_power(g, "B", 2)
         assert apply_word(f, w) == g
 

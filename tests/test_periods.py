@@ -25,16 +25,6 @@ ANTI = SymmetryType.ANTISYMMETRIC
 ASYM = SymmetryType.ASYMMETRIC
 
 
-class TestSymmetryType:
-    def test_codes_round_trip(self):
-        for sym in SymmetryType:
-            assert SymmetryType.from_code(sym.code) is sym
-
-    def test_unknown_code(self):
-        with pytest.raises(ValueError):
-            SymmetryType.from_code("chiral")
-
-
 class TestRotationsAndPredicates:
     def test_canonical_rotation(self):
         assert canonical_rotation((3, 1, 2)) == (1, 2, 3)
