@@ -25,7 +25,7 @@ from .cf import _regular_walk
 from .exact import is_square
 from .forms import Form, InternalError, scale
 from .periods import (ClassReport, SymmetryType, _square_report,
-                      classify_period, counts_nonsquare)
+                      _classify_period, _counts_nonsquare)
 from .reduction import _SUM_RULE_TYPES, check_sum_rule, reduced_cycle
 
 
@@ -125,7 +125,7 @@ def census_nonsquare_primitive(delta: int,
     if spf is None:
         spf = _smallest_prime_factors(delta // 4)
     reports = []
-    visited = {}
+    visited = set()
     for start in _reduced_states(delta, isqrt(delta), spf):
         if start in visited:
             continue
@@ -133,18 +133,17 @@ def census_nonsquare_primitive(delta: int,
         if back:
             raise InternalError(f"state {start} of {delta} is not on a cycle")
         visited.update(states)
-        cycle = list(states)
         n = len(digits)
-        symmetry = classify_period(tuple(digits))
+        symmetry = _classify_period(digits)
         if n % 2:  # one class, with an A-run at every state
             classes = (range(n),)
         else:     # two classes, with A-runs on the even or the odd states
             classes = (range(0, n, 2), range(1, n, 2))
         for a_runs in classes:
-            m, nn, k, s, odd = _least_member(a_runs, cycle, digits)
+            m, nn, k, s, odd = _least_member(a_runs, states, digits)
             s %= n
-            gamma = tuple(digits[s:] + digits[:s])
-            t, t_up, t_down = counts_nonsquare(gamma, "odd" if odd else "even")
+            gamma = digits[s:] + digits[:s]
+            t, t_up, t_down = _counts_nonsquare(gamma, odd)
             reports.append(ClassReport(Form(m, nn, k), delta, gamma, None, n,
                                        t, t_up, t_down, symmetry, True))
     reports.sort(key=lambda report: report.representative.coeffs())

@@ -6,14 +6,19 @@ update keeps the invariant Q | (D - P**2).  Periods are detected by first
 repetition of the (P, Q) state, which for both variants coincides with
 digit-level minimality.
 ``_regular_walk`` and ``_minus_walk`` are the one loop of each recurrence;
-every form that reduction and the H0 tour report is a ``_state_form``.
+every form that reduction and the H0 tour report is a ``_state_form``, read
+off a state and the Q of the state before it, with no squaring or division.
+``_regular_walk`` keeps its last ``_WALK_MEMO_SIZE`` walks, so the calls
+that answer one form query (classify, reduce to H0, reduced cycle) walk the
+form's expansion once; its results are tuples, which no caller can change.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 from .exact import is_square, isqrt
 from .forms import Form, antipodal, discriminant
@@ -117,14 +122,22 @@ def cf_parity_variant(cf: CFExpansion, parity: str) -> CFExpansion:
     return CFExpansion(tuple(digits), ())
 
 
-def _regular_walk(p: int, q: int, d: int
-                  ) -> Tuple[Dict[Tuple[int, int], int], List[int], int]:
+State = Tuple[int, int]
+Walk = Tuple[Tuple[State, ...], Tuple[int, ...], int]
+
+# Walks kept by _regular_walk: a form query walks f, then conjugate(f) in
+# reduce_to_H0, then f again for its reduced representative.
+_WALK_MEMO_SIZE = 4
+
+
+@lru_cache(maxsize=_WALK_MEMO_SIZE)
+def _regular_walk(p: int, q: int, d: int) -> Walk:
     """Regular continued fraction of (p + sqrt(d)) / q, d > 0 non-square and
     q | (d - p**2), up to the first repeated state.
 
-    Returns (states, digits, start): ``states`` maps each state (P_j, Q_j) to
-    j in walk order, ``digits[j]`` is the floor of state j's value, and the
-    period is ``digits[start:]``.  The state after (P_j, Q_j) has
+    Returns (states, digits, start): ``states[j]`` is the state (P_j, Q_j),
+    ``digits[j]`` is the floor of its value, and the period is
+    ``digits[start:]``.  The state after (P_j, Q_j) has
     Q_{j+1} * Q_j = d - P_{j+1}**2.
     """
     r = isqrt(d)
@@ -137,11 +150,10 @@ def _regular_walk(p: int, q: int, d: int
         digits.append(a)
         p = a * q - p
         q = (d - p * p) // q
-    return states, digits, states[(p, q)]
+    return tuple(states), tuple(digits), states[(p, q)]
 
 
-def _minus_walk(p: int, q: int, d: int
-                ) -> Tuple[Dict[Tuple[int, int], int], List[int], int]:
+def _minus_walk(p: int, q: int, d: int) -> Walk:
     """``_regular_walk`` for the minus CF: ceiling digits, and the state
     after (P_j, Q_j) has Q_{j+1} * Q_j = P_{j+1}**2 - d."""
     r = isqrt(d)
@@ -154,13 +166,20 @@ def _minus_walk(p: int, q: int, d: int
         digits.append(b)
         p = b * q - p
         q = (p * p - d) // q
-    return states, digits, states[(p, q)]
+    return tuple(states), tuple(digits), states[(p, q)]
 
 
-def _state_form(p: int, q: int, d: int) -> Form:
+def _state_form(p: int, q: int, q_prev: int, minus: bool = False) -> Form:
     """The form whose xi_plus is (p + sqrt(d)) / q: the inverse of the state
-    (-k, 2m) of a form; walks from such a state keep 2q | d - p**2."""
-    return Form(q // 2, (p * p - d) // (2 * q), -p)
+    (-k, 2m) of a form; walks from such a state keep 2q | d - p**2.
+
+    ``q_prev`` is the Q of a state that the walk (``minus`` for the minus
+    CF) steps from into (p, q).  As Q_{j-1} * Q_j is d - P_j**2 in the
+    regular walk and P_j**2 - d in the minus walk, the middle coefficient
+    (p**2 - d) / (2q) is -q_prev / 2, or q_prev / 2 in the minus walk; every
+    state stepping into (p, q) has the same Q.
+    """
+    return Form(q // 2, (q_prev if minus else -q_prev) // 2, -p)
 
 
 def cf_surd(f: Form) -> CFExpansion:
@@ -180,7 +199,7 @@ def cf_surd(f: Form) -> CFExpansion:
             num, den = -num, -den
         return cf_rational(num, den)
     _, digits, start = _regular_walk(-f.k, 2 * f.m, d)
-    return CFExpansion(tuple(digits[:start]), tuple(digits[start:]))
+    return CFExpansion(digits[:start], digits[start:])
 
 
 def period_of_class(f: Form) -> Tuple[int, ...]:
@@ -205,7 +224,7 @@ def modular_cf_surd(f: Form) -> ModularCF:
     if f.m == 0:
         raise ValueError(f"form {f} has m=0; apply R first")
     _, digits, start = _minus_walk(-f.k, 2 * f.m, d)
-    return ModularCF(tuple(digits[:start]), tuple(digits[start:]))
+    return ModularCF(digits[:start], digits[start:])
 
 
 def cf_period_to_modular_period(pi: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -213,8 +232,9 @@ def cf_period_to_modular_period(pi: Tuple[int, ...]) -> Tuple[int, ...]:
 
     Odd positions (1-indexed) map to a+2; each even-position digit a becomes
     a-1 copies of 2.  The input must be aligned so that position 1 carries an
-    A-run; the output then matches the minus-CF period of the class's
-    canonical reduced representative.
+    A-run; the output then equals, up to rotation, the minus-CF period of
+    the class's reduced cycle.  No rotation is distinguished: the cycle of
+    ``reduction.reduced_cycle`` starts wherever its input enters it.
     """
     pi = tuple(pi)
     if len(pi) % 2 != 0:

@@ -166,11 +166,11 @@ def _orbit_tour(f: Form) -> List[str]:
         f = Form(f.n, f.m, -f.k)
     d = discriminant(f)
     states, digits, start = _regular_walk(-f.k, 2 * f.m, d)
-    cycle, period = list(states)[start:], digits[start:]
+    cycle, period = states[start:], digits[start:]
     n = len(period)
     lines = []
     for i in range(n if n % 2 == 0 else 2 * n):
-        g = _state_form(*cycle[i % n], d)
+        g = _state_form(*cycle[i % n], cycle[(i - 1) % n][1])
         g = antipodal(g) if (start + i) % 2 else g
         lines.append(f"{g.m} {g.n} {g.k}  {_seq(period[i % n:] + period[:i % n])}")
     return lines

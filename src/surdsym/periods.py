@@ -83,13 +83,23 @@ def is_bipalindromic(s: Tuple[int, ...]) -> bool:
     return _reflection_kinds(tuple(s))[1]
 
 
+def _check_word(s: Tuple[int, ...]) -> None:
+    if not s or any((not isinstance(a, int)) or a < 1 for a in s):
+        raise ValueError(f"period digits must be positive integers: {s}")
+
+
 def classify_period(s: Tuple[int, ...]) -> SymmetryType:
     """Symmetry type of a primitive cyclic period word."""
     s = tuple(s)
-    if not s or any((not isinstance(a, int)) or a < 1 for a in s):
-        raise ValueError(f"period digits must be positive integers: {s}")
+    _check_word(s)
     if not is_primitive_period(s):
         raise ValueError(f"period {s} is not primitive")
+    return _classify_period(s)
+
+
+def _classify_period(s: Tuple[int, ...]) -> SymmetryType:
+    """``classify_period`` of a word known to be a primitive tuple of
+    positive integers, such as a continued-fraction walk's period."""
     pal, bip = _reflection_kinds(s)
     odd = len(s) % 2 == 1
     if pal and bip:
@@ -111,15 +121,21 @@ def counts_nonsquare(gamma: Tuple[int, ...], start_parity: str = "odd") -> Tuple
     Odd absolute positions contribute to t_up, even ones to t_down.
     """
     gamma = tuple(gamma)
-    if not gamma or any((not isinstance(a, int)) or a < 1 for a in gamma):
-        raise ValueError(f"period digits must be positive integers: {gamma}")
+    _check_word(gamma)
     if start_parity not in ("odd", "even"):
         raise ValueError(f"start_parity must be 'odd' or 'even', got {start_parity!r}")
-    pi = gamma if len(gamma) % 2 == 0 else gamma + gamma
-    offset = 1 if start_parity == "odd" else 0
-    t = sum(pi)
-    t_up = sum(a for i, a in enumerate(pi) if (i + offset) % 2 == 1)
-    return t, t_up, t - t_up
+    return _counts_nonsquare(gamma, start_parity == "odd")
+
+
+def _counts_nonsquare(gamma: Tuple[int, ...], odd_start: bool) -> Tuple[int, int, int]:
+    """``counts_nonsquare`` of a tuple of positive integers.  An odd-length
+    word is doubled, so each digit counts once toward t_up and once toward
+    t_down; otherwise t_up sums the digits at odd absolute positions."""
+    total = sum(gamma)
+    if len(gamma) % 2:
+        return 2 * total, total, total
+    t_up = sum(gamma[0::2] if odd_start else gamma[1::2])
+    return total, t_up, total - t_up
 
 
 def counts_square(m: int, k: int) -> Tuple[int, int, int]:
@@ -244,7 +260,6 @@ def classify_class(f: Form) -> ClassReport:
         return _square_report(normalize_square_form(f))
     exp = cf_surd(f)
     gamma = exp.period
-    n_pre = len(exp.preperiod)
-    t, t_up, t_down = counts_nonsquare(gamma, "odd" if n_pre % 2 == 1 else "even")
+    t, t_up, t_down = _counts_nonsquare(gamma, len(exp.preperiod) % 2 == 1)
     return ClassReport(f, d, gamma, None, len(gamma), t, t_up, t_down,
-                       classify_period(gamma), is_primitive(f))
+                       _classify_period(gamma), is_primitive(f))

@@ -35,7 +35,8 @@ def _require_nonsquare(f: Form) -> int:
 def reduced_representative(f: Form) -> Form:
     """A reduced form in the class of f (non-square delta).
 
-    An already-reduced f is its own representative.  Otherwise, run the
+    Which reduced form depends on f, not only on its class: an
+    already-reduced f is its own representative.  Otherwise, run the
     continued fraction of xi_plus(f) to the first even digit index j0 at or
     past the period start; the state form there, pulled back by A^-1, is
     reduced and in-class.
@@ -46,9 +47,9 @@ def reduced_representative(f: Form) -> Form:
     # The j-th state form of the expansion lies in C(f) exactly when j is even.
     states, _, n_pre = _regular_walk(-f.k, 2 * f.m, d)
     j0 = n_pre if n_pre % 2 == 0 else n_pre + 1
-    order = list(states)
-    pj, qj = order[j0] if j0 < len(order) else order[n_pre]
-    h = gen_power(_state_form(pj, qj, d), "A", -1)
+    j = j0 if j0 < len(states) else n_pre  # a period of length 1
+    # states[j - 1] steps into state j; for j = 0 it is the period's last state.
+    h = gen_power(_state_form(*states[j], states[j - 1][1]), "A", -1)
     if not is_reduced(h):
         raise InternalError(f"representative {h} of {f} is not reduced")
     return h
@@ -71,17 +72,19 @@ class ReducedCycle:
 def reduced_cycle(f: Form) -> ReducedCycle:
     """All reduced forms of C(f), in cycle order, with the minus-CF period.
 
-    Starts at the canonical reduced representative h; successive forms are
-    R(A^{c_i}(previous)) for the period digits c_i, closing back at h.  As
-    the state of R(A^c(h)) is the minus state after h's, they are the state
-    forms of the minus CF of xi_plus(h).
+    Starts at h = reduced_representative(f), which is f itself when f is
+    reduced, so two members of one class give rotations of one cycle.
+    Successive forms are R(A^{c_i}(previous)) for the period digits c_i,
+    closing back at h.  As the state of R(A^c(h)) is the minus state after
+    h's, they are the state forms of the minus CF of xi_plus(h), each read
+    off the Q of the state before it (of the cycle's last state, for h).
     """
     h0 = reduced_representative(f)
-    d = discriminant(h0)
-    states, digits, start = _minus_walk(-h0.k, 2 * h0.m, d)
+    states, digits, start = _minus_walk(-h0.k, 2 * h0.m, discriminant(h0))
     if start:
         raise InternalError(f"minus CF of reduced form {h0} is not purely periodic")
-    forms = tuple(_state_form(p, q, d) for p, q in states)
+    forms = tuple([_state_form(p, q, q_prev, True) for (p, q), (_, q_prev)
+                   in zip(states, states[-1:] + states[:-1])])
     for g in forms:
         if not is_reduced(g):
             raise InternalError(f"cycle of {f} left the reduced set: {g}")
@@ -123,7 +126,8 @@ def reduce_to_H0(f: Form) -> Tuple[Form, GeneratorWord, str]:
     if first is None or first[0] > n_pre:
         raise InternalError(f"preperiod of {g} did not reach mn <= 0")
     j, p, q = first
-    cur = _state_form(p, q, d)
+    # j > 0: state 0 is g's own, and mn > 0 means P_0**2 = k**2 > delta.
+    cur = _state_form(p, q, states[j - 1][1])
     cur = antipodal(cur) if j % 2 else cur
     word = tuple(("AB"[i % 2], a) for i, a in enumerate(digits[:j]) if a > 0)
     out = cur if tag == "identity" else involution(cur, tag)
@@ -138,7 +142,7 @@ def reduce_classical(f: Form) -> Tuple[Form, GeneratorWord]:
         raise ValueError(f"reduce_classical needs m>0, n>0, k<0; got {f}")
     # Each step R A^b moves the state form on by one minus state.
     states, digits, start = _minus_walk(-f.k, 2 * f.m, d)
-    h = _state_form(*list(states)[start], d)
+    h = _state_form(*states[start], states[start - 1][1], True)
     if not is_reduced(h):
         raise InternalError(f"classical reduction of {f} ended unreduced: {h}")
     return h, tuple(step for b in digits[:start] for step in (("A", b), ("R", 1)))

@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from surdsym.cf import (CFExpansion, ModularCF, SquareDiscriminantError,
-                        _regular_walk, cf_parity_variant,
+                        _minus_walk, _regular_walk, _state_form,
+                        cf_parity_variant,
                         cf_period_to_modular_period, cf_rational, cf_surd,
                         cf_value, modular_cf_surd, period_of_class, period_to_forms)
 from surdsym.forms import Form, antipodal, discriminant
+from test_reduction import NONSQUARE_GRID
 
 
 def _above(p, q, d, c):
@@ -20,15 +22,20 @@ def _above(p, q, d, c):
 
 
 def _assert_walk_floors(p, q, d):
-    """Every digit of the walk from (p, q) is the floor of its state."""
+    """Every digit of the walk from (p, q) is the floor of its state, the
+    states are distinct, and each steps to the next, the last to the start."""
     states, digits, start = _regular_walk(p, q, d)
-    assert list(states.values()) == list(range(len(digits)))
+    assert states[0] == (p, q)
+    assert len(set(states)) == len(states) == len(digits)
     assert 0 <= start < len(digits)
-    for (ps, qs), j in states.items():
+    after = states[1:] + states[start:start + 1]
+    for j, (ps, qs) in enumerate(states):
         assert qs != 0 and (d - ps * ps) % qs == 0, (p, q, d, j)
         a = digits[j]
         assert _above(ps, qs, d, a) and not _above(ps, qs, d, a + 1), \
             (p, q, d, j)
+        nxt = a * qs - ps
+        assert (nxt, (d - nxt * nxt) // qs) == after[j], (p, q, d, j)
     return states, digits, start
 
 
@@ -148,7 +155,7 @@ class TestRegularWalk:
         x = 10 ** 15
         d = x * x + 1
         states, digits, start = _assert_walk_floors(0, 1, d)
-        assert digits == [x, 2 * x] and start == 1
+        assert digits == (x, 2 * x) and start == 1
         seeds = [(0, 1)]
         for _ in range(6):
             p, q = seeds[-1]
@@ -159,7 +166,35 @@ class TestRegularWalk:
         assert max(abs(q) for _, q in seeds) > 10 ** 25
         for p, q in seeds:
             _, digits, start = _assert_walk_floors(p, q, d)
-            assert digits[start:] == [2 * x], (p, q)
+            assert digits[start:] == (2 * x,), (p, q)
+
+
+def _recomputed_state_form(p, q, d):
+    """The form of state (p, q) from its own coefficients: Q/2, then
+    (P**2 - d) / (2Q), then -P."""
+    return Form(q // 2, (p * p - d) // (2 * q), -p)
+
+
+class TestStateForm:
+    def test_neighbour_q_form_on_grid(self):
+        """On every non-square form with |m|, |n| <= 12 and |k| <= 25, the
+        form read off each state of both walks and the Q of the state before
+        it (any state before it, at the period start) is the recomputed one,
+        and the first state's form is the form walked."""
+        checked = 0
+        for f in NONSQUARE_GRID:
+            d = discriminant(f)
+            for walk, minus in ((_regular_walk, False), (_minus_walk, True)):
+                states, _, start = walk(-f.k, 2 * f.m, d)
+                q_before_f = 2 * f.n if minus else -2 * f.n
+                assert _state_form(*states[0], q_before_f, minus) == f
+                for j in range(1, len(states)):
+                    assert _state_form(*states[j], states[j - 1][1], minus) \
+                        == _recomputed_state_form(*states[j], d), (f, j)
+                    checked += 1
+                assert _state_form(*states[start], states[-1][1], minus) \
+                    == _recomputed_state_form(*states[start], d), f
+        assert checked > 100000
 
 
 class TestPeriodOfClass:

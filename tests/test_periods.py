@@ -7,6 +7,7 @@ import pytest
 
 from palindromes_by_rotation import (bipalindromic_by_rotation,
                                      palindromic_by_rotation)
+from surdsym.cf import cf_surd
 from surdsym.exact import is_square
 from surdsym.forms import Form, discriminant
 from surdsym.oracle import orbit_bfs
@@ -17,6 +18,7 @@ from surdsym.periods import (ClassificationError, ClassReport, SymmetryType,
                              is_bipalindromic, is_palindromic_cyclic,
                              is_primitive_period, normalize_square_form,
                              square_cf_display)
+from test_reduction import NONSQUARE_GRID
 
 SUPER = SymmetryType.SUPERSYMMETRIC
 K = SymmetryType.K_SYMMETRIC
@@ -230,6 +232,18 @@ class TestClassifyClass:
         r_odd = classify_class(Form(2, -2, 1))
         assert r_even.delta == r_odd.delta == 17
         assert (r_even.t, r_even.t_up) == (r_odd.t, r_odd.t_up)
+
+    def test_walk_words_pass_the_public_checks_on_grid(self):
+        """classify_class reads a walk's period without re-validating it; on
+        every non-square form with |m|, |n| <= 12 and |k| <= 25 the period is
+        primitive, and the validating classify_period and counts_nonsquare
+        agree with the report."""
+        for f in NONSQUARE_GRID:
+            r = classify_class(f)
+            assert is_primitive_period(r.gamma), f
+            assert r.symmetry is classify_period(r.gamma), f
+            parity = "odd" if len(cf_surd(f).preperiod) % 2 else "even"
+            assert (r.t, r.t_up, r.t_down) == counts_nonsquare(r.gamma, parity), f
 
 
 class TestClassificationExclusivity:

@@ -17,6 +17,7 @@ from surdsym.periods import (SymmetryType, canonical_rotation, classify_class,
                              is_primitive_period, normalize_square_form)
 from surdsym.reduction import is_reduced, reduced_cycle, reduced_representative
 from test_reduction import h0_word_holds, r_a_steps_close
+from test_walk_memo import cold_answers, warm_answers
 
 BASE = settings(max_examples=500, deadline=None, derandomize=True)
 
@@ -207,6 +208,17 @@ def test_large_coefficient_reduction(s, word):
         canonical_rotation(cf_surd(h).period)
     assert r_a_steps_close(reduced_cycle(f))
     assert h0_word_holds(f)
+
+
+@settings(max_examples=500, deadline=500, derandomize=True)
+@given(period_words, disguise_words)
+def test_large_coefficient_walk_memo(s, word):
+    """classify_class, reduce_to_H0 and reduced_cycle of a form disguised to
+    coefficients up to 10**30 give the same answers from a cold cache as in
+    query order from a warm one."""
+    assume(is_primitive_period(s))
+    f = _disguise(period_to_forms(s)[0], word)
+    assert warm_answers(f) == cold_answers(f)
 
 
 @settings(max_examples=500, deadline=500, derandomize=True)
