@@ -11,6 +11,16 @@ period rotated as the continued fraction of that representative gives it, and
 t, t_up, t_down all follow from the one walk.  Imprimitive classes are scaled
 copies of primitive ones from delta / s**2.  Square discriminants are k
 straight rows (m, 0, k).
+
+A sweep is sharded by square-class family: a root delta0 (a valid non-square
+discriminant with no valid delta0 / s**2, s >= 2) and its multiples
+delta0 * t**2 <= delta_max.  Every valid delta / s**2 of a member is a
+smaller member, so one worker computes each member's primitive classes once
+and finishes every member's rows on its own; each square delta is an item of
+its own.  The worker hands each discriminant's reports to ``emit``, a
+top-level function the caller chooses (the reports themselves, type counts,
+sum-rule checks, or the CLI's table records), and returns only what ``emit``
+returns.  The parent puts those results in delta order.
 """
 from __future__ import annotations
 
@@ -19,7 +29,8 @@ from fractions import Fraction
 from functools import partial
 from math import gcd, isqrt
 from multiprocessing import Pool
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .cf import _regular_walk
 from .exact import is_square
@@ -192,21 +203,67 @@ def _map(func, items: Sequence, jobs: int) -> list:
     return [func(x) for x in items]
 
 
-def full_census(delta_max: int, jobs: int = 1,
-                include_square: bool = True) -> Dict[int, Tuple[ClassReport, ...]]:
-    """Census of every valid discriminant up to delta_max, keyed by delta."""
+def _families(delta_max: int, include_square: bool = True,
+              include_nonsquare: bool = True) -> List[Tuple[int, ...]]:
+    """A sweep's work items in order of their least member: each square
+    delta alone, and each non-square root's family (delta0 * t**2, t >= 1).
+
+    A delta that no smaller root has claimed is a root: were delta / s**2
+    valid, it would be some root's r * v**2, and delta = r * (s * v)**2
+    claimed.  A root has no valid delta0 / u**2 (u >= 2).  For a member
+    delta0 * t**2 and s = g * u, t = g * v with g = gcd(s, t), a valid
+    delta0 * v**2 / u**2 needs u**2 | delta0 and is valid only if
+    delta0 / u**2 is (v is odd when u is even, and an odd square is
+    1 mod 8); so u = 1, and every valid delta / s**2 of a member is a member.
+    """
+    items = []
+    claimed = set()
+    for d in valid_deltas(delta_max, include_square, include_nonsquare):
+        if is_square(d):
+            items.append((d,))
+        elif d not in claimed:
+            family = tuple(d * t * t for t in range(1, isqrt(delta_max // d) + 1))
+            claimed.update(family)
+            items.append(family)
+    return items
+
+
+def _shard(emit: Callable, spf: Sequence[int], item: Tuple[int, ...]) -> list:
+    """[(delta, emit(all class reports of delta))] for one item of
+    ``_families``; each member's primitive classes are computed once."""
+    if is_square(item[0]):
+        return [(item[0], emit(census_square(item[0])))]
+    primitive = {d: census_nonsquare_primitive(d, spf) for d in item}
+    return [(d, emit(census_for_delta(d, primitive))) for d in item]
+
+
+def _sweep(delta_max: int, jobs: int, emit: Callable,
+           include_square: bool = True, include_nonsquare: bool = True) -> list:
+    """[(delta, emit(reports of delta))] for every valid delta <= delta_max
+    of the kinds asked, delta ascending, in one pass of ``jobs`` workers.
+
+    ``emit`` runs in the workers, so it must be a top-level function; what
+    it returns is all that is sent back.
+    """
     if delta_max < 1:
         raise ValueError("delta_max must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    nonsq = valid_deltas(delta_max, include_square=False)
-    work = partial(census_nonsquare_primitive,
-                   spf=_smallest_prime_factors(delta_max // 4))
-    primitive = dict(zip(nonsq, _map(work, nonsq, jobs)))
-    out: Dict[int, Tuple[ClassReport, ...]] = {}
-    for d in valid_deltas(delta_max, include_square=include_square):
-        out[d] = census_square(d) if is_square(d) else census_for_delta(d, primitive)
-    return out
+    shard = partial(_shard, emit, _smallest_prime_factors(delta_max // 4))
+    items = _families(delta_max, include_square, include_nonsquare)
+    done = [row for rows in _map(shard, items, jobs) for row in rows]
+    done.sort(key=itemgetter(0))
+    return done
+
+
+def _identity(reports: Tuple[ClassReport, ...]) -> Tuple[ClassReport, ...]:
+    return reports
+
+
+def full_census(delta_max: int, jobs: int = 1,
+                include_square: bool = True) -> Dict[int, Tuple[ClassReport, ...]]:
+    """Census of every valid discriminant up to delta_max, keyed by delta."""
+    return dict(_sweep(delta_max, jobs, _identity, include_square))
 
 
 SYMMETRY_ORDER = (SymmetryType.SUPERSYMMETRIC, SymmetryType.K_SYMMETRIC,
@@ -228,16 +285,18 @@ class StatRow:
         return self.counts[SYMMETRY_ORDER.index(sym)]
 
 
+def _type_counts(reports: Sequence[ClassReport]) -> Tuple[int, ...]:
+    """How many of the reports have each type, in SYMMETRY_ORDER."""
+    types = [r.symmetry for r in reports]
+    return tuple(types.count(s) for s in SYMMETRY_ORDER)
+
+
 def stats_rows(delta_max: int, jobs: int = 1) -> List[StatRow]:
-    census = full_census(delta_max, jobs=jobs)
     rows = []
-    for d in sorted(census):
-        reports = census[d]
-        total = len(reports)
-        counts = tuple(sum(1 for r in reports if r.symmetry == s)
-                       for s in SYMMETRY_ORDER)
-        fractions = tuple(Fraction(c, total) for c in counts)
-        rows.append(StatRow(d, is_square(d), total, counts, fractions))
+    for d, counts in _sweep(delta_max, jobs, _type_counts):
+        total = sum(counts)
+        rows.append(StatRow(d, is_square(d), total, counts,
+                            tuple(Fraction(c, total) for c in counts)))
     return rows
 
 
@@ -260,21 +319,26 @@ class SumRuleFinding:
     modular_period: Tuple[int, ...]
 
 
-def _sum_rule_failures(reports: Sequence[ClassReport]) -> List[SumRuleFinding]:
-    failures = []
+def _sum_rule_check(reports: Sequence[ClassReport]) -> Tuple[int, List[SumRuleFinding]]:
+    """(Super/Anti/MPlusN classes checked, the ones failing the sum rule)."""
+    checked, failures = 0, []
     for r in reports:
+        if r.symmetry not in _SUM_RULE_TYPES:
+            continue
+        checked += 1
         cycle = reduced_cycle(r.representative)
         if not check_sum_rule(cycle, r.symmetry):
             failures.append(SumRuleFinding(r.delta, r.representative, r.symmetry,
                                            cycle.modular_period))
-    return failures
+    return checked, failures
 
 
 def sum_rule_sweep(delta_max: int, jobs: int = 1) -> Tuple[int, List[SumRuleFinding]]:
     """Check sum(c_i) == 3 * len(c) over every Super/Anti/MPlusN class of
     non-square delta <= delta_max.  Returns (checked, failures)."""
-    census = full_census(delta_max, jobs=jobs, include_square=False)
-    tasks = [[r for r in reports if r.symmetry in _SUM_RULE_TYPES]
-             for reports in census.values()]
-    failures = [f for fs in _map(_sum_rule_failures, tasks, jobs) for f in fs]
-    return sum(len(t) for t in tasks), failures
+    checked, failures = 0, []
+    for _, (n, found) in _sweep(delta_max, jobs, _sum_rule_check,
+                                include_square=False):
+        checked += n
+        failures += found
+    return checked, failures

@@ -14,10 +14,10 @@ import json
 import os
 import sys
 import tempfile
+from operator import itemgetter
 from typing import List, Optional, Sequence
 
-from .census import (StatRow, census_square, full_census, stats_rows,
-                     sum_rule_sweep, valid_deltas)
+from .census import StatRow, _sweep, stats_rows, sum_rule_sweep
 from .cf import _regular_walk, _state_form, cf_surd, modular_cf_surd
 from .exact import is_square
 from .forms import Form, InternalError, antipodal, discriminant, domain_of, word_str
@@ -38,36 +38,51 @@ NONZERO_FIELDS = ("delta", "m", "n", "k", "gamma", "p", "t", "t_up", "t_down",
                   "symmetry", "star")
 ZERO_FIELDS = ("delta", "m", "n", "k", "cf", "l", "t", "t_up", "t_down",
                "symmetry", "star")
+STATS_FIELDS = ("delta", "square", "total",
+                "count_super", "count_k", "count_mpn", "count_anti", "count_asymm",
+                "frac_super", "frac_k", "frac_mpn", "frac_anti", "frac_asymm")
+
+# JSON objects keep their established key order, which is not the column
+# order: a report's period fields come last, and each count is followed by
+# its fraction.
+JSON_KEYS = {
+    NONZERO_FIELDS: NONZERO_FIELDS[:4] + NONZERO_FIELDS[6:] + NONZERO_FIELDS[4:6],
+    ZERO_FIELDS: ZERO_FIELDS[:4] + ZERO_FIELDS[6:] + ZERO_FIELDS[4:6],
+    STATS_FIELDS: STATS_FIELDS[:3] + tuple(
+        f for pair in zip(STATS_FIELDS[3:8], STATS_FIELDS[8:]) for f in pair),
+}
 
 
-def _report_record(r: ClassReport) -> dict:
+def _report_record(r: ClassReport) -> tuple:
+    """One table row, in NONZERO_FIELDS or ZERO_FIELDS order."""
     rep = r.representative
-    base = {"delta": r.delta, "m": rep.m, "n": rep.n, "k": rep.k,
-            "t": r.t, "t_up": r.t_up, "t_down": r.t_down,
-            "symmetry": r.symmetry.code, "star": 1 if r.star else 0}
-    if r.square:
-        base["cf"] = _seq(r.cf_of_k_over_m)
-        base["l"] = r.p_or_l
-    else:
-        base["gamma"] = _seq(r.gamma)
-        base["p"] = r.p_or_l
-    return base
+    word = r.cf_of_k_over_m if r.square else r.gamma
+    return (r.delta, rep.m, rep.n, rep.k, _seq(word), r.p_or_l,
+            r.t, r.t_up, r.t_down, r.symmetry.code, 1 if r.star else 0)
 
 
-def _render_csv(records: List[dict], fields: Sequence[str]) -> str:
+def _report_rows(reports: Sequence[ClassReport]) -> List[tuple]:
+    """The table rows of one discriminant (a census sweep's ``emit``)."""
+    return [_report_record(r) for r in reports]
+
+
+def _render_csv(records: List[tuple], fields: Sequence[str]) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(fields), lineterminator="\n")
-    writer.writeheader()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fields)
     writer.writerows(records)
     return buf.getvalue()
 
 
-def _render_json(records: List[dict]) -> str:
-    return json.dumps(records, indent=2) + "\n"
+def _render_json(records: List[tuple], fields: Sequence[str]) -> str:
+    keys = JSON_KEYS[fields]
+    pick = itemgetter(*(fields.index(k) for k in keys))
+    return json.dumps([dict(zip(keys, pick(rec))) for rec in records],
+                      indent=2) + "\n"
 
 
-def _render_md(records: List[dict], fields: Sequence[str]) -> str:
-    rows = [[str(rec[f]) for f in fields] for rec in records]
+def _render_md(records: List[tuple], fields: Sequence[str]) -> str:
+    rows = [[str(cell) for cell in rec] for rec in records]
     widths = [max(len(f), *(len(row[i]) for row in rows)) if rows else len(f)
               for i, f in enumerate(fields)]
     def line(cells):
@@ -77,11 +92,11 @@ def _render_md(records: List[dict], fields: Sequence[str]) -> str:
     return "\n".join(out) + "\n"
 
 
-def _render(records: List[dict], fields: Sequence[str], fmt: str) -> str:
+def _render(records: List[tuple], fields: Sequence[str], fmt: str) -> str:
     if fmt == "csv":
         return _render_csv(records, fields)
     if fmt == "json":
-        return _render_json(records)
+        return _render_json(records, fields)
     if fmt == "md":
         return _render_md(records, fields)
     raise ValueError(f"unknown format {fmt!r}")
@@ -207,29 +222,20 @@ def _check_sweep_args(args) -> None:
 def cmd_table(args) -> int:
     _check_sweep_args(args)
     zero = args.which == "zero"
-    deltas = valid_deltas(args.delta_max, include_square=zero,
-                          include_nonsquare=not zero)
-    census = ({d: census_square(d) for d in deltas} if zero
-              else full_census(args.delta_max, jobs=args.jobs))
-    records = [_report_record(r) for d in deltas for r in census[d]]
+    done = _sweep(args.delta_max, args.jobs, _report_rows,
+                  include_nonsquare=not zero)
+    # The non-zero table still computes the square rows and drops them: the
+    # benchmark's traced test counts them (ROADMAP item 1).
+    records = [rec for d, rows in done if zero or not is_square(d) for rec in rows]
     _emit(_render(records, ZERO_FIELDS if zero else NONZERO_FIELDS,
                   args.format), args.out)
     return 0
 
 
-STATS_FIELDS = ("delta", "square", "total",
-                "count_super", "count_k", "count_mpn", "count_anti", "count_asymm",
-                "frac_super", "frac_k", "frac_mpn", "frac_anti", "frac_asymm")
-
-
-def _stat_record(row: StatRow) -> dict:
-    rec = {"delta": row.delta, "square": 1 if row.square else 0,
-           "total": row.total}
-    names = ("super", "k", "mpn", "anti", "asymm")
-    for name, c, fr in zip(names, row.counts, row.fractions):
-        rec[f"count_{name}"] = c
-        rec[f"frac_{name}"] = str(fr)
-    return rec
+def _stat_record(row: StatRow) -> tuple:
+    """One stats row, in STATS_FIELDS order."""
+    return (row.delta, 1 if row.square else 0, row.total, *row.counts,
+            *(str(fr) for fr in row.fractions))
 
 
 def cmd_stats(args) -> int:

@@ -4,6 +4,8 @@ Everything here re-derives class data by explicit search: a bounded BFS over
 the generator graph, a step-by-step walk of the H0 cycle, and symmetry
 detection straight from the closure properties of the H0 member set under
 the involutions.  It exists to validate the fast path at desk scale.
+``ambiguous_classes`` is a closed form from genus theory, a function of the
+discriminant alone.
 """
 from __future__ import annotations
 
@@ -227,3 +229,44 @@ def verify_counts(f: Form, coeff_bound: int = 0) -> OracleCounts:
                             tally[DomainLabel.HB], tally[DomainLabel.HBBAR])
 
     return _with_escalation(f, coeff_bound, work)
+
+
+def _genus_exponent(delta: int) -> int:
+    """mu of a valid non-square discriminant: the primitive classes equal to
+    their own inverse number 2**(mu - 1) (Cox, *Primes of the Form
+    x^2 + ny^2*, Prop. 3.11, with n -> -n).  r counts the odd primes
+    dividing delta; mu = r for odd delta, and for delta = 4n, mu = r if
+    n = 1 mod 4, r + 1 if n = 2, 3 mod 4 or n = 4 mod 8, r + 2 if n = 0 mod 8.
+    """
+    r, v, p = 0, delta, 3
+    while v % 2 == 0:
+        v //= 2
+    while p * p <= v:
+        if v % p == 0:
+            r += 1
+            while v % p == 0:
+                v //= p
+        p += 2
+    if v > 1:
+        r += 1
+    if delta % 2:
+        return r
+    n = delta // 4
+    if n % 4 == 1:
+        return r
+    return r + 2 if n % 8 == 0 else r + 1
+
+
+def ambiguous_classes(delta: int) -> int:
+    """Classes of a non-square discriminant, scaled ones included, that are
+    their own inverse: sum of 2**(mu(delta / s**2) - 1) over every s >= 1
+    with delta / s**2 a valid discriminant.  The census types these
+    ``super`` or ``k``; no continued fraction is involved here."""
+    if delta <= 0 or delta % 4 not in (0, 1) or is_square(delta):
+        raise ValueError(f"{delta} is not a valid non-square discriminant")
+    total, s = 0, 1
+    while s * s <= delta:
+        if delta % (s * s) == 0 and (delta // (s * s)) % 4 in (0, 1):
+            total += 2 ** (_genus_exponent(delta // (s * s)) - 1)
+        s += 1
+    return total

@@ -5,14 +5,15 @@ from math import gcd, isqrt
 
 import pytest
 
-from surdsym.census import (SYMMETRY_ORDER, StatRow, census_for_delta,
-                            census_nonsquare_primitive, census_square,
-                            first_occurrence, full_census, stats_rows,
-                            sum_rule_sweep, valid_deltas)
+from surdsym.census import (SYMMETRY_ORDER, StatRow, _families,
+                            census_for_delta, census_nonsquare_primitive,
+                            census_square, first_occurrence, full_census,
+                            stats_rows, sum_rule_sweep, valid_deltas)
 from surdsym.exact import is_square
 from surdsym.forms import Form, content, discriminant, is_primitive
-from surdsym.oracle import h0_class_key
+from surdsym.oracle import ambiguous_classes, h0_class_key
 from surdsym.periods import SymmetryType, canonical_rotation, classify_class
+from surdsym.reduction import _SUM_RULE_TYPES, check_sum_rule, reduced_cycle
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +161,33 @@ class TestPrimitiveEngine:
             assert sum(r.t for r in rows) == primitive_h0_form_count(d), d
 
 
+class TestFamilies:
+    def test_families_partition_and_hold_their_sources(self):
+        """Each valid delta <= 10**4 is in exactly one item; squares are
+        alone; every valid delta / s**2 of a member is in its family."""
+        items = _families(10_000)
+        assert [item[0] for item in items] == sorted(item[0] for item in items)
+        members = [d for item in items for d in item]
+        assert sorted(members) == valid_deltas(10_000)
+        for item in items:
+            if is_square(item[0]):
+                assert len(item) == 1
+                continue
+            assert not any(is_square(d) for d in item)
+            for d in item:
+                s = 2
+                while s * s <= d:
+                    if d % (s * s) == 0 and (d // (s * s)) % 4 in (0, 1):
+                        assert d // (s * s) in item, (item[0], d, s)
+                    s += 1
+
+    def test_kinds_filter_the_items(self):
+        assert _families(100, include_square=False) == \
+            [f for f in _families(100) if not is_square(f[0])]
+        assert _families(100, include_nonsquare=False) == \
+            [(k * k,) for k in range(1, 11)]
+
+
 class TestStats:
     def test_row_shape(self, rows):
         deltas = [r.delta for r in rows]
@@ -211,3 +239,37 @@ class TestSumRule:
 
     def test_jobs_match_serial(self):
         assert sum_rule_sweep(300, jobs=1) == sum_rule_sweep(300, jobs=3)
+
+    def test_sweep_matches_checking_the_census_to_3000(self):
+        """The sharded check equals checking every class of the census one
+        by one, in delta and representative order."""
+        census = full_census(3000, include_square=False)
+        checked, failures = 0, []
+        for reports in census.values():
+            for r in reports:
+                if r.symmetry in _SUM_RULE_TYPES:
+                    checked += 1
+                    if not check_sum_rule(reduced_cycle(r.representative),
+                                          r.symmetry):
+                        failures.append(r)
+        assert (checked, failures) == (1409, [])
+        assert sum_rule_sweep(3000, jobs=2) == (checked, [])
+
+
+def test_ambiguous_classes_match_the_stats_to_20000():
+    """Genus theory's count of self-inverse classes, scaled ones included,
+    equals the super + k classes of every non-square delta <= 2 * 10**4."""
+    S = SymmetryType
+    bad = [r.delta for r in stats_rows(20_000, jobs=2) if not r.square and
+           ambiguous_classes(r.delta) !=
+           r.count_of(S.SUPERSYMMETRIC) + r.count_of(S.K_SYMMETRIC)]
+    assert bad == []
+
+
+def test_ambiguous_classes_by_hand():
+    # 20 = 4 * 5 (n = 5 is 1 mod 4, mu = 1): one class of its own and 5's,
+    # scaled; 60 = 4 * 15 (n = 3 mod 4, mu = 3): four, and 15 is not valid.
+    assert [ambiguous_classes(d) for d in (5, 8, 12, 20, 60)] == [1, 1, 2, 2, 4]
+    for bad in (0, 3, 4, 9, -5):
+        with pytest.raises(ValueError):
+            ambiguous_classes(bad)

@@ -186,6 +186,31 @@ class TestTable:
                            "--format", "csv", "--jobs", "3")
         assert rc1 == rc2 == 0 and out1 == out2
 
+    @pytest.mark.parametrize("argv", [
+        ("table", "--format", "csv"), ("table", "--format", "json"),
+        ("table", "--format", "md"),
+        ("table", "--which", "zero", "--format", "csv"),
+        ("table", "--which", "zero", "--format", "json"),
+        ("table", "--which", "zero", "--format", "md"),
+        ("stats", "--format", "csv"), ("stats", "--format", "json")])
+    def test_sweep_bytes_equal_for_jobs_1_2_3(self, capsys, argv):
+        outs = [run(capsys, *argv, "--delta-max", "2000", "--jobs", jobs)
+                for jobs in ("1", "2", "3")]
+        assert outs[0][0] == 0 and outs[0][1]
+        assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize("argv, keys", [
+        (("table",), "delta m n k t t_up t_down symmetry star gamma p"),
+        (("table", "--which", "zero"),
+         "delta m n k t t_up t_down symmetry star cf l"),
+        (("stats",), "delta square total count_super frac_super count_k frac_k "
+                     "count_mpn frac_mpn count_anti frac_anti count_asymm "
+                     "frac_asymm")])
+    def test_json_key_order(self, capsys, argv, keys):
+        rc, out, _ = run(capsys, *argv, "--delta-max", "20", "--format", "json")
+        assert rc == 0
+        assert all(list(rec) == keys.split() for rec in json.loads(out))
+
     def test_bad_delta_max(self, capsys):
         rc, _, err = run(capsys, "table", "--delta-max", "0")
         assert rc == 1 and err.startswith("error:")
