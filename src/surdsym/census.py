@@ -1,29 +1,33 @@
 """Class census per discriminant: enumerate, walk, classify, and aggregate.
 
 The non-square engine works on the reduced surds (P + sqrt(delta)) / Q of a
-discriminant, found from the divisors of (delta - P**2) / 4 (read off a
-smallest-prime-factor table shared by a sweep).  The regular continued
-fraction permutes them in cycles; one walk of a cycle of length L gives its
-digit word, which is the period of one class when L is odd and of two classes
-when L is even.  The H0 forms of such a class are the A- and B-runs between
-the cycle's states, so each class's least H0 member (its representative), its
-period rotated as the continued fraction of that representative gives it, and
-t, t_up, t_down all follow from the one walk.  Imprimitive classes are scaled
-copies of primitive ones from delta / s**2.  Square discriminants are k
-straight rows (m, 0, k).
+discriminant.  They come from one sieve over (P, a), Q = 2a: the state
+(P, 2a) belongs to every delta = P**2 + 4ac (c >= 1, gcd(a, c, P) = 1) in
+one window of delta, so a sweep sieves every delta <= delta_max at once, in
+time proportional to the states it emits plus O(delta_max) pairs (P, a).
+The regular continued fraction permutes the states in cycles; one walk of a
+cycle of length L gives its digit word, which is the period of one class
+when L is odd and of two classes when L is even.  The H0 forms of such a
+class are the A- and B-runs between the cycle's states, so each class's
+least H0 member (its representative), its period rotated as the continued
+fraction of that representative gives it, and t, t_up, t_down all follow
+from the one walk.  Imprimitive classes are scaled copies of primitive ones
+from delta / s**2.  Square discriminants are k straight rows (m, 0, k).
 
 A sweep is sharded by square-class family: a root delta0 (a valid non-square
 discriminant with no valid delta0 / s**2, s >= 2) and its multiples
 delta0 * t**2 <= delta_max.  Every valid delta / s**2 of a member is a
-smaller member, so one worker computes each member's primitive classes once
-and finishes every member's rows on its own; each square delta is an item of
-its own.  The worker hands each discriminant's reports to ``emit``, a
-top-level function the caller chooses (the reports themselves, type counts,
-sum-rule checks, or the CLI's table records), and returns only what ``emit``
-returns.  The parent puts those results in delta order.
+smaller member, so one worker, handed the family's states, computes each
+member's primitive classes once and finishes every member's rows on its
+own; each square delta is an item of its own.  The worker hands each
+discriminant's reports to ``emit``, a top-level function the caller chooses
+(the reports themselves, type counts, sum-rule checks, or the CLI's table
+records), and returns only what ``emit`` returns.  The parent puts those
+results in delta order.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -53,44 +57,38 @@ def valid_deltas(delta_max: int, include_square: bool = True,
     return out
 
 
-def _smallest_prime_factors(n: int) -> List[int]:
-    """spf[i] is the least prime factor of i, for 2 <= i <= n."""
-    spf = list(range(n + 1))
-    for p in range(2, isqrt(n) + 1):
-        if spf[p] == p:
-            for q in range(p * p, n + 1, p):
-                if spf[q] == q:
-                    spf[q] = p
-    return spf
-
-
-def _divisors(v: int, spf: Sequence[int]) -> List[int]:
-    """Every divisor of v >= 1, unordered, from the table of least prime factors."""
-    divs = [1]
-    while v > 1:
-        p = spf[v]
-        lower = divs
-        while v % p == 0:
-            v //= p
-            lower = [d * p for d in lower]
-            divs += lower
-    return divs
-
-
-def _reduced_states(delta: int, r: int, spf: Sequence[int]) -> List[Tuple[int, int]]:
+def _reduced_states(lo: int, hi: int) -> Dict[int, array]:
     """Every reduced surd (P + sqrt(delta)) / Q whose form (Q/2, -c, -P),
-    c = (delta - P**2) / (2Q), is integral and primitive.
+    c = (delta - P**2) / (2Q), is integral and primitive, for every
+    delta = 0, 1 mod 4 in [lo, hi]: {delta: array [P0, Q0, P1, Q1, ...]}.
 
     Reduced means xi > 1 > 0 > xi' > -1, i.e. 0 < P <= r and
-    r - P < Q <= r + P with r = isqrt(delta).
+    r - P < Q <= r + P with r = isqrt(delta).  The sieve runs over (P, a),
+    Q = 2a: the discriminants with the state (P, 2a) are delta = P**2 + 4ac,
+    c >= 1, in the window (2a - P)**2 <= delta < (2a + P)**2, one every 4a,
+    kept when gcd(a, c, P) = 1.  Square discriminants get states too.
     """
-    states = []
-    for p in range(2 - delta % 2, r + 1, 2):
-        v = (delta - p * p) // 4  # = a * c for the form (a, -c, -p)
-        for a in _divisors(v, spf):
-            if r - p < 2 * a <= r + p and gcd(gcd(a, v // a), p) == 1:
-                states.append((p, 2 * a))
-    return states
+    out = {d: array("i") for d in range(lo, hi + 1) if d % 4 in (0, 1)}
+    r_lo, r_hi = isqrt(lo), isqrt(hi)
+    for p in range(1, isqrt(max(hi - 4, 0)) + 1):
+        pp = p * p
+        for a in range(max(1, (r_lo - p) // 2 + 1), (r_hi + p) // 2 + 1):
+            step = 4 * a
+            low = max((2 * a - p) ** 2, pp + step, lo)
+            start = low + (pp - low) % step
+            stop = min((2 * a + p) ** 2, hi + 1)
+            state = (p, 2 * a)
+            g = gcd(a, p)
+            if g == 1:
+                for d in range(start, stop, step):
+                    out[d].extend(state)
+            else:
+                c = (start - pp) // step
+                for d in range(start, stop, step):
+                    if gcd(g, c) == 1:
+                        out[d].extend(state)
+                    c += 1
+    return out
 
 
 def _least_member(a_runs: Sequence[int], cycle: Sequence[Tuple[int, int]],
@@ -122,28 +120,29 @@ def _least_member(a_runs: Sequence[int], cycle: Sequence[Tuple[int, int]],
     return best
 
 
-def census_nonsquare_primitive(delta: int,
-                               spf: Optional[Sequence[int]] = None
+def census_nonsquare_primitive(delta: int, states: Optional[array] = None
                                ) -> Tuple[ClassReport, ...]:
     """Reports for all primitive classes of a non-square discriminant,
     ordered by their lexicographically least H0 representative.
 
-    ``spf`` is a smallest-prime-factor table covering (delta - 1) // 4; a
-    sweep builds it once and passes it to every discriminant.
+    ``states`` are the discriminant's reduced states as ``_reduced_states``
+    gives them; a sweep sieves them once for every discriminant and passes
+    them in.  Without them, this discriminant alone is sieved.
     """
     if delta <= 0 or delta % 4 not in (0, 1) or is_square(delta):
         raise ValueError(f"{delta} is not a valid non-square discriminant")
-    if spf is None:
-        spf = _smallest_prime_factors(delta // 4)
+    if states is None:
+        states = _reduced_states(delta, delta)[delta]
     reports = []
     visited = set()
-    for start in _reduced_states(delta, isqrt(delta), spf):
+    pairs = iter(states)
+    for start in zip(pairs, pairs):
         if start in visited:
             continue
-        states, digits, back = _regular_walk(*start, delta)
+        cycle, digits, back = _regular_walk(*start, delta)
         if back:
             raise InternalError(f"state {start} of {delta} is not on a cycle")
-        visited.update(states)
+        visited.update(cycle)
         n = len(digits)
         symmetry = _classify_period(digits)
         if n % 2:  # one class, with an A-run at every state
@@ -151,7 +150,7 @@ def census_nonsquare_primitive(delta: int,
         else:     # two classes, with A-runs on the even or the odd states
             classes = (range(0, n, 2), range(1, n, 2))
         for a_runs in classes:
-            m, nn, k, s, odd = _least_member(a_runs, states, digits)
+            m, nn, k, s, odd = _least_member(a_runs, cycle, digits)
             s %= n
             gamma = digits[s:] + digits[:s]
             t, t_up, t_down = _counts_nonsquare(gamma, odd)
@@ -228,13 +227,17 @@ def _families(delta_max: int, include_square: bool = True,
     return items
 
 
-def _shard(emit: Callable, spf: Sequence[int], item: Tuple[int, ...]) -> list:
-    """[(delta, emit(all class reports of delta))] for one item of
-    ``_families``; each member's primitive classes are computed once."""
-    if is_square(item[0]):
-        return [(item[0], emit(census_square(item[0])))]
-    primitive = {d: census_nonsquare_primitive(d, spf) for d in item}
-    return [(d, emit(census_for_delta(d, primitive))) for d in item]
+def _shard(emit: Callable, item: Tuple[Tuple[int, ...], Optional[tuple]]) -> list:
+    """[(delta, emit(all class reports of delta))] for one work item of
+    ``_sweep``: a square delta alone (no states), or a family of ``_families``
+    with each member's reduced states; each member's primitive classes are
+    computed once."""
+    family, states = item
+    if states is None:
+        return [(family[0], emit(census_square(family[0])))]
+    primitive = {d: census_nonsquare_primitive(d, s)
+                 for d, s in zip(family, states)}
+    return [(d, emit(census_for_delta(d, primitive))) for d in family]
 
 
 def _sweep(delta_max: int, jobs: int, emit: Callable,
@@ -242,15 +245,21 @@ def _sweep(delta_max: int, jobs: int, emit: Callable,
     """[(delta, emit(reports of delta))] for every valid delta <= delta_max
     of the kinds asked, delta ascending, in one pass of ``jobs`` workers.
 
-    ``emit`` runs in the workers, so it must be a top-level function; what
-    it returns is all that is sent back.
+    The reduced states of every delta are sieved once, here, and each
+    family's item carries its members' states.  ``emit`` runs in the
+    workers, so it must be a top-level function; what it returns is all
+    that is sent back.
     """
     if delta_max < 1:
         raise ValueError("delta_max must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    shard = partial(_shard, emit, _smallest_prime_factors(delta_max // 4))
-    items = _families(delta_max, include_square, include_nonsquare)
+    table = _reduced_states(1, delta_max) if include_nonsquare else {}
+    items = [(family, None if is_square(family[0])
+              else tuple(table[d] for d in family))
+             for family in _families(delta_max, include_square, include_nonsquare)]
+    del table
+    shard = partial(_shard, emit)
     done = [row for rows in _map(shard, items, jobs) for row in rows]
     done.sort(key=itemgetter(0))
     return done

@@ -4,13 +4,14 @@ Everything here re-derives class data by explicit search: a bounded BFS over
 the generator graph, a step-by-step walk of the H0 cycle, and symmetry
 detection straight from the closure properties of the H0 member set under
 the involutions.  It exists to validate the fast path at desk scale.
-``ambiguous_classes`` is a closed form from genus theory, a function of the
-discriminant alone.
+``ambiguous_classes`` (a closed form from genus theory) and
+``h0_point_count`` (a divisor sum) are functions of the discriminant alone.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import isqrt
 from typing import Dict, List, Set, Tuple
 
 from .exact import is_square
@@ -270,3 +271,28 @@ def ambiguous_classes(delta: int) -> int:
             total += 2 ** (_genus_exponent(delta // (s * s)) - 1)
         s += 1
     return total
+
+
+def _divisor_count(v: int) -> int:
+    """Number of divisors of v >= 1, by trial division up to sqrt(v)."""
+    count = 0
+    for m in range(1, isqrt(v) + 1):
+        if v % m == 0:
+            count += 1 if m * m == v else 2
+    return count
+
+
+def h0_point_count(delta: int) -> int:
+    """Forms (m, n, k) of a non-square discriminant with m > 0 > n, i.e. its
+    H0 points: k runs over every integer k = delta mod 2 with k**2 < delta,
+    of both signs, and each k has one point per divisor m of
+    (delta - k**2) / 4 = -mn.  The H0 cycles of the discriminant's classes,
+    scaled ones included, partition these points, so the census's t summed
+    over every row of delta equals this count; no continued fraction is
+    involved.  Summing over k >= 0 alone misses the points with k < 0 and
+    falls short on every discriminant."""
+    if delta <= 0 or delta % 4 not in (0, 1) or is_square(delta):
+        raise ValueError(f"{delta} is not a valid non-square discriminant")
+    r = isqrt(delta)
+    return sum(_divisor_count((delta - k * k) // 4)
+               for k in range(-r, r + 1) if (k - delta) % 2 == 0)

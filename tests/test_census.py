@@ -6,14 +6,18 @@ from math import gcd, isqrt
 import pytest
 
 from surdsym.census import (SYMMETRY_ORDER, StatRow, _families,
-                            census_for_delta, census_nonsquare_primitive,
-                            census_square, first_occurrence, full_census,
-                            stats_rows, sum_rule_sweep, valid_deltas)
+                            _reduced_states, _sweep, census_for_delta,
+                            census_nonsquare_primitive, census_square,
+                            first_occurrence, full_census, stats_rows,
+                            sum_rule_sweep, valid_deltas)
 from surdsym.exact import is_square
 from surdsym.forms import Form, content, discriminant, is_primitive
-from surdsym.oracle import ambiguous_classes, h0_class_key
+from surdsym.oracle import (_genus_exponent, ambiguous_classes, h0_class_key,
+                            h0_point_count)
 from surdsym.periods import SymmetryType, canonical_rotation, classify_class
 from surdsym.reduction import _SUM_RULE_TYPES, check_sum_rule, reduced_cycle
+
+from states_by_divisors import smallest_prime_factors, states_by_divisors
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +165,36 @@ class TestPrimitiveEngine:
             assert sum(r.t for r in rows) == primitive_h0_form_count(d), d
 
 
+class TestReducedStates:
+    @pytest.fixture(scope="class")
+    def table(self):
+        return _reduced_states(1, 10_000)
+
+    def test_sieve_matches_divisor_listing_to_10000(self, table):
+        """The sieve's states of each non-square delta are those found by
+        listing the divisors of (delta - P**2) / 4, each once."""
+        spf = smallest_prime_factors(10_000 // 4)
+        for d in valid_deltas(10_000, include_square=False):
+            pairs = list(zip(table[d][::2], table[d][1::2]))
+            assert len(pairs) == len(set(pairs)), d
+            assert set(pairs) == states_by_divisors(d, spf), d
+
+    def test_windows_match_the_full_table(self, table):
+        assert set(table) == set(valid_deltas(10_000))
+        for lo, hi in ((1, 1), (1, 60), (37, 37), (500, 777), (4096, 4100),
+                       (9973, 10_000)):
+            window = _reduced_states(lo, hi)
+            assert set(window) == {d for d in valid_deltas(hi) if d >= lo}
+            for d, states in window.items():
+                assert states == table[d], (lo, hi, d)
+
+    def test_lone_delta_matches_the_sweep(self):
+        census = full_census(2000, include_square=False)
+        for d, reports in census.items():
+            assert census_nonsquare_primitive(d) == \
+                tuple(r for r in reports if r.primitive), d
+
+
 class TestFamilies:
     def test_families_partition_and_hold_their_sources(self):
         """Each valid delta <= 10**4 is in exactly one item; squares are
@@ -273,3 +307,47 @@ def test_ambiguous_classes_by_hand():
     for bad in (0, 3, 4, 9, -5):
         with pytest.raises(ValueError):
             ambiguous_classes(bad)
+
+
+def test_h0_point_count_matches_the_census_to_5000():
+    """The t of every row of delta, scaled rows included, sums to the number
+    of H0 forms of delta, counted by divisor sums."""
+    census = full_census(5000, jobs=2, include_square=False)
+    bad = [d for d, reports in census.items()
+           if sum(r.t for r in reports) != h0_point_count(d)]
+    assert bad == []
+
+
+def test_h0_point_count_by_hand():
+    # 5: k = +-1 give (5 - 1) / 4 = 1, one divisor each.  12: k = 0 gives
+    # 3 (two divisors) and k = +-2 give 2 (two each).  17: k = +-1 give 4
+    # (three each), k = +-3 give 2 (two each); its one class has t = 10.
+    assert [h0_point_count(d) for d in (5, 12, 17)] == [2, 6, 10]
+    for bad in (0, 3, 4, 9, -5):
+        with pytest.raises(ValueError):
+            h0_point_count(bad)
+
+
+def _parity_profile(reports):
+    """(period-length parities, types) of the primitive classes."""
+    primitive = [r for r in reports if r.primitive]
+    return {r.p_or_l % 2 for r in primitive}, [r.symmetry for r in primitive]
+
+
+def test_one_parity_per_delta_to_20000():
+    """All primitive classes of one delta share the parity of their period
+    length; odd-parity delta have only super and anti classes; even-parity
+    delta have 0 or 2**(mu - 1) m+n classes, mu from genus theory."""
+    S = SymmetryType
+    bad = []
+    for d, (parities, types) in _sweep(20_000, 2, _parity_profile,
+                                       include_square=False):
+        if len(parities) != 1:
+            bad.append((d, "mixed"))
+        elif parities == {1}:
+            if set(types) - {S.SUPERSYMMETRIC, S.ANTISYMMETRIC}:
+                bad.append((d, "odd"))
+        elif types.count(S.M_PLUS_N_SYMMETRIC) not in \
+                (0, 2 ** (_genus_exponent(d) - 1)):
+            bad.append((d, "m+n"))
+    assert bad == []
