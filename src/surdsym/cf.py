@@ -94,34 +94,6 @@ def cf_value(cf: CFExpansion) -> Fraction:
     return val
 
 
-def cf_parity_variant(cf: CFExpansion, parity: str) -> CFExpansion:
-    """Finite expansion of the same value whose length has the given parity.
-
-    Uses the tail identity [..., a] = [..., a-1, 1] (for a >= 2) or
-    [..., b, 1] = [..., b+1].  The one-digit expansion [1] has no variant of
-    even length made of positive digits.
-    """
-    if parity not in ("odd", "even"):
-        raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
-    if not cf.is_finite:
-        raise ValueError("parity variant needs a finite expansion")
-    digits = list(cf.preperiod)
-    if not digits:
-        raise ValueError("empty expansion")
-    want_odd = parity == "odd"
-    if (len(digits) % 2 == 1) == want_odd:
-        return cf
-    if digits[-1] > 1:
-        digits[-1] -= 1
-        digits.append(1)
-    elif len(digits) >= 2:
-        digits.pop()
-        digits[-1] += 1
-    else:
-        raise ValueError(f"no {parity}-length variant of {cf.preperiod}")
-    return CFExpansion(tuple(digits), ())
-
-
 State = Tuple[int, int]
 Walk = Tuple[Tuple[State, ...], Tuple[int, ...], int]
 
@@ -182,6 +154,21 @@ def _state_form(p: int, q: int, q_prev: int, minus: bool = False) -> Form:
     return Form(q // 2, (q_prev if minus else -q_prev) // 2, -p)
 
 
+def _check_word(s: Tuple[int, ...]) -> None:
+    if not s or any((not isinstance(a, int)) or a < 1 for a in s):
+        raise ValueError(f"period digits must be positive integers: {s}")
+
+
+def is_primitive_period(s: Tuple[int, ...]) -> bool:
+    """True iff s is not a repetition of a shorter word."""
+    s = tuple(s)
+    n = len(s)
+    if n == 0:
+        return False
+    dbl = s + s
+    return not any(n % d == 0 and dbl[d:d + n] == s for d in range(1, n))
+
+
 def cf_surd(f: Form) -> CFExpansion:
     """Regular continued fraction of xi_plus(f) = (-k + sqrt(delta)) / (2m).
 
@@ -239,8 +226,7 @@ def cf_period_to_modular_period(pi: Tuple[int, ...]) -> Tuple[int, ...]:
     pi = tuple(pi)
     if len(pi) % 2 != 0:
         raise ValueError(f"period length must be even, got {len(pi)} (double it first)")
-    if not pi or any((not isinstance(a, int)) or a < 1 for a in pi):
-        raise ValueError(f"period digits must be positive integers: {pi}")
+    _check_word(pi)
     out = []
     for i, a in enumerate(pi):
         if i % 2 == 0:  # 1-indexed odd position
@@ -257,13 +243,9 @@ def period_to_forms(s: Tuple[int, ...]) -> Tuple[Form, Form]:
     xi_plus equal to the purely periodic value [[s]] > 1.
     """
     s = tuple(s)
-    if not s or any((not isinstance(a, int)) or a < 1 for a in s):
-        raise ValueError(f"period digits must be positive integers: {s}")
-    n = len(s)
-    dbl = s + s
-    for d in range(1, n):
-        if n % d == 0 and dbl[d:d + n] == s:
-            raise ValueError(f"period {s} is not primitive (repeats every {d})")
+    _check_word(s)
+    if not is_primitive_period(s):
+        raise ValueError(f"period {s} is not primitive")
     p, pp, q, qq = 1, 0, 0, 1
     for a in s:
         p, pp, q, qq = a * p + pp, p, a * q + qq, q

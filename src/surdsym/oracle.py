@@ -5,14 +5,15 @@ the generator graph, a step-by-step walk of the H0 cycle, and symmetry
 detection straight from the closure properties of the H0 member set under
 the involutions.  It exists to validate the fast path at desk scale.
 ``ambiguous_classes`` (a closed form from genus theory) and
-``h0_point_count`` (a divisor sum) are functions of the discriminant alone.
+``h0_point_count`` (a divisor sum) are functions of the discriminant alone;
+``square_symmetry`` types a square-discriminant class by congruences.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import isqrt
-from typing import Dict, List, Set, Tuple
+from math import gcd, isqrt
+from typing import List, Set, Tuple
 
 from .exact import is_square
 from .forms import (DomainLabel, Form, GeneratorWord, InternalError,
@@ -124,11 +125,6 @@ class OracleCounts:
     @property
     def t(self) -> int:
         return self.h0
-
-    def as_dict(self) -> Dict[DomainLabel, int]:
-        return {DomainLabel.H0: self.h0, DomainLabel.H0R: self.h0r,
-                DomainLabel.HA: self.ha, DomainLabel.HABAR: self.habar,
-                DomainLabel.HB: self.hb, DomainLabel.HBBAR: self.hbbar}
 
     def ordered_counts(self, square: bool) -> Tuple[int, int, int]:
         """(t, t_up, t_down) implied by the tallies.
@@ -283,16 +279,38 @@ def _divisor_count(v: int) -> int:
 
 
 def h0_point_count(delta: int) -> int:
-    """Forms (m, n, k) of a non-square discriminant with m > 0 > n, i.e. its
-    H0 points: k runs over every integer k = delta mod 2 with k**2 < delta,
-    of both signs, and each k has one point per divisor m of
-    (delta - k**2) / 4 = -mn.  The H0 cycles of the discriminant's classes,
-    scaled ones included, partition these points, so the census's t summed
-    over every row of delta equals this count; no continued fraction is
-    involved.  Summing over k >= 0 alone misses the points with k < 0 and
-    falls short on every discriminant."""
-    if delta <= 0 or delta % 4 not in (0, 1) or is_square(delta):
-        raise ValueError(f"{delta} is not a valid non-square discriminant")
-    r = isqrt(delta)
+    """Forms (m, n, k) of a discriminant with m > 0 > n, i.e. its H0 points:
+    k runs over every integer k = delta mod 2 with k**2 < delta, of both
+    signs, and each k has one point per divisor m of (delta - k**2) / 4 =
+    -mn.  The H0 cycles of the discriminant's classes, scaled ones
+    included, partition these points, so the census's t summed over every
+    row of delta equals this count; no continued fraction is involved.
+    For square delta the bound k**2 < delta leaves out the forms with
+    mn = 0, which lie on the boundary of H0.  Summing over k >= 0 alone
+    misses the points with k < 0 and falls short on every discriminant."""
+    if delta <= 0 or delta % 4 not in (0, 1):
+        raise ValueError(f"{delta} is not a valid discriminant")
+    r = isqrt(delta - 1)  # k**2 < delta
     return sum(_divisor_count((delta - k * k) // 4)
                for k in range(-r, r + 1) if (k - delta) % 2 == 0)
+
+
+def square_symmetry(m: int, k: int) -> SymmetryType:
+    """Symmetry type of the class of (m, 0, k), 0 <= m < k, by congruences
+    alone.  A scaled class has the type of its primitive class, so
+    g = gcd(m, k) is divided out first.  For coprime m and k the conjugate
+    class is that of (m**-1 mod k, 0, k) and the adjoint class that of
+    (-m**-1 mod k, 0, k): the class is its own adjoint iff m**2 = -1
+    (mod k) and its own conjugate iff m**2 = 1 (mod k).  Both hold only for
+    k <= 2, i.e. m = 0 or 2m = k."""
+    if not 0 <= m < k:
+        raise ValueError(f"need 0 <= m < k, got m={m}, k={k}")
+    g = gcd(m, k)
+    m, k = m // g, k // g
+    if m == 0 or 2 * m == k:
+        return SymmetryType.SUPERSYMMETRIC
+    if (m * m + 1) % k == 0:
+        return SymmetryType.M_PLUS_N_SYMMETRIC
+    if (m * m - 1) % k == 0:
+        return SymmetryType.K_SYMMETRIC
+    return SymmetryType.ASYMMETRIC

@@ -2,8 +2,10 @@
 
 A class of forms with non-square discriminant is described by the cyclic word
 of its continued-fraction period; its symmetry type is determined by which
-dihedral symmetries the doubled word (run structure) admits.  Square
-discriminants are handled through the finite expansion of k/m.
+dihedral symmetries the doubled word (run structure) admits.  A class of
+square discriminant k**2 is brought to its representative (m, 0, k),
+0 <= m < k, and every fact about it (type, t, t_up, t_down, the word shown)
+is read off one Euclidean expansion of k/m and its twin of the other length.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Tuple
 
-from .cf import CFExpansion, cf_parity_variant, cf_rational, cf_surd
+from .cf import _check_word, cf_rational, cf_surd, is_primitive_period
 from .exact import is_square, isqrt
 from .forms import Form, InternalError, discriminant, is_primitive
 
@@ -39,16 +41,6 @@ def canonical_rotation(s: Tuple[int, ...]) -> Tuple[int, ...]:
     if not s:
         return s
     return min(s[i:] + s[:i] for i in range(len(s)))
-
-
-def is_primitive_period(s: Tuple[int, ...]) -> bool:
-    """True iff s is not a repetition of a shorter word."""
-    s = tuple(s)
-    n = len(s)
-    if n == 0:
-        return False
-    dbl = s + s
-    return not any(n % d == 0 and dbl[d:d + n] == s for d in range(1, n))
 
 
 def _reflection_kinds(s: Tuple[int, ...]) -> Tuple[bool, bool]:
@@ -81,11 +73,6 @@ def is_palindromic_cyclic(s: Tuple[int, ...]) -> bool:
 def is_bipalindromic(s: Tuple[int, ...]) -> bool:
     """True iff some rotation splits into two odd-length plain palindromes."""
     return _reflection_kinds(tuple(s))[1]
-
-
-def _check_word(s: Tuple[int, ...]) -> None:
-    if not s or any((not isinstance(a, int)) or a < 1 for a in s):
-        raise ValueError(f"period digits must be positive integers: {s}")
 
 
 def classify_period(s: Tuple[int, ...]) -> SymmetryType:
@@ -136,57 +123,6 @@ def _counts_nonsquare(gamma: Tuple[int, ...], odd_start: bool) -> Tuple[int, int
         return 2 * total, total, total
     t_up = sum(gamma[0::2] if odd_start else gamma[1::2])
     return total, t_up, total - t_up
-
-
-def counts_square(m: int, k: int) -> Tuple[int, int, int]:
-    """(t, t_up, t_down) for the square-discriminant class of (m, 0, k)."""
-    kk = abs(k)
-    if kk == 0:
-        raise ValueError("k must be non-zero")
-    if not 0 <= m < kk:
-        raise ValueError(f"need 0 <= m < |k|, got m={m}, k={k}")
-    if m == 0:
-        return 0, 0, 0
-    even = cf_parity_variant(cf_rational(kk, m), "even").preperiod
-    t_up = sum(even[0::2]) - 1
-    t_down = sum(even[1::2]) - 1
-    return t_up + t_down + 1, t_up, t_down
-
-
-def classify_square(m: int, k: int) -> SymmetryType:
-    """Symmetry type of the square-discriminant class of (m, 0, k)."""
-    kk = abs(k)
-    if kk == 0:
-        raise ValueError("k must be non-zero")
-    if not 0 <= m < kk:
-        raise ValueError(f"need 0 <= m < |k|, got m={m}, k={k}")
-    if m == 0 or 2 * m == kk:
-        return SymmetryType.SUPERSYMMETRIC
-    cf = cf_rational(kk, m)
-    even = cf_parity_variant(cf, "even").preperiod
-    if even == even[::-1]:
-        return SymmetryType.M_PLUS_N_SYMMETRIC
-    odd = cf_parity_variant(cf, "odd").preperiod
-    if odd == odd[::-1]:
-        return SymmetryType.K_SYMMETRIC
-    return SymmetryType.ASYMMETRIC
-
-
-def square_cf_display(m: int, k: int) -> Tuple[int, ...]:
-    """The expansion of k/m used in reports: the palindromic variant if one
-    exists, otherwise the canonical (Euclidean) expansion expanded by one digit."""
-    kk = abs(k)
-    if kk == 0:
-        raise ValueError("k must be non-zero")
-    if not 0 <= m < kk:
-        raise ValueError(f"need 0 <= m < |k|, got m={m}, k={k}")
-    if m == 0:
-        return ()
-    canon = cf_rational(kk, m).preperiod
-    if canon == canon[::-1]:
-        return canon
-    other_parity = "even" if len(canon) % 2 == 1 else "odd"
-    return cf_parity_variant(CFExpansion(canon, ()), other_parity).preperiod
 
 
 @dataclass(frozen=True)
@@ -241,13 +177,42 @@ def normalize_square_form(f: Form) -> Form:
 
 def _square_report(rep: Form) -> ClassReport:
     """Report for the square-delta class of its representative (m, 0, k),
-    0 <= m < k.  Content is a class invariant, so the class is primitive
-    iff gcd(m, k) == 1."""
+    0 <= m < k, read off the Euclidean expansion of k/m and its twin of
+    the other length, [..., a] = [..., a - 1, 1]; for 0 < m < k the last
+    digit a is at least 2.  The even-length word gives t_up and t_down
+    (its digits at odd and at even positions, less one each) and the
+    m+n type; the odd-length word the k type.  The palindromic word is
+    shown, or the twin when neither is.  Content is a class invariant, so
+    the class is primitive iff gcd(m, k) == 1."""
     m, k = rep.m, rep.k
-    t, t_up, t_down = counts_square(m, k)
-    disp = square_cf_display(m, k)
-    return ClassReport(rep, k * k, (), disp, len(disp), t, t_up, t_down,
-                       classify_square(m, k), gcd(m, k) == 1)
+    primitive = gcd(m, k) == 1
+    if m == 0:
+        return ClassReport(rep, k * k, (), (), 0, 0, 0, 0,
+                           SymmetryType.SUPERSYMMETRIC, primitive)
+    canon = cf_rational(k, m).preperiod
+    twin = canon[:-1] + (canon[-1] - 1, 1)
+    even, odd = (twin, canon) if len(canon) % 2 else (canon, twin)
+    t_up, t_down = sum(even[0::2]) - 1, sum(even[1::2]) - 1
+    if 2 * m == k:
+        sym = SymmetryType.SUPERSYMMETRIC
+    elif even == even[::-1]:
+        sym = SymmetryType.M_PLUS_N_SYMMETRIC
+    elif odd == odd[::-1]:
+        sym = SymmetryType.K_SYMMETRIC
+    else:
+        sym = SymmetryType.ASYMMETRIC
+    shown = canon if canon == canon[::-1] else twin
+    return ClassReport(rep, k * k, (), shown, len(shown), t_up + t_down + 1,
+                       t_up, t_down, sym, primitive)
+
+
+def classify_square(m: int, k: int) -> SymmetryType:
+    """Symmetry type of the square-discriminant class of (m, 0, k)."""
+    if k == 0:
+        raise ValueError("k must be non-zero")
+    if not 0 <= m < abs(k):
+        raise ValueError(f"need 0 <= m < |k|, got m={m}, k={k}")
+    return _square_report(Form(m, 0, abs(k))).symmetry
 
 
 def classify_class(f: Form) -> ClassReport:

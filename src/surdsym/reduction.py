@@ -153,20 +153,10 @@ _SUM_RULE_TYPES = frozenset((SymmetryType.SUPERSYMMETRIC,
                              SymmetryType.M_PLUS_N_SYMMETRIC))
 
 
-@dataclass(frozen=True)
-class SumRuleResult:
-    """Outcome of the sum-rule check; truthy iff the rule (or vacuity) holds."""
-
-    holds: bool
-    applicable: bool
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def check_sum_rule(cycle: ReducedCycle, symmetry: SymmetryType) -> SumRuleResult:
-    """Sum rule: for the three symmetric types, sum(c_i) == 3t exactly."""
-    if symmetry in _SUM_RULE_TYPES:
-        period = cycle.modular_period
-        return SumRuleResult(sum(period) == 3 * len(period), True)
-    return SumRuleResult(True, False)
+def check_sum_rule(cycle: ReducedCycle, symmetry: SymmetryType) -> bool:
+    """Sum rule: for the three symmetric types, sum(c_i) == 3t exactly;
+    True for the other types, which it does not constrain."""
+    if symmetry not in _SUM_RULE_TYPES:
+        return True
+    period = cycle.modular_period
+    return sum(period) == 3 * len(period)

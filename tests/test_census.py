@@ -13,7 +13,7 @@ from surdsym.census import (SYMMETRY_ORDER, StatRow, _families,
 from surdsym.exact import is_square
 from surdsym.forms import Form, content, discriminant, is_primitive
 from surdsym.oracle import (_genus_exponent, ambiguous_classes, h0_class_key,
-                            h0_point_count)
+                            h0_point_count, square_symmetry)
 from surdsym.periods import SymmetryType, canonical_rotation, classify_class
 from surdsym.reduction import _SUM_RULE_TYPES, check_sum_rule, reduced_cycle
 
@@ -322,10 +322,50 @@ def test_h0_point_count_by_hand():
     # 5: k = +-1 give (5 - 1) / 4 = 1, one divisor each.  12: k = 0 gives
     # 3 (two divisors) and k = +-2 give 2 (two each).  17: k = +-1 give 4
     # (three each), k = +-3 give 2 (two each); its one class has t = 10.
-    assert [h0_point_count(d) for d in (5, 12, 17)] == [2, 6, 10]
-    for bad in (0, 3, 4, 9, -5):
+    # 4: k = 0 gives 1 (one divisor).  9: k = +-1 give 2 (two each); k = +-3
+    # would give the boundary forms with mn = 0, which k**2 < delta leaves out.
+    assert [h0_point_count(d) for d in (5, 12, 17, 4, 9)] == [2, 6, 10, 1, 4]
+    for bad in (0, 3, -5):
         with pytest.raises(ValueError):
             h0_point_count(bad)
+
+
+def test_square_symmetry_by_hand():
+    # 2**2 = -1 (mod 5), 1**2 = 1 (mod 4), and (4, 10) is twice (2, 5).
+    S = SymmetryType
+    assert [square_symmetry(m, k) for m, k in
+            ((0, 4), (2, 4), (1, 4), (2, 5), (4, 10), (2, 7))] == \
+        [S.SUPERSYMMETRIC, S.SUPERSYMMETRIC, S.K_SYMMETRIC,
+         S.M_PLUS_N_SYMMETRIC, S.M_PLUS_N_SYMMETRIC, S.ASYMMETRIC]
+    for m, k in ((3, 3), (-1, 4), (0, 0)):
+        with pytest.raises(ValueError):
+            square_symmetry(m, k)
+
+
+def _square_profile(reports):
+    """(sum of t, [(m, k, type)]) over the rows of a square delta."""
+    return (sum(r.t for r in reports),
+            [(r.representative.m, r.representative.k, r.symmetry) for r in reports])
+
+
+@pytest.fixture(scope="module")
+def square_rows():
+    """The rows of every square delta <= 2 * 10**4, as a table sweep makes them."""
+    return _sweep(20_000, 2, _square_profile, include_nonsquare=False)
+
+
+def test_h0_point_count_matches_the_square_census_to_20000(square_rows):
+    """The t of the k rows of delta = k**2 sum to its H0 points too."""
+    assert len(square_rows) == isqrt(20_000)
+    assert [d for d, (t, _) in square_rows if t != h0_point_count(d)] == []
+
+
+def test_square_symmetry_matches_the_census_to_20000(square_rows):
+    """Every row of square delta <= 2 * 10**4 has the type that the
+    congruences m**2 = -1, 1 (mod k) give, with gcd(m, k) divided out."""
+    bad = [(m, k) for _, (_, types) in square_rows
+           for m, k, sym in types if square_symmetry(m, k) is not sym]
+    assert bad == []
 
 
 def _parity_profile(reports):

@@ -7,10 +7,10 @@ import pytest
 
 from surdsym.cf import (CFExpansion, ModularCF, SquareDiscriminantError,
                         _minus_walk, _regular_walk, _state_form,
-                        cf_parity_variant,
                         cf_period_to_modular_period, cf_rational, cf_surd,
                         cf_value, modular_cf_surd, period_of_class, period_to_forms)
 from surdsym.forms import Form, antipodal, discriminant
+from surdsym.periods import classify_class, classify_square
 from test_reduction import NONSQUARE_GRID
 
 
@@ -68,32 +68,42 @@ class TestRationalCF:
 
 
 class TestParityVariant:
+    """A square class's report reads k/m off its Euclidean word and the twin
+    of the other length, [..., a] = [..., a - 1, 1]; the even-length word's
+    digits at odd and even positions, less one each, are t_up and t_down."""
+
     def test_toggle(self):
-        cf = cf_rational(10, 7)  # [1,2,3] odd length
-        even = cf_parity_variant(cf, "even")
-        assert even.preperiod == (1, 2, 2, 1)
-        assert cf_value(even) == Fraction(10, 7)
-        assert cf_parity_variant(cf, "odd") == cf
+        r = classify_class(Form(7, 0, 10))  # 10/7 = [1,2,3], odd length
+        assert cf_rational(10, 7).preperiod == (1, 2, 3)
+        assert r.cf_of_k_over_m == (1, 2, 2, 1)
+        assert cf_value(CFExpansion(r.cf_of_k_over_m, ())) == Fraction(10, 7)
+        assert (r.t_up, r.t_down) == (1 + 2 - 1, 2 + 1 - 1)
 
     def test_toggle_back(self):
-        cf = cf_rational(3, 1)  # [3]
-        even = cf_parity_variant(cf, "even")
-        assert even.preperiod == (2, 1)
-        assert cf_value(even) == 3
-        assert cf_parity_variant(even, "odd").preperiod == (3,)
+        r = classify_class(Form(1, 0, 3))  # 3/1 = [3] = [2,1]
+        assert r.cf_of_k_over_m == (3,)
+        assert (r.t, r.t_up, r.t_down) == (2, 2 - 1, 1 - 1)
 
     def test_every_rational_above_one_has_both_variants(self):
-        for num in range(2, 40):
-            for den in range(1, num):
-                cf = cf_rational(num, den)
-                for parity, rem in (("odd", 1), ("even", 0)):
-                    v = cf_parity_variant(cf, parity)
-                    assert len(v.preperiod) % 2 == rem
-                    assert cf_value(v) == Fraction(num, den)
+        for k in range(2, 61):
+            for m in range(1, k):
+                canon = cf_rational(k, m).preperiod
+                twin = canon[:-1] + (canon[-1] - 1, 1)
+                assert canon[-1] >= 2
+                assert len(canon) % 2 != len(twin) % 2
+                for word in (canon, twin):
+                    assert cf_value(CFExpansion(word, ())) == Fraction(k, m)
+                even = twin if len(canon) % 2 else canon
+                r = classify_class(Form(m, 0, k))
+                assert r.cf_of_k_over_m in (canon, twin)
+                assert r.p_or_l == len(r.cf_of_k_over_m)
+                assert (r.t_up, r.t_down) == (sum(even[0::2]) - 1,
+                                              sum(even[1::2]) - 1)
 
     def test_one_has_no_even_variant(self):
+        # k/m = 1 = [1] would need m = k, which no representative has.
         with pytest.raises(ValueError):
-            cf_parity_variant(cf_rational(1, 1), "even")
+            classify_square(1, 1)
 
 
 class TestCFSurd:

@@ -7,6 +7,7 @@ import pytest
 
 from palindromes_by_rotation import (bipalindromic_by_rotation,
                                      palindromic_by_rotation)
+from surdsym.census import census_square
 from surdsym.cf import cf_surd
 from surdsym.exact import is_square
 from surdsym.forms import Form, discriminant
@@ -14,10 +15,9 @@ from surdsym.oracle import orbit_bfs
 from surdsym.periods import (ClassificationError, ClassReport, SymmetryType,
                              canonical_rotation, classify_class,
                              classify_period, classify_square,
-                             counts_nonsquare, counts_square,
+                             counts_nonsquare,
                              is_bipalindromic, is_palindromic_cyclic,
-                             is_primitive_period, normalize_square_form,
-                             square_cf_display)
+                             is_primitive_period, normalize_square_form)
 from test_reduction import NONSQUARE_GRID
 
 SUPER = SymmetryType.SUPERSYMMETRIC
@@ -98,34 +98,46 @@ class TestCountsNonsquare:
             counts_nonsquare((2, 1), "sideways")
 
 
+def _square(m, k):
+    return classify_class(Form(m, 0, k))
+
+
 class TestSquareClasses:
     def test_counts_square_examples(self):
-        assert counts_square(0, 3) == (0, 0, 0)
-        assert counts_square(1, 3) == (2, 1, 0)
-        assert counts_square(2, 3) == (2, 0, 1)
-        assert counts_square(2, 5) == (3, 1, 1)
-        assert counts_square(1, 2) == (1, 0, 0)
+        counts = {(r.representative.m, k): (r.t, r.t_up, r.t_down)
+                  for k in (2, 3, 5) for r in census_square(k * k)}
+        assert counts[0, 3] == (0, 0, 0)
+        assert counts[1, 3] == (2, 1, 0)
+        assert counts[2, 3] == (2, 0, 1)
+        assert counts[2, 5] == (3, 1, 1)
+        assert counts[1, 2] == (1, 0, 0)
 
     def test_classify_square_examples(self):
-        assert classify_square(0, 4) is SUPER
-        assert classify_square(2, 4) is SUPER   # m = k/2
-        assert classify_square(1, 4) is K
-        assert classify_square(2, 5) is MPN
-        assert classify_square(2, 7) is ASYM
+        for m, k, sym in ((0, 4, SUPER), (2, 4, SUPER),  # m = k/2
+                          (1, 4, K), (2, 5, MPN), (2, 7, ASYM)):
+            assert _square(m, k).symmetry is sym
+            assert classify_square(m, k) is sym
+            assert classify_square(m, -k) is sym
+
+    def test_classify_square_rejects_bad_pairs(self):
+        for m, k in ((0, 0), (3, 3), (-1, 4), (5, -4)):
+            with pytest.raises(ValueError):
+                classify_square(m, k)
 
     def test_square_cf_display(self):
-        assert square_cf_display(0, 3) == ()
-        assert square_cf_display(1, 3) == (3,)
-        assert square_cf_display(2, 3) == (1, 1, 1)
-        assert square_cf_display(2, 5) == (2, 2)
+        assert _square(0, 3).cf_of_k_over_m == ()
+        assert _square(1, 3).cf_of_k_over_m == (3,)
+        assert _square(2, 3).cf_of_k_over_m == (1, 1, 1)
+        assert _square(2, 5).cf_of_k_over_m == (2, 2)
 
     def test_display_value(self):
         from fractions import Fraction
         from surdsym.cf import CFExpansion, cf_value
         for k in range(2, 12):
-            for m in range(1, k):
-                disp = square_cf_display(m, k)
-                assert cf_value(CFExpansion(disp, ())) == Fraction(k, m)
+            for r in census_square(k * k)[1:]:
+                disp = r.cf_of_k_over_m
+                assert cf_value(CFExpansion(disp, ())) == \
+                    Fraction(k, r.representative.m)
 
 
 class TestNormalizeSquareForm:

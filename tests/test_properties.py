@@ -12,7 +12,7 @@ from surdsym.forms import (INVOLUTION_NAMES, Form, apply_word, discriminant,
                            gen_power, involution, is_primitive)
 from surdsym.periods import (SymmetryType, canonical_rotation, classify_class,
                              classify_period, classify_square,
-                             counts_nonsquare, counts_square,
+                             counts_nonsquare,
                              is_bipalindromic, is_palindromic_cyclic,
                              is_primitive_period, normalize_square_form)
 from surdsym.reduction import is_reduced, reduced_cycle, reduced_representative
@@ -157,12 +157,11 @@ def test_symmetric_types_split_counts_evenly(f):
 def test_square_symmetric_classes_have_odd_t(k, data):
     """Square-discriminant super and (m+n) classes with m > 0 have odd t."""
     m = data.draw(st.integers(min_value=1, max_value=k - 1))
-    sym = classify_square(m, k)
-    t, t_up, t_down = counts_square(m, k)
-    assert t == t_up + t_down + 1
-    if sym in (SymmetryType.SUPERSYMMETRIC, SymmetryType.M_PLUS_N_SYMMETRIC):
-        assert t % 2 == 1
-        assert t_up == t_down == (t - 1) // 2
+    r = classify_class(Form(m, 0, k))
+    assert r.t == r.t_up + r.t_down + 1
+    if r.symmetry in (SymmetryType.SUPERSYMMETRIC, SymmetryType.M_PLUS_N_SYMMETRIC):
+        assert r.t % 2 == 1
+        assert r.t_up == r.t_down == (r.t - 1) // 2
 
 
 @BASE

@@ -188,20 +188,22 @@ class TestSumRule:
     def test_super_class_holds(self):
         f = Form(2, -1, -3)
         cyc = reduced_cycle(f)
-        res = check_sum_rule(cyc, classify_class(f).symmetry)
-        assert res.applicable and res.holds and bool(res)
+        assert check_sum_rule(cyc, classify_class(f).symmetry) is True
         assert sum(cyc.modular_period) == 3 * len(cyc.modular_period)
 
     def test_k_class_not_applicable(self):
+        # (3, 2) breaks the rule, which does not constrain k classes.
         f = Form(2, -1, 2)
         cyc = reduced_cycle(f)
-        res = check_sum_rule(cyc, classify_class(f).symmetry)
-        assert not res.applicable
+        sym = classify_class(f).symmetry
+        assert sym is SymmetryType.K_SYMMETRIC
+        assert cyc.modular_period == (3, 2)
+        assert check_sum_rule(cyc, sym) is True
+        assert check_sum_rule(cyc, SymmetryType.SUPERSYMMETRIC) is False
 
     def test_anti_class_holds(self):
         f = Form(7, -3, -8)  # delta 148, antisymmetric
         cyc = reduced_cycle(f)
         sym = classify_class(f).symmetry
         assert sym is SymmetryType.ANTISYMMETRIC
-        res = check_sum_rule(cyc, sym)
-        assert res.applicable and res.holds
+        assert check_sum_rule(cyc, sym) is True
