@@ -21,13 +21,15 @@ smaller member, so one worker, handed the family's states, computes each
 member's primitive classes once and finishes every member's rows on its
 own; each square delta is an item of its own.  The worker hands each
 discriminant's reports to ``emit``, a top-level function the caller chooses
-(the reports themselves, type counts, sum-rule checks, or the CLI's table
-records), and returns only what ``emit`` returns.  The parent puts those
-results in delta order.
+(the reports themselves, type counts, the CLI's table records, or the
+checker's gates), and returns only what ``emit`` returns.  The parent puts
+those results in delta order.
 """
 from __future__ import annotations
 
 from array import array
+from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -39,6 +41,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .cf import _regular_walk
 from .exact import is_square
 from .forms import Form, InternalError, scale
+from .oracle import (_genus_exponent, ambiguous_classes, h0_point_count,
+                     square_symmetry)
 from .periods import (ClassReport, SymmetryType, _square_report,
                       _classify_period, _counts_nonsquare)
 from .reduction import _SUM_RULE_TYPES, check_sum_rule, reduced_cycle
@@ -192,16 +196,6 @@ def census_for_delta(delta: int,
     return tuple(rows)
 
 
-def _map(func, items: Sequence, jobs: int) -> list:
-    """[func(x) for x in items], sharded over a pool of ``jobs`` worker
-    processes when there are enough items; the order of items is kept."""
-    if jobs > 1 and len(items) > 8:
-        with Pool(jobs) as pool:
-            return pool.map(func, items,
-                            chunksize=max(1, len(items) // (8 * jobs)))
-    return [func(x) for x in items]
-
-
 def _families(delta_max: int, include_square: bool = True,
               include_nonsquare: bool = True) -> List[Tuple[int, ...]]:
     """A sweep's work items in order of their least member: each square
@@ -245,24 +239,27 @@ def _sweep(delta_max: int, jobs: int, emit: Callable,
     """[(delta, emit(reports of delta))] for every valid delta <= delta_max
     of the kinds asked, delta ascending, in one pass of ``jobs`` workers.
 
-    The reduced states of every delta are sieved once, here, and each
-    family's item carries its members' states.  ``emit`` runs in the
-    workers, so it must be a top-level function; what it returns is all
-    that is sent back.
+    The pool (when there are enough items to share) forks first, so its
+    workers do not inherit the sieve's table.  The reduced states of every
+    delta are then sieved once, here, and each family's item carries its
+    members' states.  ``emit`` runs in the workers, so it must be a
+    top-level function; what it returns is all that is sent back.
     """
     if delta_max < 1:
         raise ValueError("delta_max must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    table = _reduced_states(1, delta_max) if include_nonsquare else {}
-    items = [(family, None if is_square(family[0])
-              else tuple(table[d] for d in family))
-             for family in _families(delta_max, include_square, include_nonsquare)]
-    del table
-    shard = partial(_shard, emit)
-    done = [row for rows in _map(shard, items, jobs) for row in rows]
-    done.sort(key=itemgetter(0))
-    return done
+    families = _families(delta_max, include_square, include_nonsquare)
+    parallel = jobs > 1 and len(families) > 8
+    with Pool(jobs) if parallel else nullcontext() as pool:
+        table = _reduced_states(1, delta_max) if include_nonsquare else {}
+        items = [(family, None if is_square(family[0])
+                  else tuple(table[d] for d in family)) for family in families]
+        del table
+        shard = partial(_shard, emit)
+        shards = (pool.map(shard, items, chunksize=max(1, len(items) // (8 * jobs)))
+                  if parallel else map(shard, items))
+        return sorted((row for rows in shards for row in rows), key=itemgetter(0))
 
 
 def _identity(reports: Tuple[ClassReport, ...]) -> Tuple[ClassReport, ...]:
@@ -320,34 +317,59 @@ def first_occurrence(rows: Sequence[StatRow], sym: SymmetryType,
     return None
 
 
-@dataclass(frozen=True)
-class SumRuleFinding:
-    delta: int
-    representative: Form
-    symmetry: SymmetryType
-    modular_period: Tuple[int, ...]
-
-
-def _sum_rule_check(reports: Sequence[ClassReport]) -> Tuple[int, List[SumRuleFinding]]:
-    """(Super/Anti/MPlusN classes checked, the ones failing the sum rule)."""
-    checked, failures = 0, []
+def _gate_violations(reports: Sequence[ClassReport]) -> Tuple[int, List[str]]:
+    """``check_census``'s emit: (super/anti/(m+n) classes checked, one
+    VIOLATION line per failed gate) for the reports of one delta, checked
+    against facts found without the regular continued fraction: the minus
+    walk of each reduced cycle (sum-rule), genus theory (ambiguous, parity),
+    divisor counts of the H0 forms (h0-points), congruences (square-type)."""
+    S = SymmetryType
+    delta = reports[0].delta
+    head = f"VIOLATION delta={delta} gate="
+    lines, checked = [], 0
+    points, expected = sum(r.t for r in reports), h0_point_count(delta)
+    if points != expected:
+        lines.append(f"{head}h0-points sum_t={points} expected={expected}")
     for r in reports:
-        if r.symmetry not in _SUM_RULE_TYPES:
-            continue
-        checked += 1
-        cycle = reduced_cycle(r.representative)
-        if not check_sum_rule(cycle, r.symmetry):
-            failures.append(SumRuleFinding(r.delta, r.representative, r.symmetry,
-                                           cycle.modular_period))
-    return checked, failures
+        rep, sym = r.representative, r.symmetry
+        if r.square:
+            want = square_symmetry(rep.m, rep.k)
+            if sym is not want:
+                lines.append(f"{head}square-type rep={rep} symmetry={sym.code} "
+                             f"expected={want.code}")
+        elif sym in _SUM_RULE_TYPES:
+            checked += 1
+            cycle = reduced_cycle(rep)
+            if not check_sum_rule(cycle, sym):
+                period = ",".join(map(str, cycle.modular_period))
+                lines.append(f"{head}sum-rule rep={rep} symmetry={sym.code} "
+                             f"period=(({period}))")
+    if is_square(delta):
+        return checked, lines
+    types = Counter(r.symmetry for r in reports)
+    found, expected = (types[S.SUPERSYMMETRIC] + types[S.K_SYMMETRIC],
+                       ambiguous_classes(delta))
+    if found != expected:
+        lines.append(f"{head}ambiguous super+k={found} expected={expected}")
+    parities = {r.p_or_l % 2 for r in reports if r.primitive}
+    primitive_types = Counter(r.symmetry for r in reports if r.primitive)
+    odd = sorted(s.code for s in primitive_types
+                 if s not in (S.SUPERSYMMETRIC, S.ANTISYMMETRIC))
+    mpn = primitive_types[S.M_PLUS_N_SYMMETRIC]
+    allowed = 2 ** (_genus_exponent(delta) - 1)
+    if len(parities) > 1:
+        lines.append(f"{head}parity mixed period-length parities")
+    elif parities == {1} and odd:
+        lines.append(f"{head}parity odd periods with {','.join(odd)}")
+    elif parities == {0} and mpn not in (0, allowed):
+        lines.append(f"{head}parity m+n={mpn} expected=0 or {allowed}")
+    return checked, lines
 
 
-def sum_rule_sweep(delta_max: int, jobs: int = 1) -> Tuple[int, List[SumRuleFinding]]:
-    """Check sum(c_i) == 3 * len(c) over every Super/Anti/MPlusN class of
-    non-square delta <= delta_max.  Returns (checked, failures)."""
-    checked, failures = 0, []
-    for _, (n, found) in _sweep(delta_max, jobs, _sum_rule_check,
-                                include_square=False):
-        checked += n
-        failures += found
-    return checked, failures
+def check_census(delta_max: int, jobs: int = 1) -> Tuple[int, int, List[str]]:
+    """Every gate of ``_gate_violations`` on every valid delta <= delta_max:
+    (discriminants checked, super/anti/(m+n) classes checked, the VIOLATION
+    lines in delta order)."""
+    done = [found for _, found in _sweep(delta_max, jobs, _gate_violations)]
+    return (len(done), sum(n for n, _ in done),
+            [line for _, lines in done for line in lines])

@@ -21,7 +21,7 @@ from math import gcd
 from typing import Tuple
 
 from .exact import is_square, isqrt
-from .forms import Form, antipodal, discriminant
+from .forms import Form, antipodal, require_indefinite
 
 
 class SquareDiscriminantError(ValueError):
@@ -175,9 +175,7 @@ def cf_surd(f: Form) -> CFExpansion:
     For square discriminants the root is rational and the finite canonical
     expansion is returned.  Requires m != 0 (route m = 0 forms through R).
     """
-    d = discriminant(f)
-    if d <= 0:
-        raise ValueError(f"form {f} is not indefinite (delta={d})")
+    d = require_indefinite(f)
     if f.m == 0:
         raise ValueError(f"form {f} has m=0; apply R first")
     if is_square(d):
@@ -189,11 +187,18 @@ def cf_surd(f: Form) -> CFExpansion:
     return CFExpansion(digits[:start], digits[start:])
 
 
+def _require_nonsquare(f: Form) -> int:
+    """The discriminant of f, which must be positive and not a square; so
+    m != 0, as m = 0 gives delta = k**2."""
+    d = require_indefinite(f)
+    if is_square(d):
+        raise SquareDiscriminantError(f"form {f} has square discriminant {d}")
+    return d
+
+
 def period_of_class(f: Form) -> Tuple[int, ...]:
     """The periodic part of cf_surd(f); requires a non-square discriminant."""
-    if is_square(discriminant(f)):
-        raise SquareDiscriminantError(f"form {f} has square discriminant")
-    # Non-square delta forces m != 0 (m = 0 would give delta = k**2).
+    _require_nonsquare(f)
     return cf_surd(f).period
 
 
@@ -203,13 +208,7 @@ def modular_cf_surd(f: Form) -> ModularCF:
     Digits after the first are always >= 2; the expansion of the root of a
     reduced form is purely periodic.
     """
-    d = discriminant(f)
-    if d <= 0:
-        raise ValueError(f"form {f} is not indefinite (delta={d})")
-    if is_square(d):
-        raise SquareDiscriminantError(f"form {f} has square discriminant")
-    if f.m == 0:
-        raise ValueError(f"form {f} has m=0; apply R first")
+    d = _require_nonsquare(f)
     _, digits, start = _minus_walk(-f.k, 2 * f.m, d)
     return ModularCF(digits[:start], digits[start:])
 

@@ -1,5 +1,5 @@
 """Command-line interface: classify, period, counts, reduce, modular, orbit,
-table, stats, sumrule.
+table, stats, check.
 
 Exit codes: 0 success, 1 input error, 2 internal-consistency failure.
 All enumeration output is deterministic (delta ascending, representatives in
@@ -17,10 +17,11 @@ import tempfile
 from operator import itemgetter
 from typing import List, Optional, Sequence
 
-from .census import StatRow, _sweep, stats_rows, sum_rule_sweep
+from .census import StatRow, _sweep, check_census, stats_rows
 from .cf import _regular_walk, _state_form, cf_surd, modular_cf_surd
 from .exact import is_square
-from .forms import Form, InternalError, antipodal, discriminant, domain_of, word_str
+from .forms import (Form, InternalError, antipodal, discriminant, domain_of,
+                    require_indefinite, word_str)
 from .oracle import orbit_bfs
 from .periods import ClassReport, classify_class, normalize_square_form
 from .reduction import reduce_to_H0
@@ -134,9 +135,7 @@ def cmd_classify(args) -> int:
 
 def cmd_period(args) -> int:
     f = _form_args(args)
-    d = discriminant(f)
-    if d <= 0:
-        raise ValueError(f"form {f} is not indefinite (delta={d})")
+    require_indefinite(f)
     if f.m == f.n == 0:
         raise ValueError(f"form {f} has m = n = 0: its roots are 0 and "
                          f"infinity, so xi_plus has no continued fraction")
@@ -193,9 +192,7 @@ def _orbit_tour(f: Form) -> List[str]:
 
 def cmd_orbit(args) -> int:
     f = _form_args(args)
-    d = discriminant(f)
-    if d <= 0:
-        raise ValueError(f"form {f} is not indefinite (delta={d})")
+    d = require_indefinite(f)
     if args.bound is not None and not args.all:
         raise ValueError("--bound requires --all")
     if args.all:
@@ -245,17 +242,15 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def cmd_sumrule(args) -> int:
-    """Exit 2 when a class breaks sum(c_i) == 3t: the minus-CF reduction and
-    the census disagree, which is an internal-consistency failure."""
+def cmd_check(args) -> int:
+    """Exit 2 when a gate fails: the census disagrees with a fact derived
+    without it, which is an internal-consistency failure."""
     _check_sweep_args(args)
-    checked, failures = sum_rule_sweep(args.delta_max, jobs=args.jobs)
-    lines = [f"VIOLATION delta={f.delta} rep={f.representative} "
-             f"period={_modular_seq(f.modular_period)}" for f in failures]
-    lines.append(f"checked {checked} super/anti/(m+n) classes with "
-                 f"delta <= {args.delta_max}: {len(failures)} violations")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 2 if failures else 0
+    deltas, checked, lines = check_census(args.delta_max, jobs=args.jobs)
+    summary = (f"checked {deltas} discriminants and {checked} super/anti/(m+n) "
+               f"classes with delta <= {args.delta_max}: {len(lines)} violations")
+    _emit("".join(line + "\n" for line in lines + [summary]), args.out)
+    return 2 if lines else 0
 
 
 def _add_form_arguments(p: argparse.ArgumentParser) -> None:
@@ -307,8 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--which", choices=("nonzero", "zero"), default="nonzero")
     add("stats", cmd_stats, "symmetry-type counts and fractions per delta",
         form=False, fmt=("csv", "json"), sweep=True)
-    add("sumrule", cmd_sumrule, "check sum(c_i) == 3t for every super/anti/"
-        "(m+n) class with delta <= --delta-max", form=False, sweep=True)
+    add("check", cmd_check, "check every class with delta <= --delta-max "
+        "against the sum rule, genus theory and H0 point counts",
+        form=False, sweep=True)
     return parser
 
 

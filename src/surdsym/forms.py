@@ -55,6 +55,14 @@ def discriminant(f: Form) -> int:
     return f.k * f.k - 4 * f.m * f.n
 
 
+def require_indefinite(f: Form) -> int:
+    """The discriminant of f, which must be positive."""
+    d = discriminant(f)
+    if d <= 0:
+        raise ValueError(f"form {f} is not indefinite (delta={d})")
+    return d
+
+
 def involution(f: Form, which: str) -> Form:
     m, n, k = f.m, f.n, f.k
     if which == "complementary":
@@ -130,10 +138,8 @@ def domain_of(f: Form) -> DomainLabel:
     larger root iff m > 0, and +-1 lies strictly between the roots iff
     f(+-1) = m + n +- k has the sign of -m; a root on +-1 is f(+-1) = 0.
     """
+    require_indefinite(f)
     m, n, k = f.m, f.n, f.k
-    d = k * k - 4 * m * n
-    if d <= 0:
-        raise ValueError(f"form {f} is not indefinite (delta={d})")
     if m > 0 and n < 0:
         return DomainLabel.H0
     if m < 0 and n > 0:

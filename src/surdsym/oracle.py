@@ -10,14 +10,16 @@ the involutions.  It exists to validate the fast path at desk scale.
 """
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import List, Set, Tuple
 
 from .exact import is_square
 from .forms import (DomainLabel, Form, GeneratorWord, InternalError,
-                    discriminant, domain_of)
+                    discriminant, domain_of, require_indefinite)
 from .periods import SymmetryType
 
 
@@ -53,8 +55,7 @@ def _orbit_triples(f: Form, coeff_bound: int) -> List[Tuple[int, int, int]]:
 def orbit_bfs(f: Form, coeff_bound: int) -> List[Form]:
     """All forms reachable from f through forms with max |coeff| <= coeff_bound,
     in deterministic breadth-first order (f first)."""
-    if discriminant(f) <= 0:
-        raise ValueError(f"form {f} is not indefinite")
+    require_indefinite(f)
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be positive")
     return [Form(*t) for t in _orbit_triples(f, coeff_bound)]
@@ -154,13 +155,7 @@ def _h0_set_checked(triples: List[Tuple[int, int, int]], square: bool,
         if square:
             return h0
         raise OracleInconclusive("orbit contains no H0 form")
-    worst = max(max(abs(c) for c in g) for g in h0)
-    if square:
-        if 4 * worst > coeff_bound:
-            raise OracleInconclusive(
-                f"H0 member near the bound ({worst} vs {coeff_bound})")
-        return h0
-    for m, n, k in h0:
+    for m, n, k in h0 if not square else ():
         s = m + n + k
         succ = (m, s, 2 * m + k) if s < 0 else (s, n, 2 * n + k)
         sd = m + n - k
@@ -168,6 +163,7 @@ def _h0_set_checked(triples: List[Tuple[int, int, int]], square: bool,
         if succ not in h0 or pred not in h0:
             raise OracleInconclusive(
                 f"H0 cycle through {(m, n, k)} not closed within bound {coeff_bound}")
+    worst = max(max(abs(c) for c in g) for g in h0)
     if 4 * worst > coeff_bound:
         raise OracleInconclusive(
             f"H0 member near the bound ({worst} vs {coeff_bound})")
@@ -175,9 +171,7 @@ def _h0_set_checked(triples: List[Tuple[int, int, int]], square: bool,
 
 
 def _with_escalation(f: Form, coeff_bound, worker):
-    d = discriminant(f)
-    if d <= 0:
-        raise ValueError(f"form {f} is not indefinite (delta={d})")
+    d = require_indefinite(f)
     bound = coeff_bound if coeff_bound else 4 * d
     last = None
     for _ in range(4):
@@ -269,13 +263,17 @@ def ambiguous_classes(delta: int) -> int:
     return total
 
 
-def _divisor_count(v: int) -> int:
-    """Number of divisors of v >= 1, by trial division up to sqrt(v)."""
-    count = 0
-    for m in range(1, isqrt(v) + 1):
-        if v % m == 0:
-            count += 1 if m * m == v else 2
-    return count
+@lru_cache(maxsize=None)
+def _divisor_counts(limit: int) -> array:
+    """d(v), the number of divisors of v, for 0 <= v <= limit (d(0) = 0),
+    by a sieve: each m adds one to every multiple of m.  ``h0_point_count``
+    asks for power-of-two limits only, so the tables a process keeps hold
+    less than twice as many entries as the largest."""
+    counts = array("i", [0]) * (limit + 1)
+    for m in range(1, limit + 1):
+        for v in range(m, limit + 1, m):
+            counts[v] += 1
+    return counts
 
 
 def h0_point_count(delta: int) -> int:
@@ -291,7 +289,8 @@ def h0_point_count(delta: int) -> int:
     if delta <= 0 or delta % 4 not in (0, 1):
         raise ValueError(f"{delta} is not a valid discriminant")
     r = isqrt(delta - 1)  # k**2 < delta
-    return sum(_divisor_count((delta - k * k) // 4)
+    counts = _divisor_counts(1 << (delta // 4).bit_length())
+    return sum(counts[(delta - k * k) // 4]
                for k in range(-r, r + 1) if (k - delta) % 2 == 0)
 
 

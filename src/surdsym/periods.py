@@ -16,7 +16,8 @@ from typing import Optional, Tuple
 
 from .cf import _check_word, cf_rational, cf_surd, is_primitive_period
 from .exact import is_square, isqrt
-from .forms import Form, InternalError, discriminant, is_primitive
+from .forms import (Form, InternalError, discriminant, is_primitive,
+                    require_indefinite)
 
 
 class SymmetryType(enum.Enum):
@@ -99,25 +100,13 @@ def _classify_period(s: Tuple[int, ...]) -> SymmetryType:
     return SymmetryType.ANTISYMMETRIC if odd else SymmetryType.ASYMMETRIC
 
 
-def counts_nonsquare(gamma: Tuple[int, ...], start_parity: str = "odd") -> Tuple[int, int, int]:
-    """(t, t_up, t_down) for a class with period gamma.
-
-    ``start_parity`` is the parity ("odd"/"even") of the absolute digit
-    position at which gamma starts inside the full expansion, i.e. the parity
-    of the preperiod length when gamma came from cf_surd / period_of_class.
-    Odd absolute positions contribute to t_up, even ones to t_down.
-    """
-    gamma = tuple(gamma)
-    _check_word(gamma)
-    if start_parity not in ("odd", "even"):
-        raise ValueError(f"start_parity must be 'odd' or 'even', got {start_parity!r}")
-    return _counts_nonsquare(gamma, start_parity == "odd")
-
-
 def _counts_nonsquare(gamma: Tuple[int, ...], odd_start: bool) -> Tuple[int, int, int]:
-    """``counts_nonsquare`` of a tuple of positive integers.  An odd-length
-    word is doubled, so each digit counts once toward t_up and once toward
-    t_down; otherwise t_up sums the digits at odd absolute positions."""
+    """(t, t_up, t_down) for a class with period gamma, a tuple of positive
+    integers.  ``odd_start`` tells whether gamma starts at an odd absolute
+    digit position of the full expansion, i.e. whether the preperiod before
+    it has odd length; odd absolute positions count toward t_up, even ones
+    toward t_down.  An odd-length word is doubled, so each digit counts once
+    toward t_up and once toward t_down."""
     total = sum(gamma)
     if len(gamma) % 2:
         return 2 * total, total, total
@@ -218,9 +207,7 @@ def classify_square(m: int, k: int) -> SymmetryType:
 def classify_class(f: Form) -> ClassReport:
     """Full report for the class of f.  Non-square delta requires no search;
     square delta is first normalized to its (m, 0, k) representative."""
-    d = discriminant(f)
-    if d <= 0:
-        raise ValueError(f"form {f} is not indefinite (delta={d})")
+    d = require_indefinite(f)
     if is_square(d):
         return _square_report(normalize_square_form(f))
     exp = cf_surd(f)

@@ -11,25 +11,16 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .cf import (SquareDiscriminantError, _minus_walk, _regular_walk,
-                 _state_form)
+                 _require_nonsquare, _state_form)
 from .exact import is_square
 from .forms import (Form, GeneratorWord, InternalError, antipodal,
-                    discriminant, gen_power, involution)
+                    discriminant, gen_power, involution, require_indefinite)
 from .periods import SymmetryType
 
 
 def is_reduced(f: Form) -> bool:
     """m > 0, n > 0, k < 0 and m + n < |k|, exactly."""
     return f.m > 0 and f.n > 0 and f.k < 0 and f.m + f.n < -f.k
-
-
-def _require_nonsquare(f: Form) -> int:
-    d = discriminant(f)
-    if d <= 0:
-        raise ValueError(f"form {f} is not indefinite (delta={d})")
-    if is_square(d):
-        raise SquareDiscriminantError(f"form {f} has square discriminant {d}")
-    return d
 
 
 def reduced_representative(f: Form) -> Form:
@@ -106,9 +97,7 @@ def reduce_to_H0(f: Form) -> Tuple[Form, GeneratorWord, str]:
     Peeling a_0 ... a_{j-1} reaches the j-th state form (antipodal for odd
     j), whose mn is (P_j**2 - delta) / 4: the peel stops at P_j**2 < delta.
     """
-    d = discriminant(f)
-    if d <= 0:
-        raise ValueError(f"form {f} is not indefinite (delta={d})")
+    d = require_indefinite(f)
     if f.m * f.n <= 0:
         return f, (), "identity"
     if is_square(d):

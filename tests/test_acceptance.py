@@ -8,8 +8,8 @@ import csv
 import time
 from fractions import Fraction
 
-from surdsym.census import (first_occurrence, full_census, stats_rows,
-                            sum_rule_sweep)
+from surdsym.census import (check_census, first_occurrence, full_census,
+                            stats_rows)
 from surdsym.cf import (cf_period_to_modular_period, modular_cf_surd,
                         period_to_forms)
 from surdsym.cli import main as cli_main
@@ -132,11 +132,13 @@ def test_criterion_4_first_occurrence_sweep():
 
 def test_criterion_5_sum_rule_to_ten_thousand():
     t0 = time.monotonic()
-    checked, failures = sum_rule_sweep(10_000, jobs=4)
+    deltas, checked, violations = check_census(10_000, jobs=4)
     elapsed = time.monotonic() - t0
-    ok = checked > 0 and not failures and elapsed < 60.0
+    ok = checked > 0 and not violations and elapsed < 60.0
     _line(5, ok, f"sum(c_i) == 3t for all {checked} super/anti/(m+n) "
-                 f"classes with delta <= 10^4, {elapsed:.1f}s (< 60s, jobs=4)")
+                 f"classes, and the genus, parity, H0-point and square-type "
+                 f"gates on all {deltas} discriminants, delta <= 10^4, "
+                 f"{len(violations)} violations, {elapsed:.1f}s (< 60s, jobs=4)")
 
 
 def test_criterion_6_property_suite(property_outcomes):

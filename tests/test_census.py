@@ -1,22 +1,26 @@
-"""Census sweeps: per-discriminant enumeration, stats, and the sum rule."""
+"""Census sweeps: per-discriminant enumeration, stats, and the checker's
+gates (the sum rule, genus theory, period parity, H0 points, square types)."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
 
+import surdsym.census
 from surdsym.census import (SYMMETRY_ORDER, StatRow, _families,
-                            _reduced_states, _sweep, census_for_delta,
+                            _gate_violations, _reduced_states, check_census,
                             census_nonsquare_primitive, census_square,
                             first_occurrence, full_census, stats_rows,
-                            sum_rule_sweep, valid_deltas)
+                            valid_deltas)
 from surdsym.exact import is_square
 from surdsym.forms import Form, content, discriminant, is_primitive
-from surdsym.oracle import (_genus_exponent, ambiguous_classes, h0_class_key,
-                            h0_point_count, square_symmetry)
+from surdsym.oracle import (ambiguous_classes, h0_class_key, h0_point_count,
+                            square_symmetry)
 from surdsym.periods import SymmetryType, canonical_rotation, classify_class
 from surdsym.reduction import _SUM_RULE_TYPES, check_sum_rule, reduced_cycle
 
+from h0_points_by_trial_division import h0_points_by_trial_division
 from states_by_divisors import smallest_prime_factors, states_by_divisors
 
 
@@ -108,7 +112,7 @@ class TestCensusRows:
             with pytest.raises(ValueError, match="jobs must be >= 1"):
                 full_census(50, jobs=jobs)
             with pytest.raises(ValueError, match="jobs must be >= 1"):
-                sum_rule_sweep(50, jobs=jobs)
+                check_census(50, jobs=jobs)
 
     def test_rejects_bad_delta_max(self):
         with pytest.raises(ValueError):
@@ -267,16 +271,16 @@ class TestStats:
 
 class TestSumRule:
     def test_sweep_holds_to_600(self):
-        checked, failures = sum_rule_sweep(600)
+        deltas, checked, violations = check_census(600)
+        assert (deltas, violations) == (len(valid_deltas(600)), [])
         assert checked > 0
-        assert failures == []
 
     def test_jobs_match_serial(self):
-        assert sum_rule_sweep(300, jobs=1) == sum_rule_sweep(300, jobs=3)
+        assert check_census(300, jobs=1) == check_census(300, jobs=3)
 
     def test_sweep_matches_checking_the_census_to_3000(self):
-        """The sharded check equals checking every class of the census one
-        by one, in delta and representative order."""
+        """The checker's sum-rule count equals checking every class of the
+        census one by one, in delta and representative order."""
         census = full_census(3000, include_square=False)
         checked, failures = 0, []
         for reports in census.values():
@@ -287,17 +291,7 @@ class TestSumRule:
                                           r.symmetry):
                         failures.append(r)
         assert (checked, failures) == (1409, [])
-        assert sum_rule_sweep(3000, jobs=2) == (checked, [])
-
-
-def test_ambiguous_classes_match_the_stats_to_20000():
-    """Genus theory's count of self-inverse classes, scaled ones included,
-    equals the super + k classes of every non-square delta <= 2 * 10**4."""
-    S = SymmetryType
-    bad = [r.delta for r in stats_rows(20_000, jobs=2) if not r.square and
-           ambiguous_classes(r.delta) !=
-           r.count_of(S.SUPERSYMMETRIC) + r.count_of(S.K_SYMMETRIC)]
-    assert bad == []
+        assert check_census(3000, jobs=2) == (1500, checked, [])
 
 
 def test_ambiguous_classes_by_hand():
@@ -307,15 +301,6 @@ def test_ambiguous_classes_by_hand():
     for bad in (0, 3, 4, 9, -5):
         with pytest.raises(ValueError):
             ambiguous_classes(bad)
-
-
-def test_h0_point_count_matches_the_census_to_5000():
-    """The t of every row of delta, scaled rows included, sums to the number
-    of H0 forms of delta, counted by divisor sums."""
-    census = full_census(5000, jobs=2, include_square=False)
-    bad = [d for d, reports in census.items()
-           if sum(r.t for r in reports) != h0_point_count(d)]
-    assert bad == []
 
 
 def test_h0_point_count_by_hand():
@@ -330,6 +315,14 @@ def test_h0_point_count_by_hand():
             h0_point_count(bad)
 
 
+def test_h0_point_count_matches_trial_division_to_5000():
+    """The divisor-count table gives the trial-division count on every
+    valid delta <= 5000, square ones included."""
+    bad = [d for d in valid_deltas(5000)
+           if h0_point_count(d) != h0_points_by_trial_division(d)]
+    assert bad == []
+
+
 def test_square_symmetry_by_hand():
     # 2**2 = -1 (mod 5), 1**2 = 1 (mod 4), and (4, 10) is twice (2, 5).
     S = SymmetryType
@@ -342,52 +335,110 @@ def test_square_symmetry_by_hand():
             square_symmetry(m, k)
 
 
-def _square_profile(reports):
-    """(sum of t, [(m, k, type)]) over the rows of a square delta."""
-    return (sum(r.t for r in reports),
-            [(r.representative.m, r.representative.k, r.symmetry) for r in reports])
-
-
 @pytest.fixture(scope="module")
-def square_rows():
-    """The rows of every square delta <= 2 * 10**4, as a table sweep makes them."""
-    return _sweep(20_000, 2, _square_profile, include_nonsquare=False)
+def checked_to_20000():
+    """The checker's one run over every valid delta <= 2 * 10**4."""
+    return check_census(20_000, jobs=2)
 
 
-def test_h0_point_count_matches_the_square_census_to_20000(square_rows):
+def _violations(check, gate, square=None):
+    """The checker's VIOLATION lines of one gate; with ``square`` set, only
+    those of square or of non-square delta."""
+    return [line for line in check[2] if line.split()[2] == f"gate={gate}"
+            and square in (None, is_square(int(line.split()[1][6:])))]
+
+
+def test_checker_covers_every_delta_to_20000(checked_to_20000):
+    """Every valid delta <= 2 * 10**4 is checked, and every super/anti/(m+n)
+    class, scaled ones included, passes the sum rule."""
+    deltas, classes, _ = checked_to_20000
+    assert (deltas, classes) == (len(valid_deltas(20_000)), 11_353)
+    assert _violations(checked_to_20000, "sum-rule") == []
+
+
+def test_ambiguous_classes_match_the_stats_to_20000(checked_to_20000):
+    """Genus theory's count of self-inverse classes, scaled ones included,
+    equals the super + k classes of every non-square delta <= 2 * 10**4."""
+    assert _violations(checked_to_20000, "ambiguous") == []
+
+
+def test_h0_point_count_matches_the_census_to_20000(checked_to_20000):
+    """The t of every row of a non-square delta, scaled rows included, sums
+    to the number of H0 forms of delta, counted by divisor sums."""
+    assert _violations(checked_to_20000, "h0-points", square=False) == []
+
+
+def test_h0_point_count_matches_the_square_census_to_20000(checked_to_20000):
     """The t of the k rows of delta = k**2 sum to its H0 points too."""
-    assert len(square_rows) == isqrt(20_000)
-    assert [d for d, (t, _) in square_rows if t != h0_point_count(d)] == []
+    assert _violations(checked_to_20000, "h0-points", square=True) == []
 
 
-def test_square_symmetry_matches_the_census_to_20000(square_rows):
+def test_square_symmetry_matches_the_census_to_20000(checked_to_20000):
     """Every row of square delta <= 2 * 10**4 has the type that the
     congruences m**2 = -1, 1 (mod k) give, with gcd(m, k) divided out."""
-    bad = [(m, k) for _, (_, types) in square_rows
-           for m, k, sym in types if square_symmetry(m, k) is not sym]
-    assert bad == []
+    assert _violations(checked_to_20000, "square-type") == []
 
 
-def _parity_profile(reports):
-    """(period-length parities, types) of the primitive classes."""
-    primitive = [r for r in reports if r.primitive]
-    return {r.p_or_l % 2 for r in primitive}, [r.symmetry for r in primitive]
-
-
-def test_one_parity_per_delta_to_20000():
+def test_one_parity_per_delta_to_20000(checked_to_20000):
     """All primitive classes of one delta share the parity of their period
     length; odd-parity delta have only super and anti classes; even-parity
     delta have 0 or 2**(mu - 1) m+n classes, mu from genus theory."""
-    S = SymmetryType
-    bad = []
-    for d, (parities, types) in _sweep(20_000, 2, _parity_profile,
-                                       include_square=False):
-        if len(parities) != 1:
-            bad.append((d, "mixed"))
-        elif parities == {1}:
-            if set(types) - {S.SUPERSYMMETRIC, S.ANTISYMMETRIC}:
-                bad.append((d, "odd"))
-        elif types.count(S.M_PLUS_N_SYMMETRIC) not in \
-                (0, 2 ** (_genus_exponent(d) - 1)):
-            bad.append((d, "m+n"))
-    assert bad == []
+    assert _violations(checked_to_20000, "parity") == []
+
+
+@pytest.fixture(scope="module")
+def small_census():
+    return full_census(320)
+
+
+class TestGatesFire:
+    """Each gate reports a doctored report of one delta, and only that gate
+    does: 316 has two k classes and four asymm ones, all of even period
+    length; 148 two super classes (one scaled) and two anti ones."""
+
+    def gates(self, reports):
+        return [line.split()[2] for line in _gate_violations(reports)[1]]
+
+    def test_true_reports_pass(self, small_census):
+        for d in (25, 148, 316):
+            assert _gate_violations(small_census[d])[1] == []
+
+    def test_wrong_symmetry(self, small_census):
+        rows = list(small_census[316])
+        assert rows[0].symmetry is SymmetryType.K_SYMMETRIC
+        rows[0] = replace(rows[0], symmetry=SymmetryType.ASYMMETRIC)
+        assert _gate_violations(rows)[1] == [
+            "VIOLATION delta=316 gate=ambiguous super+k=1 expected=2"]
+
+    def test_wrong_t(self, small_census):
+        rows = list(small_census[316])
+        rows[1] = replace(rows[1], t=rows[1].t + 2)
+        assert self.gates(rows) == ["gate=h0-points"]
+
+    def test_dropped_row(self, small_census):
+        rows = list(small_census[316])
+        assert rows[1].symmetry is SymmetryType.ASYMMETRIC
+        del rows[1]
+        assert self.gates(rows) == ["gate=h0-points"]
+
+    def test_row_of_the_other_parity(self, small_census):
+        rows = list(small_census[316])
+        rows[1] = replace(rows[1], p_or_l=rows[1].p_or_l + 1)
+        assert self.gates(rows) == ["gate=parity"]
+
+    def test_wrong_square_type(self, small_census):
+        rows = list(small_census[25])
+        assert rows[2].representative == Form(2, 0, 5)
+        rows[2] = replace(rows[2], symmetry=SymmetryType.ASYMMETRIC)
+        assert _gate_violations(rows)[1] == [
+            "VIOLATION delta=25 gate=square-type rep=(2,0,5) symmetry=asymm "
+            "expected=m+n"]
+
+    def test_sum_rule(self, small_census, monkeypatch):
+        monkeypatch.setattr(surdsym.census, "check_sum_rule",
+                            lambda cycle, symmetry: False)
+        checked, lines = _gate_violations(small_census[148])
+        assert checked == 4
+        assert self.gates(small_census[148]) == ["gate=sum-rule"] * 4
+        assert lines[1] == ("VIOLATION delta=148 gate=sum-rule rep=(2,-18,-2) "
+                            "symmetry=super period=((3,2,2,2,2,3,7))")

@@ -274,7 +274,6 @@ class TestPeriodConversion:
         assert sum(out) == (1 + 3) + 2 * (2 + 4)
 
     def test_agrees_with_direct_expansion(self):
-        from surdsym.periods import counts_nonsquare
         from surdsym.reduction import reduced_cycle
         for f in (Form(2, -1, -3), Form(5, -3, -13), Form(2, -1, 5),
                   Form(3, -11, -2)):

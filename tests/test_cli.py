@@ -12,9 +12,9 @@ from fractions import Fraction
 import pytest
 
 import surdsym.census
-from surdsym.census import sum_rule_sweep
+from surdsym.census import check_census
 from surdsym.cli import _orbit_tour, build_parser, main
-from surdsym.forms import Form
+from surdsym.forms import Form, InternalError
 from test_reduction import NONSQUARE_GRID
 from tour_by_h0_walk import tour_by_h0_walk
 
@@ -215,7 +215,7 @@ class TestTable:
         rc, _, err = run(capsys, "table", "--delta-max", "0")
         assert rc == 1 and err.startswith("error:")
 
-    @pytest.mark.parametrize("command", ["table", "stats", "sumrule"])
+    @pytest.mark.parametrize("command", ["table", "stats", "check"])
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_bad_jobs(self, capsys, command, jobs):
         rc, out, err = run(capsys, command, "--delta-max", "50",
@@ -262,28 +262,69 @@ class TestStats:
 
 
 class TestSumRule:
+    """The sum-rule gate of ``surdsym check``."""
+
     def test_count_matches_library(self, capsys):
-        checked, failures = sum_rule_sweep(600)
-        rc, out, err = run(capsys, "sumrule", "--delta-max", "600")
-        assert rc == 0 and err == "" and failures == []
-        assert out == (f"checked {checked} super/anti/(m+n) classes with "
-                       f"delta <= 600: 0 violations\n")
+        deltas, checked, violations = check_census(600)
+        rc, out, err = run(capsys, "check", "--delta-max", "600")
+        assert rc == 0 and err == "" and violations == []
+        assert out == (f"checked {deltas} discriminants and {checked} "
+                       f"super/anti/(m+n) classes with delta <= 600: "
+                       f"0 violations\n")
 
     def test_jobs_do_not_change_bytes(self, capsys):
-        assert (run(capsys, "sumrule", "--delta-max", "600", "--jobs", "1") ==
-                run(capsys, "sumrule", "--delta-max", "600", "--jobs", "3"))
+        assert (run(capsys, "check", "--delta-max", "600", "--jobs", "1") ==
+                run(capsys, "check", "--delta-max", "600", "--jobs", "3"))
 
     def test_violation_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(surdsym.census, "check_sum_rule",
                             lambda cycle, symmetry: False)
-        rc, out, _ = run(capsys, "sumrule", "--delta-max", "13")
+        rc, out, _ = run(capsys, "check", "--delta-max", "13")
         assert rc == 2
         assert out == (
-            "VIOLATION delta=5 rep=(1,-1,-1) period=((3))\n"
-            "VIOLATION delta=8 rep=(1,-2,0) period=((4,2))\n"
-            "VIOLATION delta=13 rep=(1,-3,-1) period=((5,2,2))\n"
-            "checked 3 super/anti/(m+n) classes with delta <= 13: "
-            "3 violations\n")
+            "VIOLATION delta=5 gate=sum-rule rep=(1,-1,-1) symmetry=super "
+            "period=((3))\n"
+            "VIOLATION delta=8 gate=sum-rule rep=(1,-2,0) symmetry=super "
+            "period=((4,2))\n"
+            "VIOLATION delta=13 gate=sum-rule rep=(1,-3,-1) symmetry=super "
+            "period=((5,2,2))\n"
+            "checked 7 discriminants and 3 super/anti/(m+n) classes with "
+            "delta <= 13: 3 violations\n")
+
+
+class TestCheck:
+    def test_bad_delta_max(self, capsys):
+        rc, out, err = run(capsys, "check", "--delta-max", "0")
+        assert rc == 1 and out == ""
+        assert err == "error: --delta-max must be >= 1\n"
+
+    def test_takes_only_the_sweep_options(self):
+        sub = build_parser()._subparsers._group_actions[0].choices["check"]
+        assert {o for a in sub._actions for o in a.option_strings} == \
+            {"-h", "--help", "--delta-max", "--jobs", "--out"}
+
+    def test_violations_go_to_out_and_exit_2(self, capsys, monkeypatch,
+                                             tmp_path):
+        monkeypatch.setattr(surdsym.census, "h0_point_count", lambda d: 0)
+        target = tmp_path / "check.txt"
+        rc, out, _ = run(capsys, "check", "--delta-max", "5",
+                         "--out", str(target))
+        assert rc == 2 and out == ""
+        assert target.read_text() == (
+            "VIOLATION delta=4 gate=h0-points sum_t=1 expected=0\n"
+            "VIOLATION delta=5 gate=h0-points sum_t=2 expected=0\n"
+            "checked 3 discriminants and 1 super/anti/(m+n) classes with "
+            "delta <= 5: 2 violations\n")
+
+    def test_failed_run_leaves_no_out_file(self, capsys, monkeypatch,
+                                           tmp_path):
+        def broken(reports):
+            raise InternalError("gate broke")
+        monkeypatch.setattr(surdsym.census, "_gate_violations", broken)
+        rc, out, err = run(capsys, "check", "--delta-max", "50",
+                           "--out", str(tmp_path / "check.txt"))
+        assert rc == 2 and out == "" and err == "internal error: gate broke\n"
+        assert os.listdir(tmp_path) == []
 
 
 USAGE_ERRORS = [
@@ -292,6 +333,9 @@ USAGE_ERRORS = [
     ["classify", "1", "2"],
     ["table", "--delta-max", "abc"],
     ["sumrule"],
+    ["sumrule", "--delta-max", "10"],
+    ["check"],
+    ["check", "--delta-max", "10", "--format", "csv"],
     ["frobnicate"],
     [],
 ]
@@ -307,7 +351,7 @@ def test_usage_errors_exit_1(capsys, argv):
     assert err.startswith("usage: surdsym")
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["sumrule", "--help"]])
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
 def test_help_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -362,7 +406,7 @@ class TestOutAndEntry:
                    if isinstance(a, type(parser._subparsers._group_actions[0])))
         names = set(sub.choices)
         assert names == {"classify", "period", "counts", "reduce",
-                         "modular", "orbit", "table", "stats", "sumrule"}
+                         "modular", "orbit", "table", "stats", "check"}
 
     @pytest.mark.skipif(shutil.which("surdsym") is None,
                         reason="console script not installed")

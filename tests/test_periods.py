@@ -15,7 +15,7 @@ from surdsym.oracle import orbit_bfs
 from surdsym.periods import (ClassificationError, ClassReport, SymmetryType,
                              canonical_rotation, classify_class,
                              classify_period, classify_square,
-                             counts_nonsquare,
+                             _counts_nonsquare,
                              is_bipalindromic, is_palindromic_cyclic,
                              is_primitive_period, normalize_square_form)
 from test_reduction import NONSQUARE_GRID
@@ -79,23 +79,19 @@ class TestRotationsAndPredicates:
 
 class TestCountsNonsquare:
     def test_table_convention(self):
-        assert counts_nonsquare((5, 2, 1, 2)) == (10, 6, 4)
-        assert counts_nonsquare((2, 1)) == (3, 2, 1)
-        assert counts_nonsquare((1, 1, 3)) == (10, 5, 5)
+        assert _counts_nonsquare((5, 2, 1, 2), True) == (10, 6, 4)
+        assert _counts_nonsquare((2, 1), True) == (3, 2, 1)
+        assert _counts_nonsquare((1, 1, 3), True) == (10, 5, 5)
 
     def test_odd_period_doubles(self):
-        t, up, down = counts_nonsquare((1, 2, 3))
+        t, up, down = _counts_nonsquare((1, 2, 3), True)
         assert t == 12 and up == down == 6
 
     def test_start_parity_flips_ordered_pair(self):
-        t_o, up_o, down_o = counts_nonsquare((2, 1), "odd")
-        t_e, up_e, down_e = counts_nonsquare((2, 1), "even")
+        t_o, up_o, down_o = _counts_nonsquare((2, 1), True)
+        t_e, up_e, down_e = _counts_nonsquare((2, 1), False)
         assert t_o == t_e
         assert (up_o, down_o) == (down_e, up_e)
-
-    def test_bad_parity(self):
-        with pytest.raises(ValueError):
-            counts_nonsquare((2, 1), "sideways")
 
 
 def _square(m, k):
@@ -248,14 +244,14 @@ class TestClassifyClass:
     def test_walk_words_pass_the_public_checks_on_grid(self):
         """classify_class reads a walk's period without re-validating it; on
         every non-square form with |m|, |n| <= 12 and |k| <= 25 the period is
-        primitive, and the validating classify_period and counts_nonsquare
-        agree with the report."""
+        primitive, the validating classify_period agrees with the report,
+        and so do the counts for the parity of the preperiod."""
         for f in NONSQUARE_GRID:
             r = classify_class(f)
             assert is_primitive_period(r.gamma), f
             assert r.symmetry is classify_period(r.gamma), f
-            parity = "odd" if len(cf_surd(f).preperiod) % 2 else "even"
-            assert (r.t, r.t_up, r.t_down) == counts_nonsquare(r.gamma, parity), f
+            odd = len(cf_surd(f).preperiod) % 2 == 1
+            assert (r.t, r.t_up, r.t_down) == _counts_nonsquare(r.gamma, odd), f
 
 
 class TestClassificationExclusivity:

@@ -12,7 +12,7 @@ from surdsym.forms import (INVOLUTION_NAMES, Form, apply_word, discriminant,
                            gen_power, involution, is_primitive)
 from surdsym.periods import (SymmetryType, canonical_rotation, classify_class,
                              classify_period, classify_square,
-                             counts_nonsquare,
+                             _counts_nonsquare,
                              is_bipalindromic, is_palindromic_cyclic,
                              is_primitive_period, normalize_square_form)
 from surdsym.reduction import is_reduced, reduced_cycle, reduced_representative
@@ -170,7 +170,7 @@ def test_counts_match_period_sum(f):
     """t is the sum of the doubled-if-odd period; parity fixes the order."""
     assume(nonsquare_h0(f))
     gamma = period_of_class(f)
-    t, t_up, t_down = counts_nonsquare(gamma)
+    t, t_up, t_down = _counts_nonsquare(gamma, True)
     pi = gamma if len(gamma) % 2 == 0 else gamma + gamma
     assert t == sum(pi)
     assert t_up + t_down == t

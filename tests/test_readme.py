@@ -33,7 +33,7 @@ EXAMPLES = readme_examples()
 
 def test_examples_found():
     commands = {argv[0] for argv, _ in EXAMPLES}
-    assert {"classify", "orbit", "table", "stats", "sumrule"} <= commands
+    assert {"classify", "orbit", "table", "stats", "check"} <= commands
 
 
 @pytest.mark.parametrize("argv, shown", EXAMPLES,
