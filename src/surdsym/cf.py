@@ -1,16 +1,22 @@
 """Continued fractions: rational, regular surd, and minus ("modular") variants.
 
-Quadratic-surd expansions run on the integer state (P, Q) with fixed
-radicand D: the current complete quotient is (P + sqrt(D)) / Q and every
-update keeps the invariant Q | (D - P**2).  Periods are detected by first
-repetition of the (P, Q) state, which for both variants coincides with
-digit-level minimality.
-``_regular_walk`` and ``_minus_walk`` are the one loop of each recurrence;
-every form that reduction and the H0 tour report is a ``_state_form``, read
-off a state and the Q of the state before it, with no squaring or division.
-``_regular_walk`` keeps its last ``_WALK_MEMO_SIZE`` walks, so the calls
-that answer one form query (classify, reduce to H0, reduced cycle) walk the
-form's expansion once; its results are tuples, which no caller can change.
+The regular expansion of a quadratic surd runs on the integer state (P, Q)
+with fixed radicand D: the current complete quotient is (P + sqrt(D)) / Q
+and every update keeps the invariant Q | (D - P**2).  Its period is found
+at the first repeated (P, Q) state, which coincides with digit-level
+minimality.  The minus expansion of xi_plus(f) runs on the forms themselves:
+each digit b moves f to R(A^b(f)), whose xi_plus is the next complete
+quotient.  Its period starts at the first reduced form, as the minus CF of
+a quadratic irrational xi is purely periodic exactly when
+xi > 1 > xi' > 0 (Zagier, Zetafunktionen und quadratische Koerper, 1981),
+and ends where the walk returns to that form; no state is stored.
+``_regular_walk`` and ``_minus_walk`` are the one loop of each recurrence.
+Every form that reduction and the H0 tour take from the regular walk is a
+``_state_form``, read off a state and the Q of the state before it, with no
+squaring or division.  ``_regular_walk`` keeps its last ``_WALK_MEMO_SIZE``
+walks, so the calls that answer one form query (classify, reduce to H0,
+reduced cycle) walk the form's expansion once; its results are tuples, which
+no caller can change.
 """
 from __future__ import annotations
 
@@ -21,7 +27,7 @@ from math import gcd
 from typing import Tuple
 
 from .exact import is_square, isqrt
-from .forms import Form, antipodal, require_indefinite
+from .forms import Form, InternalError, antipodal, is_reduced, require_indefinite
 
 
 class SquareDiscriminantError(ValueError):
@@ -96,6 +102,7 @@ def cf_value(cf: CFExpansion) -> Fraction:
 
 State = Tuple[int, int]
 Walk = Tuple[Tuple[State, ...], Tuple[int, ...], int]
+FormWalk = Tuple[Tuple[Form, ...], Tuple[int, ...], int]
 
 # Walks kept by _regular_walk: a form query walks f, then conjugate(f) in
 # reduce_to_H0, then f again for its reduced representative.
@@ -110,9 +117,12 @@ def _regular_walk(p: int, q: int, d: int) -> Walk:
     Returns (states, digits, start): ``states[j]`` is the state (P_j, Q_j),
     ``digits[j]`` is the floor of its value, and the period is
     ``digits[start:]``.  The state after (P_j, Q_j) has
-    Q_{j+1} * Q_j = d - P_{j+1}**2.
+    Q_{j+1} * Q_j = d - P_{j+1}**2, so that, with a_j the digit,
+    Q_{j+1} = Q_{j-1} + a_j * (P_j - P_{j+1}) and only Q_{-1} takes a
+    division.
     """
     r = isqrt(d)
+    q_prev = (d - p * p) // q
     states = {}
     digits = []
     while (p, q) not in states:
@@ -120,38 +130,55 @@ def _regular_walk(p: int, q: int, d: int) -> Walk:
         # floor((p + sqrt(d))/q) from r = floor(sqrt(d)); d is not a square
         a = (p + r) // q if q > 0 else -((p + r) // -q) - 1
         digits.append(a)
-        p = a * q - p
-        q = (d - p * p) // q
+        p_next = a * q - p
+        p, q, q_prev = p_next, q_prev + a * (p - p_next), q
     return tuple(states), tuple(digits), states[(p, q)]
 
 
-def _minus_walk(p: int, q: int, d: int) -> Walk:
-    """``_regular_walk`` for the minus CF: ceiling digits, and the state
-    after (P_j, Q_j) has Q_{j+1} * Q_j = P_{j+1}**2 - d."""
-    r = isqrt(d)
-    states = {}
-    digits = []
-    while (p, q) not in states:
-        states[(p, q)] = len(digits)
-        # ceiling of the irrational (p + sqrt(d))/q, from r = floor(sqrt(d))
-        b = (p + r) // q + 1 if q > 0 else -((p + r) // -q)
-        digits.append(b)
-        p = b * q - p
-        q = (p * p - d) // q
-    return tuple(states), tuple(digits), states[(p, q)]
+def _minus_walk(f: Form) -> FormWalk:
+    """Minus continued fraction of xi_plus(f), walked on forms, for a
+    non-square discriminant.
 
-
-def _state_form(p: int, q: int, q_prev: int, minus: bool = False) -> Form:
-    """The form whose xi_plus is (p + sqrt(d)) / q: the inverse of the state
-    (-k, 2m) of a form; walks from such a state keep 2q | d - p**2.
-
-    ``q_prev`` is the Q of a state that the walk (``minus`` for the minus
-    CF) steps from into (p, q).  As Q_{j-1} * Q_j is d - P_j**2 in the
-    regular walk and P_j**2 - d in the minus walk, the middle coefficient
-    (p**2 - d) / (2q) is -q_prev / 2, or q_prev / 2 in the minus walk; every
-    state stepping into (p, q) has the same Q.
+    Returns (forms, digits, start): ``forms[0]`` equals f, ``digits[j]`` is
+    the ceiling of xi_plus(forms[j]), and ``forms[j + 1]`` is
+    R(A^{digits[j]}(forms[j])).  ``forms[start]`` is the first reduced form
+    and the period is ``digits[start:]``: the form after the last one is
+    ``forms[start]`` again, and every form from ``start`` on is reduced, or
+    InternalError is raised.
     """
-    return Form(q // 2, (q_prev if minus else -q_prev) // 2, -p)
+    m, n, k = f
+    r = isqrt(k * k - 4 * m * n)
+    forms = []
+    digits = []
+    start = -1
+    while True:
+        if is_reduced(m, n, k):
+            if start < 0:
+                start = len(forms)
+                m0, k0 = m, k  # n follows from m, k and the discriminant
+            elif m == m0 and k == k0:
+                return tuple(forms), tuple(digits), start
+        elif start >= 0:
+            raise InternalError(
+                f"minus CF of {f} left the reduced set: {Form(m, n, k)}")
+        forms.append(Form(m, n, k))
+        # ceiling of the irrational (-k + sqrt(d))/q, from r = floor(sqrt(d))
+        q = 2 * m
+        b = (r - k) // q + 1 if q > 0 else -((r - k) // -q)
+        digits.append(b)
+        m, n, k = n + b * (k + b * m), m, -k - b * q
+
+
+def _state_form(p: int, q: int, q_prev: int) -> Form:
+    """The form whose xi_plus is (p + sqrt(d)) / q: the inverse of the state
+    (-k, 2m) of a form; regular walks from such a state keep 2q | d - p**2.
+
+    ``q_prev`` is the Q of a state that the regular walk steps from into
+    (p, q).  As Q_{j-1} * Q_j is d - P_j**2, the middle coefficient
+    (p**2 - d) / (2q) is -q_prev / 2; every state stepping into (p, q) has
+    the same Q.
+    """
+    return Form(q // 2, -q_prev // 2, -p)
 
 
 def _check_word(s: Tuple[int, ...]) -> None:
@@ -208,8 +235,8 @@ def modular_cf_surd(f: Form) -> ModularCF:
     Digits after the first are always >= 2; the expansion of the root of a
     reduced form is purely periodic.
     """
-    d = _require_nonsquare(f)
-    _, digits, start = _minus_walk(-f.k, 2 * f.m, d)
+    _require_nonsquare(f)
+    _, digits, start = _minus_walk(f)
     return ModularCF(digits[:start], digits[start:])
 
 

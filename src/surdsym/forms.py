@@ -8,17 +8,17 @@ from the signs of m, n, k and f(+-1) = m + n +- k.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Tuple
+from typing import Iterable, NamedTuple, Tuple
 
 
 class InternalError(RuntimeError):
     """An invariant the code relies on failed; indicates a bug, not bad input."""
 
 
-@dataclass(frozen=True, order=True)
-class Form:
+class Form(NamedTuple):
+    """Immutable; compares, sorts, hashes and pickles as (m, n, k)."""
+
     m: int
     n: int
     k: int
@@ -49,6 +49,13 @@ class DomainLabel(enum.Enum):
 GeneratorWord = Tuple[Tuple[str, int], ...]
 
 INVOLUTION_NAMES = ("complementary", "conjugate", "adjoint", "antipodal", "opposite")
+
+
+def is_reduced(m: int, n: int, k: int) -> bool:
+    """The form (m, n, k) is reduced: m > 0, n > 0, k < 0 and m + n < |k|,
+    exactly; that is xi_plus > 1 > xi_minus > 0, the forms whose minus
+    continued fraction is purely periodic."""
+    return m > 0 and n > 0 and m + n < -k  # k < 0 follows from m + n > 0
 
 
 def discriminant(f: Form) -> int:

@@ -1,9 +1,10 @@
 """Reduction theory: reduced forms, the reduced cycle, and the sum rule.
 
-A form is *reduced* when m > 0, n > 0, k < 0 and m + n < |k|.  Each class of
-non-square discriminant contains finitely many reduced forms, cyclically
-permuted by h -> R(A^c(h)) where the exponents c_i are the minus-CF period
-digits; the cycle length equals the class's t_up count.
+A form is *reduced* when m > 0, n > 0, k < 0 and m + n < |k|
+(``forms.is_reduced``, re-exported here).  Each class of non-square
+discriminant contains finitely many reduced forms, cyclically permuted by
+h -> R(A^c(h)) where the exponents c_i are the minus-CF period digits; the
+cycle length equals the class's t_up count.
 """
 from __future__ import annotations
 
@@ -13,14 +14,9 @@ from typing import Tuple
 from .cf import (SquareDiscriminantError, _minus_walk, _regular_walk,
                  _require_nonsquare, _state_form)
 from .exact import is_square
-from .forms import (Form, GeneratorWord, InternalError, antipodal,
-                    discriminant, gen_power, involution, require_indefinite)
+from .forms import (Form, GeneratorWord, InternalError, antipodal, gen_power,
+                    involution, is_reduced, require_indefinite)
 from .periods import SymmetryType
-
-
-def is_reduced(f: Form) -> bool:
-    """m > 0, n > 0, k < 0 and m + n < |k|, exactly."""
-    return f.m > 0 and f.n > 0 and f.k < 0 and f.m + f.n < -f.k
 
 
 def reduced_representative(f: Form) -> Form:
@@ -33,7 +29,7 @@ def reduced_representative(f: Form) -> Form:
     reduced and in-class.
     """
     d = _require_nonsquare(f)
-    if is_reduced(f):
+    if is_reduced(*f):
         return f
     # The j-th state form of the expansion lies in C(f) exactly when j is even.
     states, _, n_pre = _regular_walk(-f.k, 2 * f.m, d)
@@ -41,7 +37,7 @@ def reduced_representative(f: Form) -> Form:
     j = j0 if j0 < len(states) else n_pre  # a period of length 1
     # states[j - 1] steps into state j; for j = 0 it is the period's last state.
     h = gen_power(_state_form(*states[j], states[j - 1][1]), "A", -1)
-    if not is_reduced(h):
+    if not is_reduced(*h):
         raise InternalError(f"representative {h} of {f} is not reduced")
     return h
 
@@ -66,20 +62,13 @@ def reduced_cycle(f: Form) -> ReducedCycle:
     Starts at h = reduced_representative(f), which is f itself when f is
     reduced, so two members of one class give rotations of one cycle.
     Successive forms are R(A^{c_i}(previous)) for the period digits c_i,
-    closing back at h.  As the state of R(A^c(h)) is the minus state after
-    h's, they are the state forms of the minus CF of xi_plus(h), each read
-    off the Q of the state before it (of the cycle's last state, for h).
+    closing back at h: the forms of the minus CF walk of xi_plus(h).
     """
     h0 = reduced_representative(f)
-    states, digits, start = _minus_walk(-h0.k, 2 * h0.m, discriminant(h0))
+    forms, digits, start = _minus_walk(h0)
     if start:
         raise InternalError(f"minus CF of reduced form {h0} is not purely periodic")
-    forms = tuple([_state_form(p, q, q_prev, True) for (p, q), (_, q_prev)
-                   in zip(states, states[-1:] + states[:-1])])
-    for g in forms:
-        if not is_reduced(g):
-            raise InternalError(f"cycle of {f} left the reduced set: {g}")
-    return ReducedCycle(forms, tuple(digits))
+    return ReducedCycle(forms, digits)
 
 
 _H0_INVOLUTION_ORDER = ("identity", "conjugate", "adjoint", "antipodal")
@@ -126,15 +115,12 @@ def reduce_to_H0(f: Form) -> Tuple[Form, GeneratorWord, str]:
 def reduce_classical(f: Form) -> Tuple[Form, GeneratorWord]:
     """Reduce a form with m > 0, n > 0, k < 0 by the word R A^{b_M} ... R A^{b_0},
     where b_0 ... b_M is the minus-CF preperiod of xi_plus(f)."""
-    d = _require_nonsquare(f)
+    _require_nonsquare(f)
     if not (f.m > 0 and f.n > 0 and f.k < 0):
         raise ValueError(f"reduce_classical needs m>0, n>0, k<0; got {f}")
-    # Each step R A^b moves the state form on by one minus state.
-    states, digits, start = _minus_walk(-f.k, 2 * f.m, d)
-    h = _state_form(*states[start], states[start - 1][1], True)
-    if not is_reduced(h):
-        raise InternalError(f"classical reduction of {f} ended unreduced: {h}")
-    return h, tuple(step for b in digits[:start] for step in (("A", b), ("R", 1)))
+    # Each step R A^b is one step of the minus walk.
+    forms, digits, start = _minus_walk(f)
+    return forms[start], tuple(step for b in digits[:start] for step in (("A", b), ("R", 1)))
 
 
 _SUM_RULE_TYPES = frozenset((SymmetryType.SUPERSYMMETRIC,

@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from minus_walk_by_states import minus_walk_by_states, state_form
 from surdsym.cf import (CFExpansion, ModularCF, SquareDiscriminantError,
                         _minus_walk, _regular_walk, _state_form,
                         cf_period_to_modular_period, cf_rational, cf_surd,
                         cf_value, modular_cf_surd, period_of_class, period_to_forms)
-from surdsym.forms import Form, antipodal, discriminant
+from surdsym.forms import (Form, antipodal, apply_word, complementary, conjugate,
+                           discriminant, gen_power)
 from surdsym.periods import classify_class, classify_square
+from surdsym.reduction import reduce_classical
 from test_reduction import NONSQUARE_GRID
 
 
@@ -188,23 +191,60 @@ def _recomputed_state_form(p, q, d):
 class TestStateForm:
     def test_neighbour_q_form_on_grid(self):
         """On every non-square form with |m|, |n| <= 12 and |k| <= 25, the
-        form read off each state of both walks and the Q of the state before
-        it (any state before it, at the period start) is the recomputed one,
-        and the first state's form is the form walked."""
+        form read off each state of the regular walk and the Q of the state
+        before it (any state before it, at the period start) is the
+        recomputed one, and the first state's form is the form walked."""
         checked = 0
         for f in NONSQUARE_GRID:
             d = discriminant(f)
-            for walk, minus in ((_regular_walk, False), (_minus_walk, True)):
-                states, _, start = walk(-f.k, 2 * f.m, d)
-                q_before_f = 2 * f.n if minus else -2 * f.n
-                assert _state_form(*states[0], q_before_f, minus) == f
-                for j in range(1, len(states)):
-                    assert _state_form(*states[j], states[j - 1][1], minus) \
-                        == _recomputed_state_form(*states[j], d), (f, j)
-                    checked += 1
-                assert _state_form(*states[start], states[-1][1], minus) \
-                    == _recomputed_state_form(*states[start], d), f
+            states, _, start = _regular_walk(-f.k, 2 * f.m, d)
+            assert _state_form(*states[0], -2 * f.n) == f
+            for j in range(1, len(states)):
+                assert _state_form(*states[j], states[j - 1][1]) \
+                    == _recomputed_state_form(*states[j], d), (f, j)
+                checked += 1
+            assert _state_form(*states[start], states[-1][1]) \
+                == _recomputed_state_form(*states[start], d), f
         assert checked > 100000
+
+
+def _assert_minus_walk_matches_states(f):
+    """The form walk of f against the (P, Q) state walk: the same digits and
+    period start, each form the state's own form and R(A^b) of the one
+    before, and the form after the last one is the period's first."""
+    d = discriminant(f)
+    forms, digits, start = _minus_walk(f)
+    states, ref_digits, ref_start = minus_walk_by_states(-f.k, 2 * f.m, d)
+    assert (digits, start) == (ref_digits, ref_start), f
+    assert len(forms) == len(states) and forms[0] == f
+    for g, (p, q) in zip(forms, states):
+        assert type(g) is Form and g == Form(*state_form(p, q, d)), (f, g)
+    for g, b, h in zip(forms, digits, forms[1:] + forms[start:start + 1]):
+        assert gen_power(gen_power(g, "A", b), "R", 1) == h, (f, g)
+    return forms, digits, start
+
+
+class TestMinusWalk:
+    def test_forms_match_the_state_walk_on_grid(self):
+        """On every non-square form with |m|, |n| <= 12 and |k| <= 25."""
+        walked = 0
+        for f in NONSQUARE_GRID:
+            walked += len(_assert_minus_walk_matches_states(f)[0])
+        assert walked > 400000
+
+    def test_long_preperiod(self):
+        """(R A^-2)^1000 applied to (1, 1, -3): a minus preperiod of 1001
+        digits, 0 and then 999 2s and a 5.  reduce_classical takes its
+        conjugate, and its complementary form, whose preperiod of 1000
+        digits makes a word of 2000 steps."""
+        f = apply_word(Form(1, 1, -3), (("A-", 2), ("R", 1)) * 1000)
+        _, digits, start = _assert_minus_walk_matches_states(f)
+        assert start == 1001 and digits[:start] == (0,) + (2,) * 999 + (5,)
+        for g, steps in ((conjugate(f), 6), (complementary(f), 2000)):
+            forms, _, start = _assert_minus_walk_matches_states(g)
+            h, word = reduce_classical(g)
+            assert h == forms[start] == Form(1, 1, -3)
+            assert apply_word(g, word) == h and len(word) == 2 * start == steps
 
 
 class TestPeriodOfClass:

@@ -1,5 +1,6 @@
 """Unit tests for forms, generators, involutions and domains."""
 
+import pickle
 import random
 
 import pytest
@@ -25,6 +26,30 @@ class TestFormBasics:
     def test_ordering_is_lexicographic(self):
         assert Form(1, -4, -1) < Form(2, -1, -3)
         assert sorted([Form(2, 0, 0), Form(1, 9, 9)])[0] == Form(1, 9, 9)
+
+    def test_immutable(self):
+        f = Form(2, -1, -3)
+        with pytest.raises(AttributeError):
+            f.m = 3
+        assert f == Form(2, -1, -3)
+
+    def test_sorts_as_its_coefficients(self):
+        forms = SAMPLE_FORMS + [Form(2, -1, 5), Form(2, -2, -3), Form(-4, 2, 8)]
+        assert [f.coeffs() for f in sorted(forms)] == sorted(f.coeffs() for f in forms)
+
+    def test_equal_forms_hash_equal(self):
+        for f in SAMPLE_FORMS:
+            g = Form(*f.coeffs())
+            assert g == f and hash(g) == hash(f)
+
+    def test_pickle_round_trip(self):
+        for f in SAMPLE_FORMS:
+            g = pickle.loads(pickle.dumps(f))
+            assert type(g) is Form and g == f and repr(g) == repr(f)
+
+    def test_max_abs(self):
+        assert Form(2, -1, -3).max_abs() == 3
+        assert Form(-9, 4, 1).max_abs() == 9
 
     def test_discriminant(self):
         assert discriminant(Form(2, -1, -3)) == 17

@@ -2,10 +2,13 @@
 
 import pytest
 
+import surdsym.cf
+import surdsym.forms
 from surdsym.cf import SquareDiscriminantError, modular_cf_surd
+from surdsym.cli import main
 from surdsym.exact import is_square
-from surdsym.forms import (Form, apply_word, discriminant, domain_of,
-                           DomainLabel, gen_power, involution)
+from surdsym.forms import (Form, InternalError, apply_word, discriminant,
+                           domain_of, DomainLabel, gen_power, involution)
 from surdsym.periods import SymmetryType, classify_class
 from surdsym.reduction import (ReducedCycle, check_sum_rule, is_reduced,
                                reduce_classical, reduce_to_H0,
@@ -38,15 +41,15 @@ def h0_word_holds(f: Form) -> bool:
 
 class TestIsReduced:
     def test_examples(self):
-        assert is_reduced(Form(2, 4, -7))
-        assert is_reduced(Form(1, 2, -5))
-        assert not is_reduced(Form(2, -1, -3))   # n < 0
-        assert not is_reduced(Form(2, 1, -2))    # m + n >= -k
-        assert not is_reduced(Form(1, 1, 3))     # k > 0
+        assert is_reduced(2, 4, -7)
+        assert is_reduced(1, 2, -5)
+        assert not is_reduced(2, -1, -3)   # n < 0
+        assert not is_reduced(2, 1, -2)    # m + n >= -k
+        assert not is_reduced(1, 1, 3)     # k > 0
 
     def test_reduced_forms_live_in_habar(self):
         for f in (Form(2, 4, -7), Form(1, 2, -5), Form(4, 2, -7), Form(4, 4, -9)):
-            assert is_reduced(f)
+            assert is_reduced(*f)
             assert domain_of(f) == DomainLabel.HABAR
 
 
@@ -57,7 +60,7 @@ class TestReducedRepresentative:
 
     def test_from_h0(self):
         h = reduced_representative(Form(2, -2, 1))
-        assert is_reduced(h)
+        assert is_reduced(*h)
         assert discriminant(h) == 17
         assert h == Form(1, 2, -5)
 
@@ -65,7 +68,7 @@ class TestReducedRepresentative:
         for f in (Form(2, -1, -3), Form(5, -3, -13), Form(5, 7, 22),
                   Form(3, -11, -2), Form(1, -4, -1), Form(7, -3, -8)):
             h = reduced_representative(f)
-            assert is_reduced(h)
+            assert is_reduced(*h)
             assert discriminant(h) == discriminant(f)
 
     def test_square_rejected(self):
@@ -86,13 +89,25 @@ class TestReducedCycle:
         for f in (Form(2, -1, -3), Form(5, -3, -13), Form(3, -11, -2)):
             cyc = reduced_cycle(f)
             assert len(set(cyc.forms)) == len(cyc.forms)
-            assert all(is_reduced(g) for g in cyc.forms)
+            assert all(is_reduced(*g) for g in cyc.forms)
             assert len(cyc.forms) == len(cyc.modular_period)
 
     def test_cycle_members_have_pure_modular_cf(self):
         cyc = reduced_cycle(Form(2, -1, -3))
         for g in cyc.forms:
             assert modular_cf_surd(g).is_purely_periodic
+
+    def test_leaving_the_reduced_set_fails_loudly(self, monkeypatch, capsys):
+        """A walk whose reducedness test rejects the second of the five
+        forms of the cycle of (2, 4, -7) raises InternalError, and
+        `surdsym modular 2 4 -7` exits 2."""
+        second = reduced_cycle(Form(2, 4, -7)).forms[1]
+        monkeypatch.setattr(surdsym.cf, "is_reduced", lambda m, n, k: (
+            (m, n, k) != second and surdsym.forms.is_reduced(m, n, k)))
+        with pytest.raises(InternalError, match="left the reduced set"):
+            reduced_cycle(Form(2, 4, -7))
+        assert main(["modular", "2", "4", "-7"]) == 2
+        assert "left the reduced set" in capsys.readouterr().err
 
     def test_rotation_invariance(self):
         base = reduced_cycle(Form(2, 4, -7))
@@ -164,7 +179,7 @@ class TestReduceClassical:
         h, word = reduce_classical(Form(1, 5, -5))
         assert h == Form(1, 1, -3)
         assert word == (("A", 4), ("R", 1))
-        assert is_reduced(h)
+        assert is_reduced(*h)
 
     def test_fixed_point(self):
         h, word = reduce_classical(Form(1, 1, -3))
@@ -180,7 +195,7 @@ class TestReduceClassical:
             if discriminant(f) <= 0:
                 continue
             h, word = reduce_classical(f)
-            assert is_reduced(h)
+            assert is_reduced(*h)
             assert discriminant(h) == discriminant(f)
 
 
