@@ -139,12 +139,13 @@ def _minus_walk(f: Form) -> FormWalk:
     """Minus continued fraction of xi_plus(f), walked on forms, for a
     non-square discriminant.
 
-    Returns (forms, digits, start): ``forms[0]`` equals f, ``digits[j]`` is
-    the ceiling of xi_plus(forms[j]), and ``forms[j + 1]`` is
-    R(A^{digits[j]}(forms[j])).  ``forms[start]`` is the first reduced form
-    and the period is ``digits[start:]``: the form after the last one is
-    ``forms[start]`` again, and every form from ``start`` on is reduced, or
-    InternalError is raised.
+    Each step takes the form g to R(A^b(g)), b the ceiling of xi_plus(g),
+    and ``digits`` are the b of every step from f on.  The period
+    ``digits[start:]`` starts at the first reduced form and ends when the
+    walk returns to it; ``forms`` are the reduced forms of the period,
+    ``forms[i]`` the one whose digit is ``digits[start + i]``.  The forms
+    of the preperiod are not built.  A form after the first reduced one
+    that is not reduced raises InternalError.
     """
     m, n, k = f
     r = isqrt(k * k - 4 * m * n)
@@ -154,14 +155,14 @@ def _minus_walk(f: Form) -> FormWalk:
     while True:
         if is_reduced(m, n, k):
             if start < 0:
-                start = len(forms)
+                start = len(digits)
                 m0, k0 = m, k  # n follows from m, k and the discriminant
             elif m == m0 and k == k0:
                 return tuple(forms), tuple(digits), start
+            forms.append(Form(m, n, k))
         elif start >= 0:
             raise InternalError(
                 f"minus CF of {f} left the reduced set: {Form(m, n, k)}")
-        forms.append(Form(m, n, k))
         # ceiling of the irrational (-k + sqrt(d))/q, from r = floor(sqrt(d))
         q = 2 * m
         b = (r - k) // q + 1 if q > 0 else -((r - k) // -q)

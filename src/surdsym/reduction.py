@@ -120,7 +120,7 @@ def reduce_classical(f: Form) -> Tuple[Form, GeneratorWord]:
         raise ValueError(f"reduce_classical needs m>0, n>0, k<0; got {f}")
     # Each step R A^b is one step of the minus walk.
     forms, digits, start = _minus_walk(f)
-    return forms[start], tuple(step for b in digits[:start] for step in (("A", b), ("R", 1)))
+    return forms[0], tuple(step for b in digits[:start] for step in (("A", b), ("R", 1)))
 
 
 _SUM_RULE_TYPES = frozenset((SymmetryType.SUPERSYMMETRIC,

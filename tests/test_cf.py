@@ -210,17 +210,21 @@ class TestStateForm:
 
 def _assert_minus_walk_matches_states(f):
     """The form walk of f against the (P, Q) state walk: the same digits and
-    period start, each form the state's own form and R(A^b) of the one
-    before, and the form after the last one is the period's first."""
+    period start.  Stepping from f by R(A^b) for each digit b passes the
+    form of each state, and from the period start on the walk's forms; the
+    step after the last digit returns to the period's first form."""
     d = discriminant(f)
     forms, digits, start = _minus_walk(f)
     states, ref_digits, ref_start = minus_walk_by_states(-f.k, 2 * f.m, d)
     assert (digits, start) == (ref_digits, ref_start), f
-    assert len(forms) == len(states) and forms[0] == f
-    for g, (p, q) in zip(forms, states):
-        assert type(g) is Form and g == Form(*state_form(p, q, d)), (f, g)
-    for g, b, h in zip(forms, digits, forms[1:] + forms[start:start + 1]):
-        assert gen_power(gen_power(g, "A", b), "R", 1) == h, (f, g)
+    assert len(forms) == len(digits) - start
+    g = f
+    for j, (b, (p, q)) in enumerate(zip(digits, states)):
+        assert g == Form(*state_form(p, q, d)), (f, j)
+        if j >= start:
+            assert type(forms[j - start]) is Form and forms[j - start] == g, (f, j)
+        g = gen_power(gen_power(g, "A", b), "R", 1)
+    assert g == forms[0], f
     return forms, digits, start
 
 
@@ -243,7 +247,7 @@ class TestMinusWalk:
         for g, steps in ((conjugate(f), 6), (complementary(f), 2000)):
             forms, _, start = _assert_minus_walk_matches_states(g)
             h, word = reduce_classical(g)
-            assert h == forms[start] == Form(1, 1, -3)
+            assert h == forms[0] == Form(1, 1, -3)
             assert apply_word(g, word) == h and len(word) == 2 * start == steps
 
 
