@@ -46,6 +46,7 @@ class TestIsReduced:
         assert not is_reduced(2, -1, -3)   # n < 0
         assert not is_reduced(2, 1, -2)    # m + n >= -k
         assert not is_reduced(1, 1, 3)     # k > 0
+        assert is_reduced is surdsym.forms.is_reduced
 
     def test_reduced_forms_live_in_habar(self):
         for f in (Form(2, 4, -7), Form(1, 2, -5), Form(4, 2, -7), Form(4, 4, -9)):
