@@ -2,14 +2,16 @@
 
 The regular expansion of a quadratic surd runs on the integer state (P, Q)
 with fixed radicand D: the current complete quotient is (P + sqrt(D)) / Q
-and every update keeps the invariant Q | (D - P**2).  Its period is found
-at the first repeated (P, Q) state, which coincides with digit-level
-minimality.  The minus expansion of xi_plus(f) runs on the forms themselves:
-each digit b moves f to R(A^b(f)), whose xi_plus is the next complete
-quotient.  Its period starts at the first reduced form, as the minus CF of
-a quadratic irrational xi is purely periodic exactly when
-xi > 1 > xi' > 0 (Zagier, Zetafunktionen und quadratische Koerper, 1981),
-and ends where the walk returns to that form; no state is stored.
+and every update keeps the invariant Q | (D - P**2).  Its period starts at
+the first reduced state, whose value xi has xi > 1 and -1 < xi' < 0 (by
+Galois' theorem, exactly the purely periodic expansions), and ends where
+the walk returns to that state.  The minus expansion of xi_plus(f) runs on
+the forms themselves: each digit b moves f to R(A^b(f)), whose xi_plus is
+the next complete quotient.  Its period starts at the first reduced form,
+as the minus CF of a quadratic irrational xi is purely periodic exactly
+when xi > 1 > xi' > 0 (Zagier, Zetafunktionen und quadratische Koerper,
+1981), and ends where the walk returns to that form; it takes each run of
+2s in one stride.  Neither walk stores a state table.
 ``_regular_walk`` and ``_minus_walk`` are the one loop of each recurrence.
 Every form that reduction and the H0 tour take from the regular walk is a
 ``_state_form``, read off a state and the Q of the state before it, with no
@@ -23,11 +25,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
 from math import gcd
+from operator import add
 from typing import Tuple
 
 from .exact import is_square, isqrt
 from .forms import Form, InternalError, antipodal, is_reduced, require_indefinite
+
+# tuple.__new__(Form, (m, n, k)) builds a Form without a Python-level call.
+_new_form = tuple.__new__
 
 
 class SquareDiscriminantError(ValueError):
@@ -112,27 +119,36 @@ _WALK_MEMO_SIZE = 4
 @lru_cache(maxsize=_WALK_MEMO_SIZE)
 def _regular_walk(p: int, q: int, d: int) -> Walk:
     """Regular continued fraction of (p + sqrt(d)) / q, d > 0 non-square and
-    q | (d - p**2), up to the first repeated state.
+    q | (d - p**2), until it returns to its first reduced state.
 
     Returns (states, digits, start): ``states[j]`` is the state (P_j, Q_j),
     ``digits[j]`` is the floor of its value, and the period is
-    ``digits[start:]``.  The state after (P_j, Q_j) has
-    Q_{j+1} * Q_j = d - P_{j+1}**2, so that, with a_j the digit,
-    Q_{j+1} = Q_{j-1} + a_j * (P_j - P_{j+1}) and only Q_{-1} takes a
-    division.
+    ``digits[start:]``.  A state is reduced when its value xi satisfies
+    xi > 1 and -1 < xi' < 0, that is 0 < P <= r and r - P < Q <= r + P with
+    r = isqrt(d); by Galois' theorem its expansion is then purely periodic,
+    and the first reduced state is the period's first.  The state after
+    (P_j, Q_j) has Q_{j+1} * Q_j = d - P_{j+1}**2, so that, with a_j the
+    digit, Q_{j+1} = Q_{j-1} + a_j * (P_j - P_{j+1}) and only Q_{-1} takes
+    a division.
     """
     r = isqrt(d)
     q_prev = (d - p * p) // q
-    states = {}
+    states = []
     digits = []
-    while (p, q) not in states:
-        states[(p, q)] = len(digits)
+    start = -1
+    while True:
+        state = (p, q)
+        if start >= 0:
+            if state == first:
+                return tuple(states), tuple(digits), start
+        elif 0 < p <= r and r - p < q <= r + p:
+            start, first = len(states), state
+        states.append(state)
         # floor((p + sqrt(d))/q) from r = floor(sqrt(d)); d is not a square
         a = (p + r) // q if q > 0 else -((p + r) // -q) - 1
         digits.append(a)
         p_next = a * q - p
         p, q, q_prev = p_next, q_prev + a * (p - p_next), q
-    return tuple(states), tuple(digits), states[(p, q)]
 
 
 def _minus_walk(f: Form) -> FormWalk:
@@ -144,8 +160,33 @@ def _minus_walk(f: Form) -> FormWalk:
     ``digits[start:]`` starts at the first reduced form and ends when the
     walk returns to it; ``forms`` are the reduced forms of the period,
     ``forms[i]`` the one whose digit is ``digits[start + i]``.  The forms
-    of the preperiod are not built.  A form after the first reduced one
-    that is not reduced raises InternalError.
+    of the preperiod are not built.
+
+    A run of 2s is taken in one stride.  A step with b = 2 keeps
+    c = m + n + k and gives m' = 2m - n + 2c, so along the run
+    m_i = m_0 + i (m_1 - m_0) + c i (i - 1) and n_i = m_{i-1}.  The digit
+    is 2 exactly while 1 < xi_plus < 2, and each step lowers
+    y = 1 / (xi_plus - 1) = (sqrt(d) + k + 2m) / (-2c) by one, so a run
+    from g holds floor(y) 2s.  In the period the run's forms come from its
+    m list, and the walk closes exactly at the first reduced form if it is
+    one of them (a tuple comparison, m first).  In the preperiod only the
+    form after the run is built, from the closed form, unless the first
+    reduced form lies inside the run: y' = (k + 2m - sqrt(d)) / (-2c), read
+    at the other root xi_minus, falls by one per step as well, and with
+    c < 0 the run's i-th form is reduced exactly when y' - i < -1, that is
+    when xi_minus has entered (0, 1); with c > 0 no form of the run is.
+
+    In the period, ``is_reduced`` tests every form the walk stops at: each
+    form it steps from alone, the first form g_0 of each run and the form
+    g_L after it.  One that fails raises InternalError.  The forms
+    g_1 ... g_{L-1} strictly inside the run are then reduced as well.  Its
+    m_i has second difference 2c < 0, so the least of m_0 ... m_L is at an
+    end, and is positive; n_i = m_{i-1} is positive; and
+    m_i + n_i + k_i = c < 0.  Where g and R(A^2(g)) are both reduced, 2 is
+    the digit of g, as xi_plus(R(A^e(g))) = 1 / (e - xi_plus(g)) is above
+    1 only for e = ceil(xi_plus(g)).  So a wrong run length cannot slip a
+    form into the cycle: a run too long ends on a form that is not reduced,
+    and one too short is followed by more 2s.
     """
     m, n, k = f
     r = isqrt(k * k - 4 * m * n)
@@ -153,16 +194,49 @@ def _minus_walk(f: Form) -> FormWalk:
     digits = []
     start = -1
     while True:
+        c = m + n + k  # not 0: the discriminant is not a square
+        # the 2s from here: floor((sqrt(d) + k + 2m) / (-2c)), from r
+        num = r + k + 2 * m
+        run = num // (-2 * c) if c < 0 else -(num // (2 * c)) - 1
         if is_reduced(m, n, k):
+            g = _new_form(Form, (m, n, k))
             if start < 0:
-                start = len(digits)
-                m0, k0 = m, k  # n follows from m, k and the discriminant
-            elif m == m0 and k == k0:
+                start, first = len(digits), g
+            elif g == first:
                 return tuple(forms), tuple(digits), start
-            forms.append(Form(m, n, k))
+            forms.append(g)
+            if run > 0:
+                # m_0 ... m_run: sums of the differences m_1 - m_0 + 2ci
+                ms = list(accumulate(accumulate(repeat(2 * c, run - 1),
+                                                initial=m - n + 2 * c),
+                                     initial=m))
+                inner = ms[1:run]
+                inside = list(map(_new_form, repeat(Form), zip(
+                    inner, ms, map(c.__sub__, map(add, inner, ms)))))
+                if first in inside:  # the cycle closes inside the run
+                    stop = inside.index(first)
+                    forms += inside[:stop]
+                    digits += [2] * (stop + 1)
+                    return tuple(forms), tuple(digits), start
+                forms += inside
+                digits += [2] * run
+                m, n = ms[run], ms[run - 1]
+                k = c - m - n
+                continue
         elif start >= 0:
             raise InternalError(
                 f"minus CF of {f} left the reduced set: {Form(m, n, k)}")
+        elif run > 0:
+            if c < 0:  # the run's first reduced form is its form floor(y') + 2
+                entry = (k + 2 * m - r - 1) // (-2 * c) + 2
+                if 0 < entry < run:
+                    run = entry
+            d0 = m - n + 2 * c
+            digits += [2] * run
+            m, n = (m + run * (d0 + c * (run - 1)),
+                    m + (run - 1) * (d0 + c * (run - 2)))
+            k = c - m - n
+            continue
         # ceiling of the irrational (-k + sqrt(d))/q, from r = floor(sqrt(d))
         q = 2 * m
         b = (r - k) // q + 1 if q > 0 else -((r - k) // -q)

@@ -6,12 +6,16 @@ from fractions import Fraction
 import pytest
 
 from minus_walk_by_states import minus_walk_by_states, state_form
+from regular_walk_by_states import regular_walk_by_states
+from surdsym.census import _reduced_states
 from surdsym.cf import (CFExpansion, ModularCF, SquareDiscriminantError,
                         _minus_walk, _regular_walk, _state_form,
                         cf_period_to_modular_period, cf_rational, cf_surd,
                         cf_value, modular_cf_surd, period_of_class, period_to_forms)
-from surdsym.forms import (Form, antipodal, apply_word, complementary, conjugate,
-                           discriminant, gen_power)
+from surdsym.exact import is_square
+from surdsym.forms import (INVOLUTION_NAMES, Form, antipodal, apply_word,
+                           complementary, conjugate, discriminant, gen_power,
+                           involution)
 from surdsym.periods import classify_class, classify_square
 from surdsym.reduction import reduce_classical
 from test_reduction import NONSQUARE_GRID
@@ -26,8 +30,10 @@ def _above(p, q, d, c):
 
 def _assert_walk_floors(p, q, d):
     """Every digit of the walk from (p, q) is the floor of its state, the
-    states are distinct, and each steps to the next, the last to the start."""
+    states are distinct, and each steps to the next, the last to the start;
+    the walk is the state table's."""
     states, digits, start = _regular_walk(p, q, d)
+    assert (states, digits, start) == regular_walk_by_states(p, q, d)
     assert states[0] == (p, q)
     assert len(set(states)) == len(states) == len(digits)
     assert 0 <= start < len(digits)
@@ -182,6 +188,33 @@ class TestRegularWalk:
             assert digits[start:] == (2 * x,), (p, q)
 
 
+    def test_matches_the_state_table_on_grid(self):
+        """On every non-square form with |m|, |n| <= 12 and |k| <= 25, the
+        walk from (-k, 2m) gives the state table's states, digits and
+        period start.  The grid holds every involution of its forms, so
+        this covers the walks of reduce_to_H0 on the grid as well."""
+        grid = set(NONSQUARE_GRID)
+        for f in NONSQUARE_GRID:
+            assert {involution(f, w) for w in INVOLUTION_NAMES} <= grid, f
+            args = (-f.k, 2 * f.m, discriminant(f))
+            assert _regular_walk(*args) == regular_walk_by_states(*args), f
+
+    def test_matches_the_state_table_on_census_states(self):
+        """From every reduced state the census sieves for non-square
+        delta <= 2000, the walk is the state table's, with period start 0."""
+        walked = 0
+        for d, flat in _reduced_states(1, 2000).items():
+            if is_square(d):
+                continue
+            pairs = iter(flat)
+            for p, q in zip(pairs, pairs):
+                walk = _regular_walk(p, q, d)
+                assert walk == regular_walk_by_states(p, q, d), (p, q, d)
+                assert walk[2] == 0, (p, q, d)
+                walked += 1
+        assert walked > 10000
+
+
 def _recomputed_state_form(p, q, d):
     """The form of state (p, q) from its own coefficients: Q/2, then
     (P**2 - d) / (2Q), then -P."""
@@ -249,6 +282,49 @@ class TestMinusWalk:
             h, word = reduce_classical(g)
             assert h == forms[0] == Form(1, 1, -3)
             assert apply_word(g, word) == h and len(word) == 2 * start == steps
+
+
+    def test_runs_that_cross_the_period_start(self):
+        """On the grid, some walks reach their first reduced form inside a
+        run of 2s that began in the preperiod, and some period runs hold
+        the first reduced form, where the cycle closes; the walk matches
+        the state walk on all of them (test above)."""
+        entered = closed = 0
+        for f in NONSQUARE_GRID:
+            _, digits, start = _minus_walk(f)
+            if 0 < start and digits[start - 1] == digits[start] == 2:
+                entered += 1
+            if digits[-1] == digits[start] == 2:
+                closed += 1
+        assert entered > 1000 and closed > 100
+
+    def test_preperiod_run_with_c_positive(self):
+        """A form with c = m + n + k = 1 > 0, k + 2m = -2000 and delta = 8:
+        its first 998 digits are 2s, one run with no reduced form in it,
+        whose length is the floor of a negative denominator."""
+        f = Form(999998, 1001999, -2001996)
+        assert (f.m + f.n + f.k, f.k + 2 * f.m, discriminant(f)) == (1, -2000, 8)
+        _, digits, start = _assert_minus_walk_matches_states(f)
+        assert digits[:999] == (2,) * 998 + (3,) and start == 999
+
+    def test_preperiod_run_of_a_million(self):
+        """(R A^-2)^M applied to (1, 1, -3), built from the matrix
+        T^M = [[1 + M, M], [-M, 1 - M]] of the word (checked against
+        apply_word at M = 1000): a preperiod of 0, M - 1 2s and a 5, taken
+        in one stride, then the period (3,)."""
+        def power(f, big):
+            a, b, c, d = 1 + big, big, -big, 1 - big
+            m, n, k = f
+            return Form(m * a * a + n * c * c + k * a * c,
+                        m * b * b + n * d * d + k * b * d,
+                        2 * m * a * b + 2 * n * c * d + k * (a * d + b * c))
+
+        f0 = Form(1, 1, -3)
+        assert power(f0, 1000) == apply_word(f0, (("A-", 2), ("R", 1)) * 1000)
+        big = 10 ** 6
+        forms, digits, start = _minus_walk(power(f0, big))
+        assert digits[:start] == (0,) + (2,) * (big - 1) + (5,)
+        assert digits[start:] == (3,) and forms == (f0,)
 
 
 class TestPeriodOfClass:

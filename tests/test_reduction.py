@@ -4,7 +4,7 @@ import pytest
 
 import surdsym.cf
 import surdsym.forms
-from surdsym.cf import SquareDiscriminantError, modular_cf_surd
+from surdsym.cf import SquareDiscriminantError, modular_cf_surd, period_to_forms
 from surdsym.cli import main
 from surdsym.exact import is_square
 from surdsym.forms import (Form, InternalError, apply_word, discriminant,
@@ -108,6 +108,37 @@ class TestReducedCycle:
         with pytest.raises(InternalError, match="left the reduced set"):
             reduced_cycle(Form(2, 4, -7))
         assert main(["modular", "2", "4", "-7"]) == 2
+        assert "left the reduced set" in capsys.readouterr().err
+
+    def test_cycle_closes_inside_a_run(self):
+        """The class of the regular period (1, 9) has the minus period
+        (3, 2, 2, 2, 2, 2, 2, 2, 2).  From each member the cycle is the
+        rotation that starts there, so from the members after the run's
+        first it closes inside the run of 2s, where m takes most values
+        twice."""
+        f, _ = period_to_forms((1, 9))
+        base = reduced_cycle(f)
+        assert base.modular_period == (3,) + (2,) * 8
+        forms, period = base.forms, base.modular_period
+        assert len({g.m for g in forms}) < len(forms)
+        for i, g in enumerate(forms):
+            assert reduced_cycle(g) == ReducedCycle(
+                forms[i:] + forms[:i], period[i:] + period[:i]), g
+
+    def test_leaving_the_reduced_set_after_a_run_fails_loudly(
+            self, monkeypatch, capsys):
+        """The cycle of (17, 9, -42) has the minus period (3, 2, 2, 2, 5).
+        A reducedness test that rejects the form after the run of three 2s,
+        the first the walk tests after the run's first, raises
+        InternalError, and `surdsym modular 17 9 -42` exits 2."""
+        cyc = reduced_cycle(Form(17, 9, -42))
+        assert cyc.modular_period == (3, 2, 2, 2, 5)
+        after = cyc.forms[4]
+        monkeypatch.setattr(surdsym.cf, "is_reduced", lambda m, n, k: (
+            (m, n, k) != after and surdsym.forms.is_reduced(m, n, k)))
+        with pytest.raises(InternalError, match="left the reduced set"):
+            reduced_cycle(Form(17, 9, -42))
+        assert main(["modular", "17", "9", "-42"]) == 2
         assert "left the reduced set" in capsys.readouterr().err
 
     def test_rotation_invariance(self):
