@@ -178,15 +178,16 @@ def _minus_walk(f: Form) -> FormWalk:
 
     In the period, ``is_reduced`` tests every form the walk stops at: each
     form it steps from alone, the first form g_0 of each run and the form
-    g_L after it.  One that fails raises InternalError.  The forms
-    g_1 ... g_{L-1} strictly inside the run are then reduced as well.  Its
-    m_i has second difference 2c < 0, so the least of m_0 ... m_L is at an
-    end, and is positive; n_i = m_{i-1} is positive; and
-    m_i + n_i + k_i = c < 0.  Where g and R(A^2(g)) are both reduced, 2 is
-    the digit of g, as xi_plus(R(A^e(g))) = 1 / (e - xi_plus(g)) is above
-    1 only for e = ceil(xi_plus(g)).  So a wrong run length cannot slip a
-    form into the cycle: a run too long ends on a form that is not reduced,
-    and one too short is followed by more 2s.
+    g_L after it.  One that fails raises InternalError.  (Where the cycle
+    closes inside the run, at g_i, the first reduced form, tested when the
+    walk met it, stands for g_L.)  The forms strictly inside the run are
+    then reduced as well.  Its m_i has second difference 2c < 0, so the
+    least of m_0 ... m_L is at an end, and is positive; n_i = m_{i-1} is
+    positive; and m_i + n_i + k_i = c < 0.  Where g and R(A^2(g)) are both
+    reduced, 2 is the digit of g, as xi_plus(R(A^e(g))) = 1 / (e - xi_plus(g))
+    is above 1 only for e = ceil(xi_plus(g)).  So a wrong run length cannot
+    slip a form into the cycle: a run too long ends on a form that is not
+    reduced, and one too short is followed by more 2s.
     """
     m, n, k = f
     r = isqrt(k * k - 4 * m * n)

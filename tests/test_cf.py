@@ -187,7 +187,6 @@ class TestRegularWalk:
             _, digits, start = _assert_walk_floors(p, q, d)
             assert digits[start:] == (2 * x,), (p, q)
 
-
     def test_matches_the_state_table_on_grid(self):
         """On every non-square form with |m|, |n| <= 12 and |k| <= 25, the
         walk from (-k, 2m) gives the state table's states, digits and
@@ -283,12 +282,12 @@ class TestMinusWalk:
             assert h == forms[0] == Form(1, 1, -3)
             assert apply_word(g, word) == h and len(word) == 2 * start == steps
 
-
     def test_runs_that_cross_the_period_start(self):
         """On the grid, some walks reach their first reduced form inside a
         run of 2s that began in the preperiod, and some period runs hold
-        the first reduced form, where the cycle closes; the walk matches
-        the state walk on all of them (test above)."""
+        the first reduced form, where the cycle closes.
+        test_forms_match_the_state_walk_on_grid checks the walk on all of
+        them."""
         entered = closed = 0
         for f in NONSQUARE_GRID:
             _, digits, start = _minus_walk(f)
@@ -303,7 +302,8 @@ class TestMinusWalk:
         its first 998 digits are 2s, one run with no reduced form in it,
         whose length is the floor of a negative denominator."""
         f = Form(999998, 1001999, -2001996)
-        assert (f.m + f.n + f.k, f.k + 2 * f.m, discriminant(f)) == (1, -2000, 8)
+        assert f.m + f.n + f.k == 1 and f.k + 2 * f.m == -2000
+        assert discriminant(f) == 8
         _, digits, start = _assert_minus_walk_matches_states(f)
         assert digits[:999] == (2,) * 998 + (3,) and start == 999
 

@@ -4,7 +4,8 @@ import pytest
 
 import surdsym.cf
 import surdsym.forms
-from surdsym.cf import SquareDiscriminantError, modular_cf_surd, period_to_forms
+from surdsym.cf import (SquareDiscriminantError, modular_cf_surd,
+                        period_to_forms)
 from surdsym.cli import main
 from surdsym.exact import is_square
 from surdsym.forms import (Form, InternalError, apply_word, discriminant,
