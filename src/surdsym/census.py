@@ -21,9 +21,10 @@ smaller member, so one worker, handed the family's states, computes each
 member's primitive classes once and finishes every member's rows on its
 own; each square delta is an item of its own.  The worker hands each
 discriminant's reports to ``emit``, a top-level function the caller chooses
-(the reports themselves, type counts, the CLI's table records, or the
+(the reports themselves, type counts, the CLI's rendered table rows, or the
 checker's gates), and returns only what ``emit`` returns.  The parent puts
-those results in delta order.
+those results in delta order; the CLI writes a table's text as it comes,
+one discriminant at a time.
 """
 from __future__ import annotations
 
@@ -243,7 +244,9 @@ def _sweep(delta_max: int, jobs: int, emit: Callable,
     workers do not inherit the sieve's table.  The reduced states of every
     delta are then sieved once, here, and each family's item carries its
     members' states.  ``emit`` runs in the workers, so it must be a
-    top-level function; what it returns is all that is sent back.
+    top-level function or a ``functools.partial`` of one; what it returns
+    is all that is sent back, so an emit that returns compact results (type
+    counts, rendered text) keeps the parent small.
     """
     if delta_max < 1:
         raise ValueError("delta_max must be >= 1")

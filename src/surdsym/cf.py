@@ -111,19 +111,23 @@ State = Tuple[int, int]
 Walk = Tuple[Tuple[State, ...], Tuple[int, ...], int]
 FormWalk = Tuple[Tuple[Form, ...], Tuple[int, ...], int]
 
-# Walks kept by _regular_walk: a form query walks f, then conjugate(f) in
-# reduce_to_H0, then f again for its reduced representative.
+# Walks kept by _regular_walk: a form query walks f for its class, then the
+# preperiod of an involution of f in reduce_to_H0, then f again for its
+# reduced representative.
 _WALK_MEMO_SIZE = 4
 
 
 @lru_cache(maxsize=_WALK_MEMO_SIZE)
-def _regular_walk(p: int, q: int, d: int) -> Walk:
+def _regular_walk(p: int, q: int, d: int, preperiod_only: bool = False) -> Walk:
     """Regular continued fraction of (p + sqrt(d)) / q, d > 0 non-square and
-    q | (d - p**2), until it returns to its first reduced state.
+    q | (d - p**2), until it returns to its first reduced state, or with
+    ``preperiod_only`` until it reaches that state.
 
     Returns (states, digits, start): ``states[j]`` is the state (P_j, Q_j),
     ``digits[j]`` is the floor of its value, and the period is
-    ``digits[start:]``.  A state is reduced when its value xi satisfies
+    ``digits[start:]``.  With ``preperiod_only`` the states end at the first
+    reduced state, ``states[start]``, and the digits are the preperiod's.
+    A state is reduced when its value xi satisfies
     xi > 1 and -1 < xi' < 0, that is 0 < P <= r and r - P < Q <= r + P with
     r = isqrt(d); by Galois' theorem its expansion is then purely periodic,
     and the first reduced state is the period's first.  The state after
@@ -143,6 +147,8 @@ def _regular_walk(p: int, q: int, d: int) -> Walk:
                 return tuple(states), tuple(digits), start
         elif 0 < p <= r and r - p < q <= r + p:
             start, first = len(states), state
+            if preperiod_only:
+                return (*states, state), tuple(digits), start
         states.append(state)
         # floor((p + sqrt(d))/q) from r = floor(sqrt(d)); d is not a square
         a = (p + r) // q if q > 0 else -((p + r) // -q) - 1

@@ -14,8 +14,9 @@ import json
 import os
 import sys
 import tempfile
+from functools import partial
 from operator import itemgetter
-from typing import List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .census import StatRow, _sweep, check_census, stats_rows
 from .cf import _regular_walk, _state_form, cf_surd, modular_cf_surd
@@ -62,57 +63,80 @@ def _report_record(r: ClassReport) -> tuple:
             r.t, r.t_up, r.t_down, r.symmetry.code, 1 if r.star else 0)
 
 
-def _report_rows(reports: Sequence[ClassReport]) -> List[tuple]:
-    """The table rows of one discriminant (a census sweep's ``emit``)."""
-    return [_report_record(r) for r in reports]
+def _report_rows(fmt: str, zero: bool,
+                 reports: Sequence[ClassReport]) -> Tuple[str, Tuple[int, ...]]:
+    """``table``'s sweep emit, run in the worker: the rendered rows of one
+    discriminant's class reports.  The non-zero table renders no row of a
+    square discriminant, whose classes the sweep still computes."""
+    fields = ZERO_FIELDS if zero else NONZERO_FIELDS
+    return _render([_report_record(r) for r in reports if r.square == zero],
+                   fields, fmt)
 
 
-def _render_csv(records: List[tuple], fields: Sequence[str]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields)
-    writer.writerows(records)
-    return buf.getvalue()
+def _render(records: Sequence[tuple], fields: Sequence[str],
+            fmt: str) -> Tuple[str, Tuple[int, ...]]:
+    """Some rows of a table, rendered without its header or frame: (text,
+    the widest cell of each column for md, else ()).
 
-
-def _render_json(records: List[tuple], fields: Sequence[str]) -> str:
-    keys = JSON_KEYS[fields]
-    pick = itemgetter(*(fields.index(k) for k in keys))
-    return json.dumps([dict(zip(keys, pick(rec))) for rec in records],
-                      indent=2) + "\n"
-
-
-def _render_md(records: List[tuple], fields: Sequence[str]) -> str:
-    rows = [[str(cell) for cell in rec] for rec in records]
-    widths = [max(len(f), *(len(row[i]) for row in rows)) if rows else len(f)
-              for i, f in enumerate(fields)]
-    def line(cells):
-        return "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |"
-    out = [line(fields), line(["-" * w for w in widths])]
-    out.extend(line(row) for row in rows)
-    return "\n".join(out) + "\n"
-
-
-def _render(records: List[tuple], fields: Sequence[str], fmt: str) -> str:
+    csv: one line per row.  json: each row's object as it stands in the
+    table's list, indented by two spaces, joined by ",\n".  md: each row's
+    cells joined by tabs (no cell holds one), one line per row, for
+    ``_table`` to pad once the widest cell of every part is known.
+    """
     if fmt == "csv":
-        return _render_csv(records, fields)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(records)
+        return buf.getvalue(), ()
     if fmt == "json":
-        return _render_json(records, fields)
+        keys = JSON_KEYS[fields]
+        pick = itemgetter(*(fields.index(k) for k in keys))
+        objects = (json.dumps(dict(zip(keys, pick(rec))), indent=2)
+                   for rec in records)
+        return ",\n".join("  " + obj.replace("\n", "\n  ") for obj in objects), ()
     if fmt == "md":
-        return _render_md(records, fields)
+        rows = [[str(cell) for cell in rec] for rec in records]
+        return ("\n".join("\t".join(row) for row in rows),
+                tuple(max(map(len, column)) for column in zip(*rows)))
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    """Write text to stdout, or to out via a temp file: no partial file is left."""
+def _table(fields: Sequence[str], fmt: str,
+           parts: Sequence[Tuple[str, Tuple[int, ...]]]) -> Iterator[str]:
+    """The chunks of a whole table: its header, then each part (a
+    ``_render`` result) in order, framed for fmt; never joined."""
+    texts = [text for text, _ in parts if text]
+    if fmt == "csv":
+        yield _render([fields], fields, fmt)[0]
+        yield from texts
+    elif fmt == "json":
+        for i, text in enumerate(texts):
+            yield ",\n" if i else "[\n"
+            yield text
+        yield "\n]\n" if texts else "[]\n"
+    else:
+        widths = [max([len(f)] + [w[i] for _, w in parts if w])
+                  for i, f in enumerate(fields)]
+
+        def line(cells):
+            return "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |\n"
+        yield line(fields) + line(["-" * w for w in widths])
+        for text in texts:
+            yield "".join(line(row.split("\t")) for row in text.split("\n"))
+
+
+def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
+    """Write each chunk to stdout, or to out via a temp file: no partial
+    file is left."""
     if not out:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
         return
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out)),
                                prefix=".surdsym-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)  # mkstemp's 0o600 -> the mode open() gives
@@ -129,7 +153,9 @@ def _form_args(args) -> Form:
 def cmd_classify(args) -> int:
     report = classify_class(_form_args(args))
     fields = ZERO_FIELDS if report.square else NONZERO_FIELDS
-    _emit(_render([_report_record(report)], fields, args.format), args.out)
+    _emit(_table(fields, args.format,
+                 [_render([_report_record(report)], fields, args.format)]),
+          args.out)
     return 0
 
 
@@ -142,28 +168,28 @@ def cmd_period(args) -> int:
     if f.m == 0:
         f = Form(f.n, f.m, -f.k)  # complementary form, same class, m != 0
     exp = cf_surd(f)
-    _emit(f"preperiod {_seq(exp.preperiod)}\nperiod {_seq(exp.period)}\n", args.out)
+    _emit([f"preperiod {_seq(exp.preperiod)}\nperiod {_seq(exp.period)}\n"], args.out)
     return 0
 
 
 def cmd_counts(args) -> int:
     report = classify_class(_form_args(args))
-    _emit(f"t={report.t} t_up={report.t_up} t_down={report.t_down}\n", args.out)
+    _emit([f"t={report.t} t_up={report.t_up} t_down={report.t_down}\n"], args.out)
     return 0
 
 
 def cmd_reduce(args) -> int:
     f2, word, tag = reduce_to_H0(_form_args(args))
-    _emit(f"form {f2!r}\nword {word_str(word)}\ninvolution {tag}\n", args.out)
+    _emit([f"form {f2!r}\nword {word_str(word)}\ninvolution {tag}\n"], args.out)
     return 0
 
 
 def cmd_modular(args) -> int:
     mcf = modular_cf_surd(_form_args(args))
     if mcf.is_purely_periodic:
-        _emit(_modular_seq(mcf.period) + "\n", args.out)
+        _emit([_modular_seq(mcf.period) + "\n"], args.out)
     else:
-        _emit(f"{_seq(mcf.preperiod)} {_modular_seq(mcf.period)}\n", args.out)
+        _emit([f"{_seq(mcf.preperiod)} {_modular_seq(mcf.period)}\n"], args.out)
     return 0
 
 
@@ -205,7 +231,7 @@ def cmd_orbit(args) -> int:
         lines = [f"{rep.m} {rep.n} {rep.k}  normal form"]
     else:
         lines = _orbit_tour(f)
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
 
@@ -219,13 +245,14 @@ def _check_sweep_args(args) -> None:
 def cmd_table(args) -> int:
     _check_sweep_args(args)
     zero = args.which == "zero"
-    done = _sweep(args.delta_max, args.jobs, _report_rows,
+    fields = ZERO_FIELDS if zero else NONZERO_FIELDS
+    # Without --which zero the sweep still computes every square class, and
+    # _report_rows renders none of them: the benchmark's traced test counts
+    # those classes (ROADMAP item 1).
+    done = _sweep(args.delta_max, args.jobs,
+                  partial(_report_rows, args.format, zero),
                   include_nonsquare=not zero)
-    # The non-zero table still computes the square rows and drops them: the
-    # benchmark's traced test counts them (ROADMAP item 1).
-    records = [rec for d, rows in done if zero or not is_square(d) for rec in rows]
-    _emit(_render(records, ZERO_FIELDS if zero else NONZERO_FIELDS,
-                  args.format), args.out)
+    _emit(_table(fields, args.format, [part for _, part in done]), args.out)
     return 0
 
 
@@ -238,7 +265,8 @@ def _stat_record(row: StatRow) -> tuple:
 def cmd_stats(args) -> int:
     _check_sweep_args(args)
     records = [_stat_record(r) for r in stats_rows(args.delta_max, jobs=args.jobs)]
-    _emit(_render(records, STATS_FIELDS, args.format), args.out)
+    _emit(_table(STATS_FIELDS, args.format,
+                 [_render(records, STATS_FIELDS, args.format)]), args.out)
     return 0
 
 
@@ -249,7 +277,7 @@ def cmd_check(args) -> int:
     deltas, checked, lines = check_census(args.delta_max, jobs=args.jobs)
     summary = (f"checked {deltas} discriminants and {checked} super/anti/(m+n) "
                f"classes with delta <= {args.delta_max}: {len(lines)} violations")
-    _emit("".join(line + "\n" for line in lines + [summary]), args.out)
+    _emit([line + "\n" for line in lines + [summary]], args.out)
     return 2 if lines else 0
 
 

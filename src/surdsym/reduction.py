@@ -98,10 +98,12 @@ def reduce_to_H0(f: Form) -> Tuple[Form, GeneratorWord, str]:
             break
     else:
         raise InternalError(f"no involution of {f} has a positive first root")
-    states, digits, n_pre = _regular_walk(-g.k, 2 * g.m, d)
+    # The first reduced state has P**2 < delta, so the peel never reads the
+    # period, and the walk stops there.
+    states, digits, _ = _regular_walk(-g.k, 2 * g.m, d, True)
     first = next(((j, p, q) for j, (p, q) in enumerate(states) if p * p < d),
                  None)
-    if first is None or first[0] > n_pre:
+    if first is None:
         raise InternalError(f"preperiod of {g} did not reach mn <= 0")
     j, p, q = first
     # j > 0: state 0 is g's own, and mn > 0 means P_0**2 = k**2 > delta.

@@ -1,5 +1,10 @@
 """Unit tests for reduction to the reduced cycle and to H0."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import surdsym.cf
@@ -196,6 +201,28 @@ class TestReduceToH0:
     def test_square_rejected(self):
         with pytest.raises(SquareDiscriminantError):
             reduce_to_H0(Form(2, 2, -5))
+
+    def test_long_period_is_not_walked(self):
+        """The peel stops at the first reduced state, so the period of a
+        278-bit discriminant is never walked.  In a child process, so that a
+        walk of the whole period fails by timeout instead of hanging."""
+        f = Form(10000000000000000000000000000000000000003,
+                 70000000000000000000000000000000000000001,
+                 530000000000000000000000000000000000000011)
+        src = str(Path(surdsym.cf.__file__).resolve().parents[1])
+        code = ("import sys; from surdsym.forms import Form; "
+                "from surdsym.reduction import reduce_to_H0; "
+                "print(repr(reduce_to_H0(Form(*map(int, sys.argv[1:])))))")
+        proc = subprocess.run([sys.executable, "-c", code, *map(str, f)],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == repr(reduce_to_H0(f))
+        g, word, tag = reduce_to_H0(f)
+        assert discriminant(g) == discriminant(f)
+        assert discriminant(f).bit_length() == 278
+        assert g.m * g.n <= 0 and tag == "conjugate"
+        assert h0_word_holds(f)
 
     def test_always_lands_in_h0(self):
         for f in (Form(2, 4, -7), Form(5, 7, 22), Form(1, 5, -5),

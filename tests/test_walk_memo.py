@@ -56,8 +56,8 @@ def test_cold_and_warm_cache_agree_on_grid():
 def test_a_query_walks_the_expansion_of_f_once():
     """classify_class and reduced_cycle (through reduced_representative)
     share one walk of f, although reduce_to_H0 walks another form between
-    them; a query makes at most one other walk, of conjugate(f) or the
-    like."""
+    them; a query makes at most one other walk, which stops at the end of
+    the preperiod of conjugate(f) or the like."""
     shared = 0
     for f in NONSQUARE_GRID:
         _regular_walk.cache_clear()
