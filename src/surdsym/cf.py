@@ -10,8 +10,13 @@ the forms themselves: each digit b moves f to R(A^b(f)), whose xi_plus is
 the next complete quotient.  Its period starts at the first reduced form,
 as the minus CF of a quadratic irrational xi is purely periodic exactly
 when xi > 1 > xi' > 0 (Zagier, Zetafunktionen und quadratische Koerper,
-1981), and ends where the walk returns to that form; it takes each run of
-2s in one stride.  Neither walk stores a state table.
+1981), and ends where the walk returns to that form.  It takes each run of
+2s in one stride and returns (digit, count) runs with the reduced form
+that starts each period run; the forms inside a run follow from that one
+by a closed form (``_along_run``), and are built only by the reader that
+asks for them (``reduction.CycleForms``).  Neither walk stores a state
+table, and each raises InternalError if it has not closed within a step
+bound taken from its input (``_step_bound``).
 ``_regular_walk`` and ``_minus_walk`` are the one loop of each recurrence.
 Every form that reduction and the H0 tour take from the regular walk is a
 ``_state_form``, read off a state and the Q of the state before it, with no
@@ -23,9 +28,8 @@ no caller can change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat, starmap
 from math import gcd
 from operator import add
 from typing import Tuple
@@ -54,15 +58,6 @@ class CFExpansion:
     @property
     def is_finite(self) -> bool:
         return not self.period
-
-    def digits(self, count: int) -> Tuple[int, ...]:
-        """First ``count`` digits, cycling the period as needed."""
-        out = list(self.preperiod[:count])
-        while len(out) < count:
-            if not self.period:
-                raise ValueError(f"finite expansion has only {len(self.preperiod)} digits")
-            out.extend(self.period[: count - len(out)])
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -93,23 +88,10 @@ def cf_rational(num: int, den: int) -> CFExpansion:
     return CFExpansion(tuple(digits), ())
 
 
-def cf_value(cf: CFExpansion) -> Fraction:
-    """Exact value of a finite expansion."""
-    if not cf.is_finite:
-        raise ValueError("cf_value needs a finite expansion")
-    if not cf.preperiod:
-        raise ValueError("empty expansion has no value")
-    val = Fraction(cf.preperiod[-1])
-    for a in reversed(cf.preperiod[:-1]):
-        if val == 0:
-            raise ValueError("ill-formed expansion: zero complete quotient")
-        val = a + 1 / val
-    return val
-
-
 State = Tuple[int, int]
 Walk = Tuple[Tuple[State, ...], Tuple[int, ...], int]
-FormWalk = Tuple[Tuple[Form, ...], Tuple[int, ...], int]
+Run = Tuple[int, int]
+MinusWalk = Tuple[Tuple[Run, ...], Tuple[Form, ...], int]
 
 # Walks kept by _regular_walk: a form query walks f for its class, then the
 # preperiod of an involution of f in reduce_to_H0, then f again for its
@@ -133,14 +115,15 @@ def _regular_walk(p: int, q: int, d: int, preperiod_only: bool = False) -> Walk:
     and the first reduced state is the period's first.  The state after
     (P_j, Q_j) has Q_{j+1} * Q_j = d - P_{j+1}**2, so that, with a_j the
     digit, Q_{j+1} = Q_{j-1} + a_j * (P_j - P_{j+1}) and only Q_{-1} takes
-    a division.
+    a division.  A walk that has not closed within ``_step_bound``
+    iterations raises InternalError.
     """
     r = isqrt(d)
     q_prev = (d - p * p) // q
     states = []
     digits = []
     start = -1
-    while True:
+    for _ in range(_step_bound(d, p, q)):
         state = (p, q)
         if start >= 0:
             if state == first:
@@ -155,32 +138,76 @@ def _regular_walk(p: int, q: int, d: int, preperiod_only: bool = False) -> Walk:
         digits.append(a)
         p_next = a * q - p
         p, q, q_prev = p_next, q_prev + a * (p - p_next), q
+    raise InternalError(f"regular CF of a surd with radicand {d} did not "
+                        "close within its step bound")
 
 
-def _minus_walk(f: Form) -> FormWalk:
+def _step_bound(d: int, *coeffs: int) -> int:
+    """Loop iterations a walk of discriminant d > 0 from the given
+    coefficients may take before it must have closed.  Its period has at
+    most one iteration per reduced state or form of d, fewer than 2d, and
+    its preperiod O(log max|coeff|) digits or runs, as the denominators of
+    the convergents grow at least like the Fibonacci numbers (at most 2
+    per bit on the test grid and the benchmark's query forms)."""
+    return 2 * d + 64 * max(map(abs, coeffs)).bit_length()
+
+
+def _along_run(m: int, n: int, c: int, i: int) -> Tuple[int, int]:
+    """(m_i, n_i) of the i-th form of the run of 2s from (m, n, c - m - n).
+
+    A step with digit 2 keeps c = m + n + k and gives m' = 2m - n + 2c and
+    n' = m, so m_i = m + i * d0 + c * i * (i - 1) with d0 = m - n + 2c, and
+    n_i = m_{i-1}; i = 0 gives (m, n) back."""
+    d0 = m - n + 2 * c
+    return m + i * (d0 + c * (i - 1)), m + (i - 1) * (d0 + c * (i - 2))
+
+
+def _index_in_run(m: int, n: int, c: int, run: int, h: Form) -> int:
+    """The i with 0 < i < run at which the run of 2s from (m, n, c - m - n)
+    passes h, or 0 if it does not; h must have m + n + k = c.
+
+    m_i = h.m is c i**2 + (d0 - c) i + (m - h.m) = 0, solved exactly with
+    isqrt; a root that is an integer in range is h when n_i = h.n too,
+    as then k_i = c - m_i - n_i = h.k."""
+    b = m - n + c  # d0 - c
+    disc = b * b - 4 * c * (m - h.m)
+    if disc < 0:
+        return 0
+    s = isqrt(disc)
+    if s * s != disc:
+        return 0
+    for num in (s - b, -s - b):
+        i, rest = divmod(num, 2 * c)
+        if not rest and 0 < i < run and _along_run(m, n, c, i)[1] == h.n:
+            return i
+    return 0
+
+
+def _minus_walk(f: Form) -> MinusWalk:
     """Minus continued fraction of xi_plus(f), walked on forms, for a
-    non-square discriminant.
+    non-square discriminant, as runs.
 
-    Each step takes the form g to R(A^b(g)), b the ceiling of xi_plus(g),
-    and ``digits`` are the b of every step from f on.  The period
-    ``digits[start:]`` starts at the first reduced form and ends when the
-    walk returns to it; ``forms`` are the reduced forms of the period,
-    ``forms[i]`` the one whose digit is ``digits[start + i]``.  The forms
-    of the preperiod are not built.
+    Each step takes the form g to R(A^b(g)), b the ceiling of xi_plus(g).
+    Returns (runs, firsts, start).  ``runs`` are (digit, count) pairs, the
+    digits of every step from f on in order: a run of 2s is one pair, and
+    every other digit a pair with count 1.  The period ``runs[start:]``
+    starts at the first reduced form and ends when the walk returns to it;
+    ``firsts[i]`` is the reduced form that starts ``runs[start + i]``.  No
+    other form is built: the forms inside a run follow from its first by
+    ``_along_run``, and the preperiod's not at all.
 
-    A run of 2s is taken in one stride.  A step with b = 2 keeps
-    c = m + n + k and gives m' = 2m - n + 2c, so along the run
-    m_i = m_0 + i (m_1 - m_0) + c i (i - 1) and n_i = m_{i-1}.  The digit
-    is 2 exactly while 1 < xi_plus < 2, and each step lowers
-    y = 1 / (xi_plus - 1) = (sqrt(d) + k + 2m) / (-2c) by one, so a run
-    from g holds floor(y) 2s.  In the period the run's forms come from its
-    m list, and the walk closes exactly at the first reduced form if it is
-    one of them (a tuple comparison, m first).  In the preperiod only the
-    form after the run is built, from the closed form, unless the first
-    reduced form lies inside the run: y' = (k + 2m - sqrt(d)) / (-2c), read
-    at the other root xi_minus, falls by one per step as well, and with
-    c < 0 the run's i-th form is reduced exactly when y' - i < -1, that is
-    when xi_minus has entered (0, 1); with c > 0 no form of the run is.
+    A run of 2s is taken in one stride.  The digit is 2 exactly while
+    1 < xi_plus < 2, and each step lowers y = 1 / (xi_plus - 1) =
+    (sqrt(d) + k + 2m) / (-2c) by one, so a run from g holds floor(y) 2s;
+    the walk jumps to the form after it by ``_along_run``.  The walk closes
+    at the first reduced form: at the start of a run or single step by a
+    tuple comparison, and inside a run, as c is fixed along it, by
+    ``_index_in_run``, one O(1) test.  In the preperiod the run is cut
+    short if the first reduced form lies inside it: y' = (k + 2m - sqrt(d))
+    / (-2c), read at the other root xi_minus, falls by one per step as
+    well, and with c < 0 the run's i-th form is reduced exactly when
+    y' - i < -1, that is when xi_minus has entered (0, 1); with c > 0 no
+    form of the run is.
 
     In the period, ``is_reduced`` tests every form the walk stops at: each
     form it steps from alone, the first form g_0 of each run and the form
@@ -193,14 +220,16 @@ def _minus_walk(f: Form) -> FormWalk:
     reduced, 2 is the digit of g, as xi_plus(R(A^e(g))) = 1 / (e - xi_plus(g))
     is above 1 only for e = ceil(xi_plus(g)).  So a wrong run length cannot
     slip a form into the cycle: a run too long ends on a form that is not
-    reduced, and one too short is followed by more 2s.
+    reduced, and one too short is followed by more 2s.  A walk that has
+    not closed within ``_step_bound`` iterations raises InternalError.
     """
     m, n, k = f
-    r = isqrt(k * k - 4 * m * n)
-    forms = []
-    digits = []
+    d = k * k - 4 * m * n
+    r = isqrt(d)
+    runs = []
+    firsts = []
     start = -1
-    while True:
+    for _ in range(_step_bound(d, m, n, k)):
         c = m + n + k  # not 0: the discriminant is not a square
         # the 2s from here: floor((sqrt(d) + k + 2m) / (-2c)), from r
         num = r + k + 2 * m
@@ -208,47 +237,52 @@ def _minus_walk(f: Form) -> FormWalk:
         if is_reduced(m, n, k):
             g = _new_form(Form, (m, n, k))
             if start < 0:
-                start, first = len(digits), g
+                start, first, first_c = len(runs), g, c
             elif g == first:
-                return tuple(forms), tuple(digits), start
-            forms.append(g)
-            if run > 0:
-                # m_0 ... m_run: sums of the differences m_1 - m_0 + 2ci
-                ms = list(accumulate(accumulate(repeat(2 * c, run - 1),
-                                                initial=m - n + 2 * c),
-                                     initial=m))
-                inner = ms[1:run]
-                inside = list(map(_new_form, repeat(Form), zip(
-                    inner, ms, map(c.__sub__, map(add, inner, ms)))))
-                if first in inside:  # the cycle closes inside the run
-                    stop = inside.index(first)
-                    forms += inside[:stop]
-                    digits += [2] * (stop + 1)
-                    return tuple(forms), tuple(digits), start
-                forms += inside
-                digits += [2] * run
-                m, n = ms[run], ms[run - 1]
-                k = c - m - n
-                continue
+                return tuple(runs), tuple(firsts), start
+            firsts.append(g)
+            if run > 0 and c == first_c:
+                i = _index_in_run(m, n, c, run, first)
+                if i:  # the cycle closes inside the run
+                    runs.append((2, i))
+                    return tuple(runs), tuple(firsts), start
         elif start >= 0:
             raise InternalError(
                 f"minus CF of {f} left the reduced set: {Form(m, n, k)}")
-        elif run > 0:
-            if c < 0:  # the run's first reduced form is its form floor(y') + 2
-                entry = (k + 2 * m - r - 1) // (-2 * c) + 2
-                if 0 < entry < run:
-                    run = entry
-            d0 = m - n + 2 * c
-            digits += [2] * run
-            m, n = (m + run * (d0 + c * (run - 1)),
-                    m + (run - 1) * (d0 + c * (run - 2)))
+        elif run > 0 and c < 0:
+            # the run's first reduced form is its form floor(y') + 2
+            entry = (k + 2 * m - r - 1) // (-2 * c) + 2
+            if 0 < entry < run:
+                run = entry
+        if run > 0:
+            runs.append((2, run))
+            m, n = _along_run(m, n, c, run)
             k = c - m - n
             continue
         # ceiling of the irrational (-k + sqrt(d))/q, from r = floor(sqrt(d))
         q = 2 * m
         b = (r - k) // q + 1 if q > 0 else -((r - k) // -q)
-        digits.append(b)
+        runs.append((b, 1))
         m, n, k = n + b * (k + b * m), m, -k - b * q
+    raise InternalError(f"minus CF of {f} did not close within its step bound")
+
+
+def _digits(runs: Tuple[Run, ...]) -> Tuple[int, ...]:
+    """The digits of (digit, count) runs, each run expanded."""
+    return tuple(chain.from_iterable(starmap(repeat, runs)))
+
+
+def _run_forms(g: Form, count: int):
+    """The reduced form g and the count - 1 forms after it along its run
+    of 2s (g alone for count 1): m from the differences m_i - m_{i-1},
+    which start at m - n and grow by 2c, and n_i = m_{i-1}."""
+    m, n, k = g
+    c = m + n + k
+    ms = list(accumulate(accumulate(repeat(2 * c, count - 1), initial=m - n),
+                         initial=n))  # m_{-1} = n, m_0, ..., m_{count-1}
+    inner = ms[1:]
+    return map(_new_form, repeat(Form),
+               zip(inner, ms, map(c.__sub__, map(add, inner, ms))))
 
 
 def _state_form(p: int, q: int, q_prev: int) -> Form:
@@ -268,14 +302,28 @@ def _check_word(s: Tuple[int, ...]) -> None:
         raise ValueError(f"period digits must be positive integers: {s}")
 
 
+def _find_word(word: Tuple[int, ...], text: Tuple[int, ...]) -> int:
+    """Index of the first occurrence of ``word`` in ``text``, or -1, by one
+    ``bytes.find`` or ``str.find`` with one byte or character per digit:
+    the digit itself if all lie in 0 ... 255, else ``chr`` of its rank
+    among the distinct digits of both (so at most 1,114,111 of them)."""
+    try:
+        return bytes(text).find(bytes(word))
+    except ValueError:
+        code = {a: chr(i) for i, a in enumerate(set(word + text))}.__getitem__
+        return "".join(map(code, text)).find("".join(map(code, word)))
+
+
+def _least_period(s: Tuple[int, ...]) -> int:
+    """The least p > 0 such that rotating the non-empty cyclic word s by p
+    gives s back; p divides len(s), and s is its first p digits repeated."""
+    return _find_word(s, s[1:] + s) + 1
+
+
 def is_primitive_period(s: Tuple[int, ...]) -> bool:
     """True iff s is not a repetition of a shorter word."""
     s = tuple(s)
-    n = len(s)
-    if n == 0:
-        return False
-    dbl = s + s
-    return not any(n % d == 0 and dbl[d:d + n] == s for d in range(1, n))
+    return bool(s) and _least_period(s) == len(s)
 
 
 def cf_surd(f: Form) -> CFExpansion:
@@ -305,12 +353,6 @@ def _require_nonsquare(f: Form) -> int:
     return d
 
 
-def period_of_class(f: Form) -> Tuple[int, ...]:
-    """The periodic part of cf_surd(f); requires a non-square discriminant."""
-    _require_nonsquare(f)
-    return cf_surd(f).period
-
-
 def modular_cf_surd(f: Form) -> ModularCF:
     """Minus continued fraction of xi_plus(f); non-square delta, m != 0.
 
@@ -318,8 +360,8 @@ def modular_cf_surd(f: Form) -> ModularCF:
     reduced form is purely periodic.
     """
     _require_nonsquare(f)
-    _, digits, start = _minus_walk(f)
-    return ModularCF(digits[:start], digits[start:])
+    runs, _, start = _minus_walk(f)
+    return ModularCF(_digits(runs[:start]), _digits(runs[start:]))
 
 
 def cf_period_to_modular_period(pi: Tuple[int, ...]) -> Tuple[int, ...]:

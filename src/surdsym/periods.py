@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Tuple
 
-from .cf import _check_word, cf_rational, cf_surd, is_primitive_period
+from .cf import (_check_word, _find_word, _least_period, cf_rational,
+                 cf_surd, is_primitive_period)
 from .exact import is_square, isqrt
 from .forms import (Form, InternalError, discriminant, is_primitive,
                     require_indefinite)
@@ -37,14 +38,32 @@ class ClassificationError(InternalError):
 
 
 def canonical_rotation(s: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Lexicographically least rotation of s."""
+    """Lexicographically least rotation of s, by Booth's algorithm (Booth,
+    Lexicographically least circular substrings, 1980) in O(len(s)): a
+    failure function over s + s, as in Knuth-Morris-Pratt, relative to the
+    least rotation found so far, which starts at ``k``."""
     s = tuple(s)
-    if not s:
-        return s
-    return min(s[i:] + s[:i] for i in range(len(s)))
+    n = len(s)
+    dbl = s + s
+    fail = [-1] * (2 * n)
+    k = 0
+    for j in range(1, 2 * n):
+        a = dbl[j]
+        i = fail[j - k - 1]
+        while i != -1 and a != dbl[k + i + 1]:
+            if a < dbl[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if i == -1 and a != dbl[k]:  # then k + i + 1 == k
+            if a < dbl[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return dbl[k:k + n]
 
 
-def _reflection_kinds(s: Tuple[int, ...]) -> Tuple[bool, bool]:
+def _reflection_kinds(s: Tuple[int, ...], p: int) -> Tuple[bool, bool]:
     """(palindromic, bipalindromic) from the reflections of the cyclic word.
 
     A reflection is a c with s[j] == s[(c - j) mod n] for all j; the rotation
@@ -53,27 +72,36 @@ def _reflection_kinds(s: Tuple[int, ...]) -> Tuple[bool, bool]:
     it splits into palindromes of odd lengths L and n - L iff c = 2i + L - 1
     is one.  So for odd n every reflection is palindromic; for even n odd c
     are palindromic and even c bipalindromic.
+
+    Two reflections compose to a rotation by their difference, so a
+    primitive word has at most one, found by one linear search of s in
+    s[::-1] * 2.  A word s = u * (n / p), with u primitive of length
+    p = _least_period(s) (n for a primitive word), has the reflections c + jp
+    of u's one reflection c: of c's parity alone when p is even, of both
+    when p is odd and n even.
     """
     n = len(s)
-    rev2 = s[::-1] * 2
-    pal = bip = False
-    for o in range(n):
-        if rev2[o] == s[0] and rev2[o:o + n] == s:
-            if n % 2 or o % 2 == 0:  # c = n - 1 - o is odd
-                pal = True
-            else:
-                bip = True
-    return pal, bip
+    root = s[:p]
+    o = _find_word(root, root[::-1] * 2)  # c = p - 1 - o
+    if o < 0:
+        return False, False
+    if n % 2:
+        return True, False
+    if p % 2:
+        return True, True
+    return o % 2 == 0, o % 2 == 1
 
 
 def is_palindromic_cyclic(s: Tuple[int, ...]) -> bool:
     """True iff some rotation of s reads the same forwards and backwards."""
-    return _reflection_kinds(tuple(s))[0]
+    s = tuple(s)
+    return bool(s) and _reflection_kinds(s, _least_period(s))[0]
 
 
 def is_bipalindromic(s: Tuple[int, ...]) -> bool:
     """True iff some rotation splits into two odd-length plain palindromes."""
-    return _reflection_kinds(tuple(s))[1]
+    s = tuple(s)
+    return bool(s) and _reflection_kinds(s, _least_period(s))[1]
 
 
 def classify_period(s: Tuple[int, ...]) -> SymmetryType:
@@ -88,7 +116,7 @@ def classify_period(s: Tuple[int, ...]) -> SymmetryType:
 def _classify_period(s: Tuple[int, ...]) -> SymmetryType:
     """``classify_period`` of a word known to be a primitive tuple of
     positive integers, such as a continued-fraction walk's period."""
-    pal, bip = _reflection_kinds(s)
+    pal, bip = _reflection_kinds(s, len(s))
     odd = len(s) % 2 == 1
     if pal and bip:
         # For primitive words the two reflection types exclude each other.

@@ -4,15 +4,22 @@ A form is *reduced* when m > 0, n > 0, k < 0 and m + n < |k|
 (``forms.is_reduced``, re-exported here).  Each class of non-square
 discriminant contains finitely many reduced forms, cyclically permuted by
 h -> R(A^c(h)) where the exponents c_i are the minus-CF period digits; the
-cycle length equals the class's t_up count.
+cycle length equals the class's t_up count.  Most of them lie inside runs
+of 2s, so a cycle keeps only the form that starts each run and builds the
+others when they are read (``CycleForms``).
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate, chain
+from operator import index
 from typing import Tuple
 
-from .cf import (SquareDiscriminantError, _minus_walk, _regular_walk,
-                 _require_nonsquare, _state_form)
+from .cf import (SquareDiscriminantError, _along_run, _digits, _minus_walk,
+                 _new_form, _regular_walk, _require_nonsquare, _run_forms,
+                 _state_form)
 from .exact import is_square
 from .forms import (Form, GeneratorWord, InternalError, antipodal, gen_power,
                     involution, is_reduced, require_indefinite)
@@ -42,11 +49,64 @@ def reduced_representative(f: Form) -> Form:
     return h
 
 
+class CycleForms(Sequence):
+    """The reduced forms of a cycle, read off its runs of minus-CF digits.
+
+    ``firsts[i]`` is the form that starts the i-th run and ``counts[i]`` its
+    number of digits (more than 1 only for a run of 2s).  The length is the
+    sum of the counts; an index is answered by ``cf._along_run`` from its
+    run's first form, and iteration builds one run at a time.  No other
+    form is kept.  It compares and hashes as the tuple of its forms.
+    """
+
+    __slots__ = ("_firsts", "_counts", "_offsets")
+
+    def __init__(self, firsts: Tuple[Form, ...], counts: Tuple[int, ...]):
+        self._firsts = firsts
+        self._counts = counts
+        self._offsets = tuple(accumulate(counts, initial=0))
+
+    def __len__(self) -> int:
+        return self._offsets[-1]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
+        j = index(i)
+        if j < 0:
+            j += len(self)
+        if not 0 <= j < len(self):
+            raise IndexError(f"cycle index {i} out of range")
+        run = bisect_right(self._offsets, j) - 1
+        g = self._firsts[run]
+        step = j - self._offsets[run]
+        if not step:
+            return g
+        m, n, k = g
+        c = m + n + k
+        m, n = _along_run(m, n, c, step)
+        return _new_form(Form, (m, n, c - m - n))
+
+    def __iter__(self):
+        return chain.from_iterable(map(_run_forms, self._firsts, self._counts))
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, CycleForms)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class ReducedCycle:
     """The reduced forms of a class and the minus-CF exponents linking them."""
 
-    forms: Tuple[Form, ...]
+    forms: Sequence[Form]
     modular_period: Tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -62,13 +122,16 @@ def reduced_cycle(f: Form) -> ReducedCycle:
     Starts at h = reduced_representative(f), which is f itself when f is
     reduced, so two members of one class give rotations of one cycle.
     Successive forms are R(A^{c_i}(previous)) for the period digits c_i,
-    closing back at h: the forms of the minus CF walk of xi_plus(h).
+    closing back at h: the forms of the minus CF walk of xi_plus(h).  Only
+    the form that starts each run of the walk is built here; ``forms``
+    builds the others when it is indexed or iterated.
     """
     h0 = reduced_representative(f)
-    forms, digits, start = _minus_walk(h0)
+    runs, firsts, start = _minus_walk(h0)
     if start:
         raise InternalError(f"minus CF of reduced form {h0} is not purely periodic")
-    return ReducedCycle(forms, digits)
+    return ReducedCycle(CycleForms(firsts, tuple(count for _, count in runs)),
+                        _digits(runs))
 
 
 _H0_INVOLUTION_ORDER = ("identity", "conjugate", "adjoint", "antipodal")
@@ -121,8 +184,9 @@ def reduce_classical(f: Form) -> Tuple[Form, GeneratorWord]:
     if not (f.m > 0 and f.n > 0 and f.k < 0):
         raise ValueError(f"reduce_classical needs m>0, n>0, k<0; got {f}")
     # Each step R A^b is one step of the minus walk.
-    forms, digits, start = _minus_walk(f)
-    return forms[0], tuple(step for b in digits[:start] for step in (("A", b), ("R", 1)))
+    runs, firsts, start = _minus_walk(f)
+    return firsts[0], tuple(step for b in _digits(runs[:start])
+                            for step in (("A", b), ("R", 1)))
 
 
 _SUM_RULE_TYPES = frozenset((SymmetryType.SUPERSYMMETRIC,

@@ -1,0 +1,41 @@
+"""Continued-fraction helpers that only the suite uses.
+
+The value of a finite expansion, the first digits of an expansion, and the
+period of a class's regular expansion are read by tests alone; the program
+never needs them, so they live here rather than in ``surdsym.cf``.
+"""
+from fractions import Fraction
+from typing import Tuple
+
+from surdsym.cf import CFExpansion, _require_nonsquare, cf_surd
+from surdsym.forms import Form
+
+
+def cf_value(cf: CFExpansion) -> Fraction:
+    """Exact value of a finite expansion."""
+    if not cf.is_finite:
+        raise ValueError("cf_value needs a finite expansion")
+    if not cf.preperiod:
+        raise ValueError("empty expansion has no value")
+    val = Fraction(cf.preperiod[-1])
+    for a in reversed(cf.preperiod[:-1]):
+        if val == 0:
+            raise ValueError("ill-formed expansion: zero complete quotient")
+        val = a + 1 / val
+    return val
+
+
+def cf_digits(cf: CFExpansion, count: int) -> Tuple[int, ...]:
+    """First ``count`` digits of cf, cycling the period as needed."""
+    out = list(cf.preperiod[:count])
+    while len(out) < count:
+        if not cf.period:
+            raise ValueError(f"finite expansion has only {len(cf.preperiod)} digits")
+        out.extend(cf.period[: count - len(out)])
+    return tuple(out)
+
+
+def period_of_class(f: Form) -> Tuple[int, ...]:
+    """The periodic part of cf_surd(f); requires a non-square discriminant."""
+    _require_nonsquare(f)
+    return cf_surd(f).period

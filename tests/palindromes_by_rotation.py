@@ -1,10 +1,18 @@
-"""Reference palindrome tests for the suite: every rotation, every cut.
+"""Reference word tests for the suite: every rotation, every cut.
 
 ``periods.is_palindromic_cyclic`` and ``periods.is_bipalindromic`` read both
-answers off one scan of the word's reflections.  This module decides them
-from the definitions instead, by reversing each rotation and, for the
-bipalindromic test, each split of a rotation into two odd-length pieces.
+answers off one linear search for the word's reflection, and
+``periods.canonical_rotation`` runs Booth's algorithm.  This module decides
+them from the definitions instead, by reversing each rotation and, for the
+bipalindromic test, each split of a rotation into two odd-length pieces,
+and by taking the least of all rotations.
 """
+
+
+def least_rotation_by_rotation(s):
+    """Lexicographically least rotation of s, the minimum of all of them."""
+    s = tuple(s)
+    return min((s[i:] + s[:i] for i in range(len(s))), default=s)
 
 
 def palindromic_by_rotation(s) -> bool:

@@ -5,20 +5,21 @@ from fractions import Fraction
 
 import pytest
 
+from cf_helpers import cf_digits, cf_value, period_of_class
 from minus_walk_by_states import minus_walk_by_states, state_form
 from regular_walk_by_states import regular_walk_by_states
 from surdsym.census import _reduced_states
 from surdsym.cf import (CFExpansion, ModularCF, SquareDiscriminantError,
-                        _minus_walk, _regular_walk, _state_form,
+                        _digits, _minus_walk, _regular_walk, _state_form,
                         cf_period_to_modular_period, cf_rational, cf_surd,
-                        cf_value, modular_cf_surd, period_of_class, period_to_forms)
+                        modular_cf_surd, period_to_forms)
 from surdsym.exact import is_square
 from surdsym.forms import (INVOLUTION_NAMES, Form, antipodal, apply_word,
                            complementary, conjugate, discriminant, gen_power,
                            involution)
 from surdsym.periods import classify_class, classify_square
-from surdsym.reduction import reduce_classical
-from test_reduction import NONSQUARE_GRID
+from surdsym.reduction import CycleForms, reduce_classical
+from test_reduction import NONSQUARE_GRID, run_in_child
 
 
 def _above(p, q, d, c):
@@ -139,14 +140,14 @@ class TestCFSurd:
 
     def test_digit_stream(self):
         cf = cf_surd(Form(2, -1, -3))
-        assert cf.digits(7) == (1, 1, 3, 1, 1, 3, 1)
+        assert cf_digits(cf, 7) == (1, 1, 3, 1, 1, 3, 1)
 
     def test_matches_float_expansion(self):
         for f in (Form(2, -1, -3), Form(5, -3, -13), Form(3, -11, -2),
                   Form(1, -4, -1), Form(7, -3, -8)):
             cf = cf_surd(f)
             x = (-f.k + math.sqrt(discriminant(f))) / (2 * f.m)
-            for digit in cf.digits(8):
+            for digit in cf_digits(cf, 8):
                 assert digit == math.floor(x)
                 x = 1.0 / (x - digit)
 
@@ -240,22 +241,39 @@ class TestStateForm:
         assert checked > 100000
 
 
+def _expand_minus_walk(f):
+    """The run walk of f as (period forms, digits, digit index of the
+    period start), the forms as the lazy sequence a reduced cycle reads.
+    Every run has a count of at least 1, and only runs of 2s more than 1;
+    each period run has its first form."""
+    runs, firsts, start = _minus_walk(f)
+    assert all(count >= 1 and (count == 1 or b == 2) for b, count in runs), f
+    assert len(firsts) == len(runs) - start
+    counts = tuple(count for _, count in runs)
+    return (CycleForms(firsts, counts[start:]), _digits(runs),
+            sum(counts[:start]))
+
+
 def _assert_minus_walk_matches_states(f):
     """The form walk of f against the (P, Q) state walk: the same digits and
     period start.  Stepping from f by R(A^b) for each digit b passes the
-    form of each state, and from the period start on the walk's forms; the
-    step after the last digit returns to the period's first form."""
+    form of each state, and from the period start on the walk's forms, each
+    built as the lazy sequence iterates it; the step after the last digit
+    returns to the period's first form."""
     d = discriminant(f)
-    forms, digits, start = _minus_walk(f)
+    forms, digits, start = _expand_minus_walk(f)
     states, ref_digits, ref_start = minus_walk_by_states(-f.k, 2 * f.m, d)
     assert (digits, start) == (ref_digits, ref_start), f
     assert len(forms) == len(digits) - start
     g = f
+    period = iter(forms)
     for j, (b, (p, q)) in enumerate(zip(digits, states)):
         assert g == Form(*state_form(p, q, d)), (f, j)
         if j >= start:
-            assert type(forms[j - start]) is Form and forms[j - start] == g, (f, j)
+            h = next(period)
+            assert type(h) is Form and h == g, (f, j)
         g = gen_power(gen_power(g, "A", b), "R", 1)
+    assert next(period, None) is None, f
     assert g == forms[0], f
     return forms, digits, start
 
@@ -290,7 +308,7 @@ class TestMinusWalk:
         them."""
         entered = closed = 0
         for f in NONSQUARE_GRID:
-            _, digits, start = _minus_walk(f)
+            _, digits, start = _expand_minus_walk(f)
             if 0 < start and digits[start - 1] == digits[start] == 2:
                 entered += 1
             if digits[-1] == digits[start] == 2:
@@ -322,9 +340,44 @@ class TestMinusWalk:
         f0 = Form(1, 1, -3)
         assert power(f0, 1000) == apply_word(f0, (("A-", 2), ("R", 1)) * 1000)
         big = 10 ** 6
-        forms, digits, start = _minus_walk(power(f0, big))
-        assert digits[:start] == (0,) + (2,) * (big - 1) + (5,)
-        assert digits[start:] == (3,) and forms == (f0,)
+        runs, firsts, start = _minus_walk(power(f0, big))
+        assert runs == ((0, 1), (2, big - 1), (5, 1), (3, 1)) and start == 3
+        assert firsts == (f0,)
+
+
+class TestStepBound:
+    """A walk that can never close raises InternalError at its step bound,
+    2 delta + 64 bits of its largest coefficient, instead of growing
+    without end.  Each runs in a child process with a timeout and a 1 GB
+    address-space cap."""
+
+    def _assert_stops(self, code):
+        proc = run_in_child(
+            "import math, surdsym.cf as cf\n"
+            "from surdsym.forms import Form, InternalError\n" + code)
+        assert proc.returncode == 0, proc.stderr
+        assert "did not close within its step bound" in proc.stdout
+
+    def test_minus_walk_that_cannot_close(self):
+        """With is_reduced true of every form, the minus walk of the
+        unreduced (2, -1, -3) starts its period at that form, which lies
+        outside the cycle and never comes back."""
+        self._assert_stops(
+            "cf.is_reduced = lambda m, n, k: True\n"
+            "try:\n"
+            "    cf.modular_cf_surd(Form(2, -1, -3))\n"
+            "except InternalError as e:\n"
+            "    print(e)\n")
+
+    def test_regular_walk_that_cannot_close(self):
+        """With isqrt one too large, the regular walk of xi_plus(2, -1, -3)
+        takes wrong digits and never meets the state it took as reduced."""
+        self._assert_stops(
+            "cf.isqrt = lambda d: math.isqrt(d) + 1\n"
+            "try:\n"
+            "    cf.cf_surd(Form(2, -1, -3))\n"
+            "except InternalError as e:\n"
+            "    print(e)\n")
 
 
 class TestPeriodOfClass:

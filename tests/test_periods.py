@@ -6,6 +6,7 @@ import time
 import pytest
 
 from palindromes_by_rotation import (bipalindromic_by_rotation,
+                                     least_rotation_by_rotation,
                                      palindromic_by_rotation)
 from surdsym.census import census_square
 from surdsym.cf import cf_surd
@@ -18,7 +19,7 @@ from surdsym.periods import (ClassificationError, ClassReport, SymmetryType,
                              _counts_nonsquare,
                              is_bipalindromic, is_palindromic_cyclic,
                              is_primitive_period, normalize_square_form)
-from test_reduction import NONSQUARE_GRID
+from test_reduction import NONSQUARE_GRID, run_in_child
 
 SUPER = SymmetryType.SUPERSYMMETRIC
 K = SymmetryType.K_SYMMETRIC
@@ -55,11 +56,43 @@ class TestRotationsAndPredicates:
         assert not is_bipalindromic((1, 2, 2, 1))
 
     def test_predicates_match_rotation_reference(self):
-        # every word over {1,2,3} of length <= 10, primitive or not
-        for n in range(11):
-            for w in itertools.product((1, 2, 3), repeat=n):
-                assert is_palindromic_cyclic(w) == palindromic_by_rotation(w), w
-                assert is_bipalindromic(w) == bipalindromic_by_rotation(w), w
+        # every word over {1,2,3} of length <= 10, primitive or not, and
+        # over digits a byte cannot hold, negative or past the last code
+        # point, of length <= 6
+        words = [w for n in range(11)
+                 for w in itertools.product((1, 2, 3), repeat=n)]
+        words += [w for n in range(7)
+                  for w in itertools.product((1, 300, -2, 2 ** 70), repeat=n)]
+        for w in words:
+            assert is_palindromic_cyclic(w) == palindromic_by_rotation(w), w
+            assert is_bipalindromic(w) == bipalindromic_by_rotation(w), w
+            assert canonical_rotation(w) == least_rotation_by_rotation(w), w
+
+    def test_long_words_take_linear_time(self):
+        """classify_period and canonical_rotation on words of about 10**5
+        digits, whose types follow from their construction, in a child
+        process with a timeout: each word in well under a second.  Random
+        halves u and v over {1, 2, 3} (with 1000 for v) give u + u[::-1]
+        (m+n), (5,) + u + (7,) + u[::-1] (k), u + v (asymm) and
+        (4,) + u + v (anti)."""
+        code = (
+            "import random, time\n"
+            "from surdsym.periods import canonical_rotation, classify_period\n"
+            "rng = random.Random(7)\n"
+            "u = tuple(rng.choice((1, 2, 3)) for _ in range(50000))\n"
+            "v = tuple(rng.choice((1, 2, 3, 1000)) for _ in range(50000))\n"
+            "for w in (u + u[::-1], (5,) + u + (7,) + u[::-1], u + v,\n"
+            "          (4,) + u + v):\n"
+            "    t = time.perf_counter()\n"
+            "    kind = classify_period(w).code\n"
+            "    least = canonical_rotation(w)\n"
+            "    print(kind, time.perf_counter() - t, least[0] == min(w))\n")
+        proc = run_in_child(code)
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split() for line in proc.stdout.splitlines()]
+        assert [kind for kind, _, _ in rows] == ["m+n", "k", "asymm", "anti"]
+        assert all(float(seconds) < 1 and starts == "True"
+                   for _, seconds, starts in rows), rows
 
     def test_classify_period_all_five(self):
         assert classify_period((1, 1, 3)) is SUPER          # palindromic, odd
@@ -128,7 +161,8 @@ class TestSquareClasses:
 
     def test_display_value(self):
         from fractions import Fraction
-        from surdsym.cf import CFExpansion, cf_value
+        from cf_helpers import cf_value
+        from surdsym.cf import CFExpansion
         for k in range(2, 12):
             for r in census_square(k * k)[1:]:
                 disp = r.cf_of_k_over_m

@@ -6,7 +6,8 @@ Every property runs at least 500 randomized cases with exact assertions
 
 from hypothesis import assume, given, settings, strategies as st
 
-from surdsym.cf import cf_surd, period_of_class, period_to_forms
+from cf_helpers import period_of_class
+from surdsym.cf import cf_surd, period_to_forms
 from surdsym.exact import is_square
 from surdsym.forms import (INVOLUTION_NAMES, Form, apply_word, discriminant,
                            gen_power, involution, is_primitive)

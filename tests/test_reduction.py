@@ -26,6 +26,18 @@ NONSQUARE_GRID = [f for f in (Form(m, n, k) for m in range(-12, 13)
                   if discriminant(f) > 0 and not is_square(discriminant(f))]
 
 
+def run_in_child(code: str, *args, timeout: float = 30):
+    """Run ``code`` in a fresh interpreter on this checkout's surdsym, with
+    ``args`` as sys.argv[1:] and its address space capped at 1 GB, so that
+    a walk that hangs fails by timeout or MemoryError and takes no more."""
+    src = str(Path(surdsym.cf.__file__).resolve().parents[1])
+    cap = ("import resource; "
+           "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n")
+    return subprocess.run([sys.executable, "-c", cap + code, *map(str, args)],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=timeout)
+
+
 def r_a_steps_close(cyc: ReducedCycle) -> bool:
     """forms[i+1] == R(A^{c_i}(forms[i])) for every i, cyclically."""
     forms = cyc.forms
@@ -147,6 +159,62 @@ class TestReducedCycle:
         assert main(["modular", "17", "9", "-42"]) == 2
         assert "left the reduced set" in capsys.readouterr().err
 
+    def test_indexing_matches_the_tuple(self):
+        """From every reduced form of the grid, each index of the cycle's
+        lazy forms, from -len to len - 1, and slices with steps 1, 2 and -1
+        give what the tuple of its iterated forms gives; an index out of
+        range raises IndexError.  The sequence compares and hashes as that
+        tuple."""
+        checked = 0
+        for f in NONSQUARE_GRID:
+            if not is_reduced(*f):
+                continue
+            forms = reduced_cycle(f).forms
+            whole = tuple(forms)
+            n = len(forms)
+            assert n == len(whole) and forms[0] == f
+            for i in range(-n, n):
+                assert forms[i] == whole[i], (f, i)
+            for cut in (slice(None), slice(1, None, 2), slice(None, None, -1),
+                        slice(-3, n + 5), slice(n, None)):
+                assert forms[cut] == whole[cut], (f, cut)
+            for i in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    forms[i]
+            assert forms == whole and hash(forms) == hash(whole)
+            checked += n
+        assert checked > 20000
+
+    def test_a_million_forms_are_not_built(self):
+        """The class of the regular period (1, 10**6) has the minus period
+        (3,) + (2,) * 999999, two runs.  Its cycle's length and its last
+        form come back in well under 0.2 s and about the memory of the
+        digits alone, as no form inside the run is built; in a child
+        process with a timeout.  The last form steps to the first by R A^2."""
+        f, _ = period_to_forms((1, 10 ** 6))
+        code = (
+            "import resource, sys, time\n"
+            "from surdsym.forms import Form\n"
+            "from surdsym.reduction import reduced_cycle\n"
+            "f = Form(*map(int, sys.argv[1:]))\n"
+            "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "t = time.perf_counter()\n"
+            "cycle = reduced_cycle(f)\n"
+            "n, last = len(cycle.forms), cycle.forms[-1]\n"
+            "t = time.perf_counter() - t\n"
+            "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss\n"
+            "assert cycle.modular_period == (3,) + (2,) * (10 ** 6 - 1)\n"
+            "print(n, *last, t, rss)\n")
+        proc = run_in_child(code, *f)
+        assert proc.returncode == 0, proc.stderr
+        n, m, nn, k, seconds, kib = proc.stdout.split()
+        last = Form(int(m), int(nn), int(k))
+        assert int(n) == 10 ** 6
+        assert gen_power(gen_power(last, "A", 2), "R", 1) == \
+            reduced_representative(f)
+        assert float(seconds) < 0.2
+        assert int(kib) < 64 * 1024  # a million Forms take over 100 MB
+
     def test_rotation_invariance(self):
         base = reduced_cycle(Form(2, 4, -7))
         other = reduced_cycle(Form(1, 2, -5))
@@ -209,13 +277,10 @@ class TestReduceToH0:
         f = Form(10000000000000000000000000000000000000003,
                  70000000000000000000000000000000000000001,
                  530000000000000000000000000000000000000011)
-        src = str(Path(surdsym.cf.__file__).resolve().parents[1])
         code = ("import sys; from surdsym.forms import Form; "
                 "from surdsym.reduction import reduce_to_H0; "
                 "print(repr(reduce_to_H0(Form(*map(int, sys.argv[1:])))))")
-        proc = subprocess.run([sys.executable, "-c", code, *map(str, f)],
-                              env={**os.environ, "PYTHONPATH": src},
-                              capture_output=True, text=True, timeout=30)
+        proc = run_in_child(code, *f)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == repr(reduce_to_H0(f))
         g, word, tag = reduce_to_H0(f)
