@@ -272,6 +272,14 @@ def _digits(runs: Tuple[Run, ...]) -> Tuple[int, ...]:
     return tuple(chain.from_iterable(starmap(repeat, runs)))
 
 
+def _run_form(g: Form, i: int) -> Form:
+    """The i-th form of the run of 2s from g, by ``_along_run``."""
+    m, n, k = g
+    c = m + n + k
+    m, n = _along_run(m, n, c, i)
+    return _new_form(Form, (m, n, c - m - n))
+
+
 def _run_forms(g: Form, count: int):
     """The reduced form g and the count - 1 forms after it along its run
     of 2s (g alone for count 1): m from the differences m_i - m_{i-1},

@@ -17,9 +17,8 @@ from itertools import accumulate, chain
 from operator import index
 from typing import Tuple
 
-from .cf import (SquareDiscriminantError, _along_run, _digits, _minus_walk,
-                 _new_form, _regular_walk, _require_nonsquare, _run_forms,
-                 _state_form)
+from .cf import (SquareDiscriminantError, _digits, _minus_walk, _regular_walk,
+                 _require_nonsquare, _run_form, _run_forms, _state_form)
 from .exact import is_square
 from .forms import (Form, GeneratorWord, InternalError, antipodal, gen_power,
                     involution, is_reduced, require_indefinite)
@@ -54,8 +53,8 @@ class CycleForms(Sequence):
 
     ``firsts[i]`` is the form that starts the i-th run and ``counts[i]`` its
     number of digits (more than 1 only for a run of 2s).  The length is the
-    sum of the counts; an index is answered by ``cf._along_run`` from its
-    run's first form, and iteration builds one run at a time.  No other
+    sum of the counts; an index is answered by the closed form of its run
+    (``cf._run_form``), and iteration builds one run at a time.  No other
     form is kept.  It compares and hashes as the tuple of its forms.
     """
 
@@ -78,14 +77,7 @@ class CycleForms(Sequence):
         if not 0 <= j < len(self):
             raise IndexError(f"cycle index {i} out of range")
         run = bisect_right(self._offsets, j) - 1
-        g = self._firsts[run]
-        step = j - self._offsets[run]
-        if not step:
-            return g
-        m, n, k = g
-        c = m + n + k
-        m, n = _along_run(m, n, c, step)
-        return _new_form(Form, (m, n, c - m - n))
+        return _run_form(self._firsts[run], j - self._offsets[run])
 
     def __iter__(self):
         return chain.from_iterable(map(_run_forms, self._firsts, self._counts))
