@@ -2,29 +2,28 @@
 
 The non-square engine works on the reduced surds (P + sqrt(delta)) / Q of a
 discriminant.  They come from one sieve over (P, a), Q = 2a: the state
-(P, 2a) belongs to every delta = P**2 + 4ac (c >= 1, gcd(a, c, P) = 1) in
-one window of delta, so a sweep sieves every delta <= delta_max at once, in
-time proportional to the states it emits plus O(delta_max) pairs (P, a).
-The regular continued fraction permutes the states in cycles; one walk of a
+(P, 2a) belongs to every delta = P**2 + 4ac (c >= 1) in one window of
+delta, so a window of discriminants is sieved at once, in time
+proportional to the states it emits plus O(delta) pairs (P, a).  The
+regular continued fraction permutes the states in cycles; one walk of a
 cycle of length L gives its digit word, which is the period of one class
 when L is odd and of two classes when L is even.  The H0 forms of such a
 class are the A- and B-runs between the cycle's states, so each class's
 least H0 member (its representative), its period rotated as the continued
 fraction of that representative gives it, and t, t_up, t_down all follow
-from the one walk.  Imprimitive classes are scaled copies of primitive ones
-from delta / s**2.  Square discriminants are k straight rows (m, 0, k).
+from the one walk.  A cycle whose states have content s = gcd(a, c, P) > 1
+is s times a cycle of delta / s**2, so it gives that discriminant's
+classes scaled by s, the imprimitive classes of delta, read off delta's own
+states.  Square discriminants are k straight rows (m, 0, k).
 
-A sweep is sharded by square-class family: a root delta0 (a valid non-square
-discriminant with no valid delta0 / s**2, s >= 2) and its multiples
-delta0 * t**2 <= delta_max.  Every valid delta / s**2 of a member is a
-smaller member, so one worker, handed the family's states, computes each
-member's primitive classes once and finishes every member's rows on its
-own; each square delta is an item of its own.  The worker hands each
-discriminant's reports to ``emit``, a top-level function the caller chooses
-(the reports themselves, type counts, the CLI's rendered table rows, or the
-checker's gates), and returns only what ``emit`` returns.  The parent puts
-those results in delta order; the CLI writes a table's text as it comes,
-one discriminant at a time.
+A sweep is sharded by windows [lo, hi] of delta, about equal in reduced
+states.  Each worker sieves its own window and hands each discriminant's
+reports to ``emit``, a top-level function the caller chooses (the reports
+themselves, type counts, the CLI's rendered table rows, or the checker's
+gates), and returns only what ``emit`` returns.  The parent takes the
+windows in delta order, ``jobs`` at a time, and passes each result on as
+it comes, so it holds no more than one group of windows; the CLI writes a
+table's text as it comes.
 """
 from __future__ import annotations
 
@@ -36,12 +35,12 @@ from fractions import Fraction
 from functools import partial
 from math import gcd, isqrt
 from multiprocessing import Pool
-from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cf import _regular_walk
 from .exact import is_square
-from .forms import Form, InternalError, scale
+from .forms import Form, InternalError
 from .oracle import (_genus_exponent, ambiguous_classes, h0_point_count,
                      square_symmetry)
 from .periods import (ClassReport, SymmetryType, _square_report,
@@ -50,28 +49,23 @@ from .reduction import _SUM_RULE_TYPES, check_sum_rule, reduced_cycle
 
 
 def valid_deltas(delta_max: int, include_square: bool = True,
-                 include_nonsquare: bool = True) -> List[int]:
-    """Discriminants 1 <= delta <= delta_max with delta = 0 or 1 mod 4."""
-    out = []
-    for d in range(1, delta_max + 1):
-        if d % 4 not in (0, 1):
-            continue
-        sq = is_square(d)
-        if (sq and include_square) or (not sq and include_nonsquare):
-            out.append(d)
-    return out
+                 include_nonsquare: bool = True, delta_min: int = 1) -> List[int]:
+    """Discriminants delta_min <= delta <= delta_max with delta = 0 or 1 mod 4."""
+    return [d for d in range(delta_min, delta_max + 1) if d % 4 < 2
+            and (include_square if is_square(d) else include_nonsquare)]
 
 
 def _reduced_states(lo: int, hi: int) -> Dict[int, array]:
     """Every reduced surd (P + sqrt(delta)) / Q whose form (Q/2, -c, -P),
-    c = (delta - P**2) / (2Q), is integral and primitive, for every
-    delta = 0, 1 mod 4 in [lo, hi]: {delta: array [P0, Q0, P1, Q1, ...]}.
+    c = (delta - P**2) / (2Q), is integral, for every delta = 0, 1 mod 4 in
+    [lo, hi]: {delta: array [P0, Q0, P1, Q1, ...]}.  The states of content
+    s = gcd(Q/2, c, P) > 1 are s times the states of delta / s**2.
 
     Reduced means xi > 1 > 0 > xi' > -1, i.e. 0 < P <= r and
     r - P < Q <= r + P with r = isqrt(delta).  The sieve runs over (P, a),
     Q = 2a: the discriminants with the state (P, 2a) are delta = P**2 + 4ac,
-    c >= 1, in the window (2a - P)**2 <= delta < (2a + P)**2, one every 4a,
-    kept when gcd(a, c, P) = 1.  Square discriminants get states too.
+    c >= 1, in the window (2a - P)**2 <= delta < (2a + P)**2, one every 4a.
+    Square discriminants get states too.
     """
     out = {d: array("i") for d in range(lo, hi + 1) if d % 4 in (0, 1)}
     r_lo, r_hi = isqrt(lo), isqrt(hi)
@@ -80,19 +74,10 @@ def _reduced_states(lo: int, hi: int) -> Dict[int, array]:
         for a in range(max(1, (r_lo - p) // 2 + 1), (r_hi + p) // 2 + 1):
             step = 4 * a
             low = max((2 * a - p) ** 2, pp + step, lo)
-            start = low + (pp - low) % step
-            stop = min((2 * a + p) ** 2, hi + 1)
             state = (p, 2 * a)
-            g = gcd(a, p)
-            if g == 1:
-                for d in range(start, stop, step):
-                    out[d].extend(state)
-            else:
-                c = (start - pp) // step
-                for d in range(start, stop, step):
-                    if gcd(g, c) == 1:
-                        out[d].extend(state)
-                    c += 1
+            for d in range(low + (pp - low) % step,
+                           min((2 * a + p) ** 2, hi + 1), step):
+                out[d].extend(state)
     return out
 
 
@@ -125,14 +110,18 @@ def _least_member(a_runs: Sequence[int], cycle: Sequence[Tuple[int, int]],
     return best
 
 
-def census_nonsquare_primitive(delta: int, states: Optional[array] = None
-                               ) -> Tuple[ClassReport, ...]:
-    """Reports for all primitive classes of a non-square discriminant,
-    ordered by their lexicographically least H0 representative.
+def census_for_delta(delta: int, states: Optional[array] = None,
+                     primitive_only: bool = False) -> Tuple[ClassReport, ...]:
+    """Reports for all classes of a non-square discriminant, primitive and
+    scaled (only the primitive ones with ``primitive_only``), ordered by
+    their lexicographically least H0 representative.
 
     ``states`` are the discriminant's reduced states as ``_reduced_states``
-    gives them; a sweep sieves them once for every discriminant and passes
-    them in.  Without them, this discriminant alone is sieved.
+    gives them; a sweep sieves them once for its window and passes them in.
+    Without them, this discriminant alone is sieved.  A cycle's content
+    gcd(a, c, P), read off its first state, is the content of its classes;
+    a cycle of content s is s times a cycle of delta / s**2, so its least
+    member is the scaled representative.
     """
     if delta <= 0 or delta % 4 not in (0, 1) or is_square(delta):
         raise ValueError(f"{delta} is not a valid non-square discriminant")
@@ -144,7 +133,11 @@ def census_nonsquare_primitive(delta: int, states: Optional[array] = None
     for start in zip(pairs, pairs):
         if start in visited:
             continue
-        cycle, digits, back = _regular_walk(*start, delta)
+        p, q = start
+        primitive = gcd(q // 2, (delta - p * p) // (2 * q), p) == 1
+        if primitive_only and not primitive:
+            continue
+        cycle, digits, back = _regular_walk(p, q, delta)
         if back:
             raise InternalError(f"state {start} of {delta} is not on a cycle")
         visited.update(cycle)
@@ -160,9 +153,16 @@ def census_nonsquare_primitive(delta: int, states: Optional[array] = None
             gamma = digits[s:] + digits[:s]
             t, t_up, t_down = _counts_nonsquare(gamma, odd)
             reports.append(ClassReport(Form(m, nn, k), delta, gamma, None, n,
-                                       t, t_up, t_down, symmetry, True))
-    reports.sort(key=lambda report: report.representative.coeffs())
+                                       t, t_up, t_down, symmetry, primitive))
+    reports.sort(key=attrgetter("representative"))
     return tuple(reports)
+
+
+def census_nonsquare_primitive(delta: int, states: Optional[array] = None
+                               ) -> Tuple[ClassReport, ...]:
+    """Reports for the primitive classes of a non-square discriminant, as
+    ``census_for_delta`` orders them; cycles of content > 1 are skipped."""
+    return census_for_delta(delta, states, primitive_only=True)
 
 
 def census_square(delta: int) -> Tuple[ClassReport, ...]:
@@ -173,96 +173,58 @@ def census_square(delta: int) -> Tuple[ClassReport, ...]:
     return tuple(_square_report(Form(m, 0, k)) for m in range(k))
 
 
-def _scaled_rows(delta: int,
-                 primitive: Dict[int, Tuple[ClassReport, ...]]) -> List[ClassReport]:
-    rows = []
-    s = 2
-    while s * s <= delta:
-        if delta % (s * s) == 0:
-            d0 = delta // (s * s)
-            if d0 % 4 in (0, 1):
-                for r in primitive[d0]:
-                    rows.append(ClassReport(scale(r.representative, s), delta,
-                                            r.gamma, None, r.p_or_l, r.t,
-                                            r.t_up, r.t_down, r.symmetry, False))
-        s += 1
-    return rows
+def _windows(delta_max: int) -> List[Tuple[int, int]]:
+    """A sweep's windows [lo, hi] of delta, in order, covering [1, delta_max].
 
-
-def census_for_delta(delta: int,
-                     primitive: Dict[int, Tuple[ClassReport, ...]]) -> Tuple[ClassReport, ...]:
-    """All classes (primitive and scaled) of one non-square discriminant."""
-    rows = list(primitive[delta]) + _scaled_rows(delta, primitive)
-    rows.sort(key=lambda r: r.representative)
-    return tuple(rows)
-
-
-def _families(delta_max: int, include_square: bool = True,
-              include_nonsquare: bool = True) -> List[Tuple[int, ...]]:
-    """A sweep's work items in order of their least member: each square
-    delta alone, and each non-square root's family (delta0 * t**2, t >= 1).
-
-    A delta that no smaller root has claimed is a root: were delta / s**2
-    valid, it would be some root's r * v**2, and delta = r * (s * v)**2
-    claimed.  A root has no valid delta0 / u**2 (u >= 2).  For a member
-    delta0 * t**2 and s = g * u, t = g * v with g = gcd(s, t), a valid
-    delta0 * v**2 / u**2 needs u**2 | delta0 and is valid only if
-    delta0 / u**2 is (v is odd when u is even, and an odd square is
-    1 mod 8); so u = 1, and every valid delta / s**2 of a member is a member.
+    There are about K = max(8, isqrt(delta_max) // 16), with bounds
+    delta_max * (i / K)**(2/3): the reduced states below delta number about
+    delta**1.5, so each window holds about as many.  Each is at least about
+    10 * sqrt(delta_max) wide, so the sieve's O(delta) pairs (P, a) per window
+    stay a small share of its work.
     """
-    items = []
-    claimed = set()
-    for d in valid_deltas(delta_max, include_square, include_nonsquare):
-        if is_square(d):
-            items.append((d,))
-        elif d not in claimed:
-            family = tuple(d * t * t for t in range(1, isqrt(delta_max // d) + 1))
-            claimed.update(family)
-            items.append(family)
-    return items
+    k = max(8, isqrt(delta_max) // 16)
+    cuts = {int(delta_max * (i / k) ** (2 / 3)) for i in range(1, k)}
+    his = sorted(cuts - {0, delta_max}) + [delta_max]
+    return list(zip([1] + [hi + 1 for hi in his[:-1]], his))
 
 
-def _shard(emit: Callable, item: Tuple[Tuple[int, ...], Optional[tuple]]) -> list:
-    """[(delta, emit(all class reports of delta))] for one work item of
-    ``_sweep``: a square delta alone (no states), or a family of ``_families``
-    with each member's reduced states; each member's primitive classes are
-    computed once."""
-    family, states = item
-    if states is None:
-        return [(family[0], emit(census_square(family[0])))]
-    primitive = {d: census_nonsquare_primitive(d, s)
-                 for d, s in zip(family, states)}
-    return [(d, emit(census_for_delta(d, primitive))) for d in family]
+def _shard(emit: Callable, include_square: bool, include_nonsquare: bool,
+           window: Tuple[int, int]) -> list:
+    """[(delta, emit(all class reports of delta))] for every valid delta of
+    the kinds asked in one window of ``_sweep``, which is sieved here."""
+    lo, hi = window
+    table = _reduced_states(lo, hi) if include_nonsquare else {}
+    return [(d, emit(census_square(d) if is_square(d)
+                     else census_for_delta(d, table.pop(d))))
+            for d in valid_deltas(hi, include_square, include_nonsquare, lo)]
 
 
 def _sweep(delta_max: int, jobs: int, emit: Callable,
-           include_square: bool = True, include_nonsquare: bool = True) -> list:
-    """[(delta, emit(reports of delta))] for every valid delta <= delta_max
-    of the kinds asked, delta ascending, in one pass of ``jobs`` workers.
+           include_square: bool = True, include_nonsquare: bool = True
+           ) -> Iterator[Tuple[int, Any]]:
+    """(delta, emit(reports of delta)) for every valid delta <= delta_max
+    of the kinds asked, delta ascending, as ``jobs`` workers finish them.
 
-    The pool (when there are enough items to share) forks first, so its
-    workers do not inherit the sieve's table.  The reduced states of every
-    delta are then sieved once, here, and each family's item carries its
-    members' states.  ``emit`` runs in the workers, so it must be a
-    top-level function or a ``functools.partial`` of one; what it returns
-    is all that is sent back, so an emit that returns compact results (type
-    counts, rendered text) keeps the parent small.
+    The windows of ``_windows`` go to the pool ``jobs`` at a time, one
+    ``Pool.map`` each, and each window's results are yielded as soon as its
+    group is done.  ``emit`` runs in the workers, so it must be a top-level
+    function or a ``functools.partial`` of one; what it returns is all that
+    is sent back, so an emit that returns compact results (type counts,
+    rendered text) keeps the parent small.
     """
     if delta_max < 1:
         raise ValueError("delta_max must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    families = _families(delta_max, include_square, include_nonsquare)
-    parallel = jobs > 1 and len(families) > 8
+    windows = _windows(delta_max)
+    shard = partial(_shard, emit, include_square, include_nonsquare)
+    parallel = jobs > 1 and len(windows) > 1
     with Pool(jobs) if parallel else nullcontext() as pool:
-        table = _reduced_states(1, delta_max) if include_nonsquare else {}
-        items = [(family, None if is_square(family[0])
-                  else tuple(table[d] for d in family)) for family in families]
-        del table
-        shard = partial(_shard, emit)
-        shards = (pool.map(shard, items, chunksize=max(1, len(items) // (8 * jobs)))
-                  if parallel else map(shard, items))
-        return sorted((row for rows in shards for row in rows), key=itemgetter(0))
+        for i in range(0, len(windows), jobs):
+            group = windows[i:i + jobs]
+            for rows in (pool.map(shard, group, chunksize=1) if parallel
+                         else map(shard, group)):
+                yield from rows
 
 
 def _identity(reports: Tuple[ClassReport, ...]) -> Tuple[ClassReport, ...]:
@@ -300,13 +262,17 @@ def _type_counts(reports: Sequence[ClassReport]) -> Tuple[int, ...]:
     return tuple(types.count(s) for s in SYMMETRY_ORDER)
 
 
-def stats_rows(delta_max: int, jobs: int = 1) -> List[StatRow]:
-    rows = []
+def _stat_rows(delta_max: int, jobs: int = 1) -> Iterator[StatRow]:
+    """``stats_rows``, each row as the sweep gives it."""
     for d, counts in _sweep(delta_max, jobs, _type_counts):
         total = sum(counts)
-        rows.append(StatRow(d, is_square(d), total, counts,
-                            tuple(Fraction(c, total) for c in counts)))
-    return rows
+        yield StatRow(d, is_square(d), total, counts,
+                      tuple(Fraction(c, total) for c in counts))
+
+
+def stats_rows(delta_max: int, jobs: int = 1) -> List[StatRow]:
+    """One row per valid delta <= delta_max, delta ascending."""
+    return list(_stat_rows(delta_max, jobs))
 
 
 def first_occurrence(rows: Sequence[StatRow], sym: SymmetryType,
@@ -373,6 +339,9 @@ def check_census(delta_max: int, jobs: int = 1) -> Tuple[int, int, List[str]]:
     """Every gate of ``_gate_violations`` on every valid delta <= delta_max:
     (discriminants checked, super/anti/(m+n) classes checked, the VIOLATION
     lines in delta order)."""
-    done = [found for _, found in _sweep(delta_max, jobs, _gate_violations)]
-    return (len(done), sum(n for n, _ in done),
-            [line for _, lines in done for line in lines])
+    deltas = checked = 0
+    lines: List[str] = []
+    for _, (n, found) in _sweep(delta_max, jobs, _gate_violations):
+        deltas, checked = deltas + 1, checked + n
+        lines += found
+    return deltas, checked, lines

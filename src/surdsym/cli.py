@@ -18,7 +18,7 @@ from functools import partial
 from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .census import StatRow, _sweep, check_census, stats_rows
+from .census import StatRow, _stat_rows, _sweep, check_census
 from .cf import _regular_walk, _state_form, cf_surd, modular_cf_surd
 from .exact import is_square
 from .forms import (Form, InternalError, antipodal, discriminant, domain_of,
@@ -101,18 +101,23 @@ def _render(records: Sequence[tuple], fields: Sequence[str],
 
 
 def _table(fields: Sequence[str], fmt: str,
-           parts: Sequence[Tuple[str, Tuple[int, ...]]]) -> Iterator[str]:
+           parts: Iterable[Tuple[str, Tuple[int, ...]]]) -> Iterator[str]:
     """The chunks of a whole table: its header, then each part (a
-    ``_render`` result) in order, framed for fmt; never joined."""
-    texts = [text for text, _ in parts if text]
+    ``_render`` result) in order, framed for fmt; never joined.  csv and
+    json pass each part on as it comes; md first reads every part for the
+    widest cell of each column."""
+    if fmt == "md":
+        parts = list(parts)
+    texts = (text for text, _ in parts if text)
     if fmt == "csv":
         yield _render([fields], fields, fmt)[0]
         yield from texts
     elif fmt == "json":
+        i = -1
         for i, text in enumerate(texts):
             yield ",\n" if i else "[\n"
             yield text
-        yield "\n]\n" if texts else "[]\n"
+        yield "\n]\n" if i >= 0 else "[]\n"
     else:
         widths = [max([len(f)] + [w[i] for _, w in parts if w])
                   for i, f in enumerate(fields)]
@@ -252,7 +257,7 @@ def cmd_table(args) -> int:
     done = _sweep(args.delta_max, args.jobs,
                   partial(_report_rows, args.format, zero),
                   include_nonsquare=not zero)
-    _emit(_table(fields, args.format, [part for _, part in done]), args.out)
+    _emit(_table(fields, args.format, (part for _, part in done)), args.out)
     return 0
 
 
@@ -264,9 +269,10 @@ def _stat_record(row: StatRow) -> tuple:
 
 def cmd_stats(args) -> int:
     _check_sweep_args(args)
-    records = [_stat_record(r) for r in stats_rows(args.delta_max, jobs=args.jobs)]
+    rows = _stat_rows(args.delta_max, args.jobs)
     _emit(_table(STATS_FIELDS, args.format,
-                 [_render(records, STATS_FIELDS, args.format)]), args.out)
+                 (_render([_stat_record(r)], STATS_FIELDS, args.format)
+                  for r in rows)), args.out)
     return 0
 
 

@@ -17,8 +17,9 @@ from itertools import accumulate, chain
 from operator import index
 from typing import Tuple
 
-from .cf import (SquareDiscriminantError, _digits, _minus_walk, _regular_walk,
-                 _require_nonsquare, _run_form, _run_forms, _state_form)
+from .cf import (SquareDiscriminantError, _digits, _index_in_run, _minus_walk,
+                 _regular_walk, _require_nonsquare, _run_form, _run_forms,
+                 _state_form)
 from .exact import is_square
 from .forms import (Form, GeneratorWord, InternalError, antipodal, gen_power,
                     involution, is_reduced, require_indefinite)
@@ -55,7 +56,9 @@ class CycleForms(Sequence):
     number of digits (more than 1 only for a run of 2s).  The length is the
     sum of the counts; an index is answered by the closed form of its run
     (``cf._run_form``), and iteration builds one run at a time.  No other
-    form is kept.  It compares and hashes as the tuple of its forms.
+    form is kept.  Membership, ``index`` and ``count`` look at each run
+    once, without building its forms.  It compares and hashes as the tuple
+    of its forms.
     """
 
     __slots__ = ("_firsts", "_counts", "_offsets")
@@ -81,6 +84,33 @@ class CycleForms(Sequence):
 
     def __iter__(self):
         return chain.from_iterable(map(_run_forms, self._firsts, self._counts))
+
+    def _find(self, h) -> int:
+        """The index of the form h, or -1 if h is not in the cycle.  h is
+        either a run's first form or inside a run of 2s; along a run
+        m + n + k stays fixed, so only runs with h's are searched, each by
+        ``cf._index_in_run``.  The forms of a cycle are distinct."""
+        if isinstance(h, tuple) and len(h) == 3:
+            h, c = Form(*h), sum(h)
+            for g, count, offset in zip(self._firsts, self._counts, self._offsets):
+                if g == h:
+                    return offset
+                i = count > 1 and sum(g) == c and _index_in_run(g.m, g.n, c, count, h)
+                if i:
+                    return offset + i
+        return -1
+
+    def __contains__(self, h) -> bool:
+        return self._find(h) >= 0
+
+    def index(self, h, start: int = 0, stop=None) -> int:
+        i = self._find(h)
+        if i not in range(len(self))[start:stop]:
+            raise ValueError(f"{h!r} is not in the cycle")
+        return i
+
+    def count(self, h) -> int:
+        return int(h in self)
 
     def __eq__(self, other):
         if not isinstance(other, (tuple, CycleForms)):

@@ -4,7 +4,7 @@
 at once over (P, a).  This module finds them one discriminant at a time
 instead: for each P it lists every divisor a of (delta - P**2) / 4, from a
 table of least prime factors, and keeps the ones that make the surd reduced
-and its form primitive.
+(and, if asked, its form primitive).
 """
 from math import gcd, isqrt
 from typing import List, Set, Tuple
@@ -34,15 +34,18 @@ def divisors(v: int, spf: List[int]) -> List[int]:
     return divs
 
 
-def states_by_divisors(delta: int, spf: List[int]) -> Set[Tuple[int, int]]:
+def states_by_divisors(delta: int, spf: List[int],
+                       primitive_only: bool = False) -> Set[Tuple[int, int]]:
     """The reduced states (P, Q) of delta, with 0 < P <= r and
     r - P < Q <= r + P (r = isqrt(delta)), whose form (Q/2, -c, -P) is
-    integral and primitive; ``spf`` covers (delta - 1) // 4."""
+    integral (and primitive, with ``primitive_only``); ``spf`` covers
+    (delta - 1) // 4."""
     r = isqrt(delta)
     states = set()
     for p in range(2 - delta % 2, r + 1, 2):
         v = (delta - p * p) // 4  # = a * c for the form (a, -c, -p)
         for a in divisors(v, spf):
-            if r - p < 2 * a <= r + p and gcd(gcd(a, v // a), p) == 1:
+            if r - p < 2 * a <= r + p and (
+                    not primitive_only or gcd(gcd(a, v // a), p) == 1):
                 states.add((p, 2 * a))
     return states

@@ -8,13 +8,13 @@ from math import gcd, isqrt
 import pytest
 
 import surdsym.census
-from surdsym.census import (SYMMETRY_ORDER, StatRow, _families,
-                            _gate_violations, _reduced_states, check_census,
-                            census_nonsquare_primitive, census_square,
-                            first_occurrence, full_census, stats_rows,
-                            valid_deltas)
+from surdsym.census import (SYMMETRY_ORDER, StatRow, _gate_violations,
+                            _reduced_states, _windows, check_census,
+                            census_for_delta, census_nonsquare_primitive,
+                            census_square, first_occurrence, full_census,
+                            stats_rows, valid_deltas)
 from surdsym.exact import is_square
-from surdsym.forms import Form, content, discriminant, is_primitive
+from surdsym.forms import Form, content, discriminant, is_primitive, scale
 from surdsym.oracle import (ambiguous_classes, h0_class_key, h0_point_count,
                             square_symmetry)
 from surdsym.periods import SymmetryType, canonical_rotation, classify_class
@@ -176,12 +176,20 @@ class TestReducedStates:
 
     def test_sieve_matches_divisor_listing_to_10000(self, table):
         """The sieve's states of each non-square delta are those found by
-        listing the divisors of (delta - P**2) / 4, each once."""
+        listing the divisors of (delta - P**2) / 4, each once; and its
+        primitive states, gcd(a, c, P) = 1, are the listing's primitive ones."""
         spf = smallest_prime_factors(10_000 // 4)
         for d in valid_deltas(10_000, include_square=False):
             pairs = list(zip(table[d][::2], table[d][1::2]))
             assert len(pairs) == len(set(pairs)), d
-            assert set(pairs) == states_by_divisors(d, spf), d
+            listed = states_by_divisors(d, spf)
+            assert set(pairs) == listed, d
+
+            def primitive(states):
+                return {(p, q) for p, q in states
+                        if gcd(gcd(q // 2, (d - p * p) // (2 * q)), p) == 1}
+            assert primitive(pairs) == primitive(listed) == \
+                states_by_divisors(d, spf, primitive_only=True), d
 
     def test_windows_match_the_full_table(self, table):
         assert set(table) == set(valid_deltas(10_000))
@@ -197,33 +205,31 @@ class TestReducedStates:
         for d, reports in census.items():
             assert census_nonsquare_primitive(d) == \
                 tuple(r for r in reports if r.primitive), d
+            assert census_for_delta(d) == reports, d
 
+    def test_scaled_classes_are_scaled_primitive_classes_to_3000(self):
+        """The classes that delta's cycles of content s > 1 give are the
+        primitive classes of each valid delta / s**2, scaled by s: the same
+        period, counts and type."""
+        for d in valid_deltas(3000, include_square=False):
+            scaled = []
+            for s in range(2, isqrt(d) + 1):
+                if d % (s * s) == 0 and (d // (s * s)) % 4 in (0, 1):
+                    scaled += [replace(r, representative=scale(r.representative, s),
+                                       delta=d, primitive=False)
+                               for r in census_nonsquare_primitive(d // (s * s))]
+            assert [r for r in census_for_delta(d) if not r.primitive] == \
+                sorted(scaled, key=lambda r: r.representative), d
 
-class TestFamilies:
-    def test_families_partition_and_hold_their_sources(self):
-        """Each valid delta <= 10**4 is in exactly one item; squares are
-        alone; every valid delta / s**2 of a member is in its family."""
-        items = _families(10_000)
-        assert [item[0] for item in items] == sorted(item[0] for item in items)
-        members = [d for item in items for d in item]
-        assert sorted(members) == valid_deltas(10_000)
-        for item in items:
-            if is_square(item[0]):
-                assert len(item) == 1
-                continue
-            assert not any(is_square(d) for d in item)
-            for d in item:
-                s = 2
-                while s * s <= d:
-                    if d % (s * s) == 0 and (d // (s * s)) % 4 in (0, 1):
-                        assert d // (s * s) in item, (item[0], d, s)
-                    s += 1
-
-    def test_kinds_filter_the_items(self):
-        assert _families(100, include_square=False) == \
-            [f for f in _families(100) if not is_square(f[0])]
-        assert _families(100, include_nonsquare=False) == \
-            [(k * k,) for k in range(1, 11)]
+    def test_windows_tile_the_sweep(self):
+        """The windows cover [1, delta_max] in order, without gaps or
+        overlaps, and there are at least two from delta_max = 2 on."""
+        for delta_max in (1, 2, 5, 20, 300, 10_000, 160_000, 10 ** 6):
+            windows = _windows(delta_max)
+            assert windows[0][0] == 1 and windows[-1][1] == delta_max
+            assert all(lo <= hi for lo, hi in windows)
+            assert all(a[1] + 1 == b[0] for a, b in zip(windows, windows[1:]))
+            assert len(windows) >= min(delta_max, 8), delta_max
 
 
 class TestStats:

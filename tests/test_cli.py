@@ -6,8 +6,10 @@ import json
 import os
 import shutil
 import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -192,7 +194,8 @@ class TestTable:
         ("table", "--which", "zero", "--format", "csv"),
         ("table", "--which", "zero", "--format", "json"),
         ("table", "--which", "zero", "--format", "md"),
-        ("stats", "--format", "csv"), ("stats", "--format", "json")])
+        ("stats", "--format", "csv"), ("stats", "--format", "json"),
+        ("check",)])
     def test_sweep_bytes_equal_for_jobs_1_2_3(self, capsys, argv):
         outs = [run(capsys, *argv, "--delta-max", "2000", "--jobs", jobs)
                 for jobs in ("1", "2", "3")]
@@ -259,6 +262,40 @@ class TestStats:
     def test_default_format_is_csv(self, capsys):
         assert (run(capsys, "stats", "--delta-max", "60") ==
                 run(capsys, "stats", "--delta-max", "60", "--format", "csv"))
+
+
+def _largest_process_kib(tmp_path, *argv) -> int:
+    """The largest resident set, in KiB, of the CLI run with argv in a
+    fresh interpreter and its pool: the interpreter's own high-water mark
+    (VmHWM, which exec resets) and its workers' (RUSAGE_CHILDREN)."""
+    src = str(Path(surdsym.census.__file__).resolve().parents[1])
+    code = (
+        "import re, resource, sys\n"
+        "from surdsym.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "status = open('/proc/self/status').read()\n"
+        "hwm = int(re.search(r'VmHWM:\\s+(\\d+)', status).group(1))\n"
+        "kids = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+        "print(max(hwm, kids))\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv,
+                           "--out", str(tmp_path / "out")],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc/self/status")
+def test_stats_memory_stays_flat(tmp_path):
+    """Windows are sieved in the workers and results are written as they
+    come, so the largest process of ``stats --jobs 2`` grows by at most a
+    quarter from delta <= 10**4 to 4 * 10**4 (it grew 2.4x when the parent
+    sieved the whole range and held every result)."""
+    small, large = (_largest_process_kib(tmp_path, "stats", "--delta-max",
+                                         str(n), "--jobs", "2")
+                    for n in (10_000, 40_000))
+    assert large <= 1.25 * small, (small, large)
 
 
 class TestSumRule:
@@ -399,6 +436,29 @@ class TestOutAndEntry:
                   "--out", str(target)])
         assert target.read_text() == "old bytes\n"
         assert os.listdir(tmp_path) == ["table.csv"]
+
+    def test_failure_mid_stream_keeps_old_file(self, capsys, monkeypatch,
+                                               tmp_path):
+        """A sweep that fails after its first windows were written exits 2
+        and leaves the old --out file and no temp file; on stdout the rows
+        written before the failure stay."""
+        real = surdsym.census.census_for_delta
+
+        def broken(delta, states=None):
+            if delta > 1500:
+                raise InternalError(f"broke at {delta}")
+            return real(delta, states)
+        monkeypatch.setattr(surdsym.census, "census_for_delta", broken)
+        target = tmp_path / "table.csv"
+        target.write_text("old bytes\n")
+        argv = ("table", "--delta-max", "3000", "--format", "csv", "--jobs", "1")
+        rc, out, err = run(capsys, *argv, "--out", str(target))
+        assert rc == 2 and out == "" and err.startswith("internal error: broke")
+        assert target.read_text() == "old bytes\n"
+        assert os.listdir(tmp_path) == ["table.csv"]
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 2 and out.startswith("delta,m,n,k,gamma")
+        assert "\n1000," in out and "\n1501," not in out
 
     def test_parser_has_all_subcommands(self):
         parser = build_parser()

@@ -185,6 +185,54 @@ class TestReducedCycle:
             checked += n
         assert checked > 20000
 
+    def test_membership_matches_the_tuple(self):
+        """On the cycle of each reduced form of the grid, ``in``, ``index``
+        and ``count`` of the lazy forms answer as the tuple of its
+        iterated forms does, for each of its forms and for every reduced
+        form of the grid with the same discriminant; ``index`` honours
+        start and stop and raises ValueError for a form not in the cycle."""
+        by_delta = {}
+        for f in NONSQUARE_GRID:
+            if is_reduced(*f):
+                by_delta.setdefault(discriminant(f), []).append(f)
+        checked, seen = 0, set()
+        for f in (f for fs in by_delta.values() for f in fs if f not in seen):
+            forms = reduced_cycle(f).forms
+            whole = tuple(forms)
+            seen.update(whole)
+            for h in whole + tuple(by_delta[discriminant(f)]) + ((1, 2), "form"):
+                assert (h in forms) == (h in whole), (f, h)
+                assert forms.count(h) == whole.count(h), (f, h)
+                if h in whole:
+                    i = whole.index(h)
+                    assert forms.index(h) == i and forms.index(h, i, i + 1) == i
+                    with pytest.raises(ValueError):
+                        forms.index(h, i + 1)
+                else:
+                    with pytest.raises(ValueError):
+                        forms.index(h)
+                checked += 1
+        assert checked > 10000
+
+    def test_a_million_forms_are_not_searched(self):
+        """On the class of regular period (1, 10**6), membership, ``index``
+        and ``count`` of forms at both ends of its run of 999,999 2s come
+        back in well under 0.2 s, in a child process with a timeout."""
+        f, _ = period_to_forms((1, 10 ** 6))
+        code = (
+            "import sys, time\n"
+            "from surdsym.forms import Form\n"
+            "from surdsym.reduction import reduced_cycle\n"
+            "forms = reduced_cycle(Form(*map(int, sys.argv[1:]))).forms\n"
+            "t = time.perf_counter()\n"
+            "assert forms[-1] in forms\n"
+            "assert forms.index(forms[-1]) == 10 ** 6 - 1\n"
+            "assert forms.count(forms[0]) == 1\n"
+            "print(time.perf_counter() - t)\n")
+        proc = run_in_child(code, *f)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 0.2
+
     def test_a_million_forms_are_not_built(self):
         """The class of the regular period (1, 10**6) has the minus period
         (3,) + (2,) * 999999, two runs.  Its cycle's length and its last
