@@ -178,9 +178,10 @@ def _windows(delta_max: int) -> List[Tuple[int, int]]:
 
     There are about K = max(8, isqrt(delta_max) // 16), with bounds
     delta_max * (i / K)**(2/3): the reduced states below delta number about
-    delta**1.5, so each window holds about as many.  Each is at least about
-    10 * sqrt(delta_max) wide, so the sieve's O(delta) pairs (P, a) per window
-    stay a small share of its work.
+    delta**1.5, so each window holds about as many.  The last, the
+    narrowest, is about (2/3) delta_max / K wide, about 10 * sqrt(delta_max)
+    once K > 8, so the sieve's O(delta) pairs (P, a) per window stay a small
+    share of its work.
     """
     k = max(8, isqrt(delta_max) // 16)
     cuts = {int(delta_max * (i / k) ** (2 / 3)) for i in range(1, k)}
