@@ -21,7 +21,7 @@ states.  Each worker sieves its own window and hands each discriminant's
 reports to ``emit``, a top-level function the caller chooses (the reports
 themselves, type counts, the CLI's rendered table rows, or the checker's
 gates), and returns only what ``emit`` returns.  The parent takes the
-windows in delta order, ``jobs`` at a time, and passes each result on as
+windows in delta order, 2 * jobs at a time, and passes each result on as
 it comes, so it holds no more than one group of windows; the CLI writes a
 table's text as it comes.
 """
@@ -206,8 +206,9 @@ def _sweep(delta_max: int, jobs: int, emit: Callable,
     """(delta, emit(reports of delta)) for every valid delta <= delta_max
     of the kinds asked, delta ascending, as ``jobs`` workers finish them.
 
-    The windows of ``_windows`` go to the pool ``jobs`` at a time, one
-    ``Pool.map`` each, and each window's results are yielded as soon as its
+    The windows of ``_windows`` go to the pool 2 * jobs at a time, one
+    ``Pool.map`` each, so a worker that finishes a window takes the next
+    one of its group; each window's results are yielded as soon as its
     group is done.  ``emit`` runs in the workers, so it must be a top-level
     function or a ``functools.partial`` of one; what it returns is all that
     is sent back, so an emit that returns compact results (type counts,
@@ -221,8 +222,8 @@ def _sweep(delta_max: int, jobs: int, emit: Callable,
     shard = partial(_shard, emit, include_square, include_nonsquare)
     parallel = jobs > 1 and len(windows) > 1
     with Pool(jobs) if parallel else nullcontext() as pool:
-        for i in range(0, len(windows), jobs):
-            group = windows[i:i + jobs]
+        for i in range(0, len(windows), 2 * jobs):
+            group = windows[i:i + 2 * jobs]
             for rows in (pool.map(shard, group, chunksize=1) if parallel
                          else map(shard, group)):
                 yield from rows
