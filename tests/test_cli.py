@@ -290,7 +290,7 @@ def _largest_process_kib(tmp_path, *argv) -> int:
 def test_stats_memory_stays_flat(tmp_path):
     """Windows are sieved in the workers and results are written as they
     come, so the largest process of ``stats --jobs 2`` grows by at most a
-    quarter from delta <= 10**4 to 4 * 10**4 (it grew 2.4x when the parent
+    quarter from delta <= 10**4 to 4 * 10**4 (it doubled when the parent
     sieved the whole range and held every result)."""
     small, large = (_largest_process_kib(tmp_path, "stats", "--delta-max",
                                          str(n), "--jobs", "2")
