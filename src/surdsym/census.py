@@ -110,11 +110,10 @@ def _least_member(a_runs: Sequence[int], cycle: Sequence[Tuple[int, int]],
     return best
 
 
-def census_for_delta(delta: int, states: Optional[array] = None,
-                     primitive_only: bool = False) -> Tuple[ClassReport, ...]:
+def census_for_delta(delta: int, states: Optional[array] = None
+                     ) -> Tuple[ClassReport, ...]:
     """Reports for all classes of a non-square discriminant, primitive and
-    scaled (only the primitive ones with ``primitive_only``), ordered by
-    their lexicographically least H0 representative.
+    scaled, ordered by their lexicographically least H0 representative.
 
     ``states`` are the discriminant's reduced states as ``_reduced_states``
     gives them; a sweep sieves them once for its window and passes them in.
@@ -135,8 +134,6 @@ def census_for_delta(delta: int, states: Optional[array] = None,
             continue
         p, q = start
         primitive = gcd(q // 2, (delta - p * p) // (2 * q), p) == 1
-        if primitive_only and not primitive:
-            continue
         cycle, digits, back = _regular_walk(p, q, delta)
         if back:
             raise InternalError(f"state {start} of {delta} is not on a cycle")
@@ -156,13 +153,6 @@ def census_for_delta(delta: int, states: Optional[array] = None,
                                        t, t_up, t_down, symmetry, primitive))
     reports.sort(key=attrgetter("representative"))
     return tuple(reports)
-
-
-def census_nonsquare_primitive(delta: int, states: Optional[array] = None
-                               ) -> Tuple[ClassReport, ...]:
-    """Reports for the primitive classes of a non-square discriminant, as
-    ``census_for_delta`` orders them; cycles of content > 1 are skipped."""
-    return census_for_delta(delta, states, primitive_only=True)
 
 
 def census_square(delta: int) -> Tuple[ClassReport, ...]:

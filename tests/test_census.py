@@ -10,9 +10,9 @@ import pytest
 import surdsym.census
 from surdsym.census import (SYMMETRY_ORDER, StatRow, _gate_violations,
                             _reduced_states, _windows, check_census,
-                            census_for_delta, census_nonsquare_primitive,
-                            census_square, first_occurrence, full_census,
-                            stats_rows, valid_deltas)
+                            census_for_delta, census_square,
+                            first_occurrence, full_census, stats_rows,
+                            valid_deltas)
 from surdsym.exact import is_square
 from surdsym.forms import Form, content, discriminant, is_primitive, scale
 from surdsym.oracle import (ambiguous_classes, h0_class_key, h0_point_count,
@@ -119,7 +119,7 @@ class TestCensusRows:
             full_census(0)
 
     def test_primitive_census_delta_17(self):
-        rows = census_nonsquare_primitive(17)
+        rows = census_for_delta(17)
         assert len(rows) == 1
         assert rows[0].symmetry is SymmetryType.SUPERSYMMETRIC
         assert (rows[0].t, rows[0].t_up, rows[0].t_down) == (10, 5, 5)
@@ -157,7 +157,7 @@ class TestPrimitiveEngine:
         the continued fraction of that representative; and the rows' H0
         cycles together hold every primitive H0 form of the discriminant."""
         for d in valid_deltas(3000, include_square=False):
-            rows = census_nonsquare_primitive(d)
+            rows = [r for r in census_for_delta(d) if r.primitive]
             for r in rows:
                 rep = r.representative
                 assert h0_class_key(rep) == rep, (d, rep)
@@ -203,8 +203,6 @@ class TestReducedStates:
     def test_lone_delta_matches_the_sweep(self):
         census = full_census(2000, include_square=False)
         for d, reports in census.items():
-            assert census_nonsquare_primitive(d) == \
-                tuple(r for r in reports if r.primitive), d
             assert census_for_delta(d) == reports, d
 
     def test_scaled_classes_are_scaled_primitive_classes_to_3000(self):
@@ -217,7 +215,8 @@ class TestReducedStates:
                 if d % (s * s) == 0 and (d // (s * s)) % 4 in (0, 1):
                     scaled += [replace(r, representative=scale(r.representative, s),
                                        delta=d, primitive=False)
-                               for r in census_nonsquare_primitive(d // (s * s))]
+                               for r in census_for_delta(d // (s * s))
+                               if r.primitive]
             assert [r for r in census_for_delta(d) if not r.primitive] == \
                 sorted(scaled, key=lambda r: r.representative), d
 

@@ -2,7 +2,7 @@
 answers with a cold and a warm cache, immutable cached walks, and a cache
 that never grows past its constant size."""
 
-from surdsym.census import census_nonsquare_primitive
+from surdsym.census import census_for_delta
 from surdsym.cf import _WALK_MEMO_SIZE, _regular_walk, cf_surd
 from surdsym.cli import _orbit_tour
 from surdsym.forms import Form, discriminant
@@ -94,7 +94,7 @@ def test_cache_stays_at_its_constant_size():
     for f in NONSQUARE_GRID[:200]:
         warm_answers(f)
         assert _regular_walk.cache_info().currsize <= _WALK_MEMO_SIZE
-    census_nonsquare_primitive(9997)
+    census_for_delta(9997)
     info = _regular_walk.cache_info()
     assert info.maxsize == _WALK_MEMO_SIZE
     assert info.currsize == _WALK_MEMO_SIZE
