@@ -30,13 +30,15 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import gcd, isqrt
+# Imported at module level, not on first sweep: the benchmark's tracer
+# replaces ``census.Pool`` to collect the workers' spans.
 from multiprocessing import Pool
 from operator import attrgetter
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .cf import _regular_walk
 from .exact import is_square
@@ -211,7 +213,8 @@ def _sweep(delta_max: int, jobs: int, emit: Callable,
     windows = _windows(delta_max)
     shard = partial(_shard, emit, include_square, include_nonsquare)
     parallel = jobs > 1 and len(windows) > 1
-    with Pool(jobs) if parallel else nullcontext() as pool:
+    # A worker beyond the window count would never get work.
+    with Pool(min(jobs, len(windows))) if parallel else nullcontext() as pool:
         for i in range(0, len(windows), 2 * jobs):
             group = windows[i:i + 2 * jobs]
             for rows in (pool.map(shard, group, chunksize=1) if parallel
@@ -234,8 +237,7 @@ SYMMETRY_ORDER = (SymmetryType.SUPERSYMMETRIC, SymmetryType.K_SYMMETRIC,
                   SymmetryType.ASYMMETRIC)
 
 
-@dataclass(frozen=True)
-class StatRow:
+class StatRow(NamedTuple):
     """Per-discriminant symmetry-type tallies with exact fractions."""
 
     delta: int

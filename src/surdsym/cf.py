@@ -27,12 +27,11 @@ no caller can change.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, repeat, starmap
 from math import gcd
 from operator import add
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .exact import is_square, isqrt
 from .forms import Form, InternalError, antipodal, is_reduced, require_indefinite
@@ -45,8 +44,7 @@ class SquareDiscriminantError(ValueError):
     """Raised where a non-square discriminant is required."""
 
 
-@dataclass(frozen=True)
-class CFExpansion:
+class CFExpansion(NamedTuple):
     """A regular continued fraction: finite ``preperiod`` then cyclic ``period``.
 
     Finite (rational) expansions have an empty period.
@@ -60,8 +58,7 @@ class CFExpansion:
         return not self.period
 
 
-@dataclass(frozen=True)
-class ModularCF:
+class ModularCF(NamedTuple):
     """A minus continued fraction: b0 - 1/(b1 - 1/(...)), digits >= 2 after b0."""
 
     preperiod: Tuple[int, ...]
@@ -267,9 +264,25 @@ def _minus_walk(f: Form) -> MinusWalk:
     raise InternalError(f"minus CF of {f} did not close within its step bound")
 
 
+# The most minus-CF digits that ``modular_cf_surd`` and
+# ``reduction.reduce_classical`` expand into a tuple.  A preperiod run of 2s
+# is as long as the coefficients are large, not as their logarithm:
+# (R A^-2)^M (1, 1, -3) has M - 1 of them.
+DIGIT_CAP = 10 ** 6
+
+
 def _digits(runs: Tuple[Run, ...]) -> Tuple[int, ...]:
     """The digits of (digit, count) runs, each run expanded."""
     return tuple(chain.from_iterable(starmap(repeat, runs)))
+
+
+def _require_digit_cap(f: Form, runs: Tuple[Run, ...]) -> None:
+    """Raise ValueError if the runs, taken from the minus walk of f, hold
+    more than DIGIT_CAP digits; nothing is expanded to count them."""
+    count = sum(c for _, c in runs)
+    if count > DIGIT_CAP:
+        raise ValueError(f"the minus continued fraction of {f} has {count} "
+                         f"digits to expand, more than the cap of {DIGIT_CAP}")
 
 
 def _run_form(g: Form, i: int) -> Form:
@@ -365,10 +378,12 @@ def modular_cf_surd(f: Form) -> ModularCF:
     """Minus continued fraction of xi_plus(f); non-square delta, m != 0.
 
     Digits after the first are always >= 2; the expansion of the root of a
-    reduced form is purely periodic.
+    reduced form is purely periodic.  More than DIGIT_CAP digits in all
+    raise ValueError.
     """
     _require_nonsquare(f)
     runs, _, start = _minus_walk(f)
+    _require_digit_cap(f, runs)
     return ModularCF(_digits(runs[:start]), _digits(runs[start:]))
 
 

@@ -18,6 +18,9 @@ from functools import partial
 from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
+# census (and multiprocessing with it) is imported here, not when a sweep
+# command runs: the benchmark's tracer wraps only the modules that are
+# loaded when it installs.
 from .census import StatRow, _stat_rows, _sweep, check_census
 from .cf import _regular_walk, _state_form, cf_surd, modular_cf_surd
 from .exact import is_square

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import List, Set, Tuple
+from typing import List, NamedTuple, Set, Tuple
 
 from .exact import is_square
 from .forms import (DomainLabel, Form, GeneratorWord, InternalError,
@@ -112,8 +111,7 @@ def h0_class_key(f: Form) -> Form:
     return min(cycle)
 
 
-@dataclass(frozen=True)
-class OracleCounts:
+class OracleCounts(NamedTuple):
     """Tallies of one class's members over the six bounded domains."""
 
     h0: int

@@ -10,9 +10,8 @@ is read off one Euclidean expansion of k/m and its twin of the other length.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .cf import (_check_word, _find_word, _least_period, cf_rational,
                  cf_surd, is_primitive_period)
@@ -142,8 +141,7 @@ def _counts_nonsquare(gamma: Tuple[int, ...], odd_start: bool) -> Tuple[int, int
     return total, t_up, total - t_up
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(NamedTuple):
     """Everything the reports print about one class."""
 
     representative: Form

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import index
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .cf import (SquareDiscriminantError, _digits, _index_in_run, _minus_walk,
-                 _regular_walk, _require_nonsquare, _run_form, _run_forms,
-                 _state_form)
+                 _regular_walk, _require_digit_cap, _require_nonsquare,
+                 _run_form, _run_forms, _state_form)
 from .exact import is_square
 from .forms import (Form, GeneratorWord, InternalError, antipodal, gen_power,
                     involution, is_reduced, require_indefinite)
@@ -124,18 +123,11 @@ class CycleForms(Sequence):
         return repr(tuple(self))
 
 
-@dataclass(frozen=True)
-class ReducedCycle:
+class ReducedCycle(NamedTuple):
     """The reduced forms of a class and the minus-CF exponents linking them."""
 
     forms: Sequence[Form]
     modular_period: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.forms) != len(self.modular_period):
-            raise InternalError(
-                f"{len(self.forms)} reduced forms vs period length "
-                f"{len(self.modular_period)}")
 
 
 def reduced_cycle(f: Form) -> ReducedCycle:
@@ -152,8 +144,12 @@ def reduced_cycle(f: Form) -> ReducedCycle:
     runs, firsts, start = _minus_walk(h0)
     if start:
         raise InternalError(f"minus CF of reduced form {h0} is not purely periodic")
-    return ReducedCycle(CycleForms(firsts, tuple(count for _, count in runs)),
-                        _digits(runs))
+    forms = CycleForms(firsts, tuple(count for _, count in runs))
+    period = _digits(runs)
+    if len(forms) != len(period):
+        raise InternalError(
+            f"{len(forms)} reduced forms vs period length {len(period)}")
+    return ReducedCycle(forms, period)
 
 
 _H0_INVOLUTION_ORDER = ("identity", "conjugate", "adjoint", "antipodal")
@@ -201,13 +197,16 @@ def reduce_to_H0(f: Form) -> Tuple[Form, GeneratorWord, str]:
 
 def reduce_classical(f: Form) -> Tuple[Form, GeneratorWord]:
     """Reduce a form with m > 0, n > 0, k < 0 by the word R A^{b_M} ... R A^{b_0},
-    where b_0 ... b_M is the minus-CF preperiod of xi_plus(f)."""
+    where b_0 ... b_M is the minus-CF preperiod of xi_plus(f).  A preperiod
+    of more than ``cf.DIGIT_CAP`` digits raises ValueError."""
     _require_nonsquare(f)
     if not (f.m > 0 and f.n > 0 and f.k < 0):
         raise ValueError(f"reduce_classical needs m>0, n>0, k<0; got {f}")
     # Each step R A^b is one step of the minus walk.
     runs, firsts, start = _minus_walk(f)
-    return firsts[0], tuple(step for b in _digits(runs[:start])
+    preperiod = runs[:start]
+    _require_digit_cap(f, preperiod)
+    return firsts[0], tuple(step for b in _digits(preperiod)
                             for step in (("A", b), ("R", 1)))
 
 

@@ -1,7 +1,6 @@
 """Census sweeps: per-discriminant enumeration, stats, and the checker's
 gates (the sum rule, genus theory, period parity, H0 points, square types)."""
 
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -213,8 +212,8 @@ class TestReducedStates:
             scaled = []
             for s in range(2, isqrt(d) + 1):
                 if d % (s * s) == 0 and (d // (s * s)) % 4 in (0, 1):
-                    scaled += [replace(r, representative=scale(r.representative, s),
-                                       delta=d, primitive=False)
+                    scaled += [r._replace(representative=scale(r.representative, s),
+                                          delta=d, primitive=False)
                                for r in census_for_delta(d // (s * s))
                                if r.primitive]
             assert [r for r in census_for_delta(d) if not r.primitive] == \
@@ -411,13 +410,13 @@ class TestGatesFire:
     def test_wrong_symmetry(self, small_census):
         rows = list(small_census[316])
         assert rows[0].symmetry is SymmetryType.K_SYMMETRIC
-        rows[0] = replace(rows[0], symmetry=SymmetryType.ASYMMETRIC)
+        rows[0] = rows[0]._replace(symmetry=SymmetryType.ASYMMETRIC)
         assert _gate_violations(rows)[1] == [
             "VIOLATION delta=316 gate=ambiguous super+k=1 expected=2"]
 
     def test_wrong_t(self, small_census):
         rows = list(small_census[316])
-        rows[1] = replace(rows[1], t=rows[1].t + 2)
+        rows[1] = rows[1]._replace(t=rows[1].t + 2)
         assert self.gates(rows) == ["gate=h0-points"]
 
     def test_dropped_row(self, small_census):
@@ -428,13 +427,13 @@ class TestGatesFire:
 
     def test_row_of_the_other_parity(self, small_census):
         rows = list(small_census[316])
-        rows[1] = replace(rows[1], p_or_l=rows[1].p_or_l + 1)
+        rows[1] = rows[1]._replace(p_or_l=rows[1].p_or_l + 1)
         assert self.gates(rows) == ["gate=parity"]
 
     def test_wrong_square_type(self, small_census):
         rows = list(small_census[25])
         assert rows[2].representative == Form(2, 0, 5)
-        rows[2] = replace(rows[2], symmetry=SymmetryType.ASYMMETRIC)
+        rows[2] = rows[2]._replace(symmetry=SymmetryType.ASYMMETRIC)
         assert _gate_violations(rows)[1] == [
             "VIOLATION delta=25 gate=square-type rep=(2,0,5) symmetry=asymm "
             "expected=m+n"]

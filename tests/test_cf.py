@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import surdsym.cf
 from cf_helpers import cf_digits, cf_value, period_of_class
 from minus_walk_by_states import minus_walk_by_states, state_form
 from regular_walk_by_states import regular_walk_by_states
@@ -241,6 +242,17 @@ class TestStateForm:
         assert checked > 100000
 
 
+def r_a_minus_2_power(f, big):
+    """(R A^-2)^big applied to f, from the matrix
+    T^big = [[1 + big, big], [-big, 1 - big]] of the word (checked against
+    apply_word at big = 1000), in O(1) arithmetic steps."""
+    a, b, c, d = 1 + big, big, -big, 1 - big
+    m, n, k = f
+    return Form(m * a * a + n * c * c + k * a * c,
+                m * b * b + n * d * d + k * b * d,
+                2 * m * a * b + 2 * n * c * d + k * (a * d + b * c))
+
+
 def _expand_minus_walk(f):
     """The run walk of f as (period forms, digits, digit index of the
     period start), the forms as the lazy sequence a reduced cycle reads.
@@ -326,21 +338,13 @@ class TestMinusWalk:
         assert digits[:999] == (2,) * 998 + (3,) and start == 999
 
     def test_preperiod_run_of_a_million(self):
-        """(R A^-2)^M applied to (1, 1, -3), built from the matrix
-        T^M = [[1 + M, M], [-M, 1 - M]] of the word (checked against
-        apply_word at M = 1000): a preperiod of 0, M - 1 2s and a 5, taken
-        in one stride, then the period (3,)."""
-        def power(f, big):
-            a, b, c, d = 1 + big, big, -big, 1 - big
-            m, n, k = f
-            return Form(m * a * a + n * c * c + k * a * c,
-                        m * b * b + n * d * d + k * b * d,
-                        2 * m * a * b + 2 * n * c * d + k * (a * d + b * c))
-
+        """(R A^-2)^M applied to (1, 1, -3): a preperiod of 0, M - 1 2s and
+        a 5, taken in one stride, then the period (3,)."""
         f0 = Form(1, 1, -3)
-        assert power(f0, 1000) == apply_word(f0, (("A-", 2), ("R", 1)) * 1000)
+        assert r_a_minus_2_power(f0, 1000) == apply_word(
+            f0, (("A-", 2), ("R", 1)) * 1000)
         big = 10 ** 6
-        runs, firsts, start = _minus_walk(power(f0, big))
+        runs, firsts, start = _minus_walk(r_a_minus_2_power(f0, big))
         assert runs == ((0, 1), (2, big - 1), (5, 1), (3, 1)) and start == 3
         assert firsts == (f0,)
 
@@ -429,6 +433,55 @@ class TestModularCF:
             for b in (mcf.preperiod + mcf.period * 3)[:8]:
                 assert b == math.ceil(x), f
                 x = 1.0 / (b - x)
+
+
+class TestDigitCap:
+    """modular_cf_surd and reduce_classical count the digits of the minus
+    walk's runs before they expand them, and raise ValueError past
+    cf.DIGIT_CAP.  (R A^-2)^M (1, 1, -3) has M + 2 of them, M - 1 in its
+    preperiod's run of 2s, and its complementary form M in its preperiod."""
+
+    def test_the_cap_is_the_last_digit_count_allowed(self, monkeypatch):
+        monkeypatch.setattr(surdsym.cf, "DIGIT_CAP", 1000)
+        f0 = Form(1, 1, -3)
+        mcf = modular_cf_surd(r_a_minus_2_power(f0, 998))
+        assert len(mcf.preperiod) + len(mcf.period) == 1000
+        with pytest.raises(ValueError, match="has 1001 digits"):
+            modular_cf_surd(r_a_minus_2_power(f0, 999))
+        _, word = reduce_classical(complementary(r_a_minus_2_power(f0, 1000)))
+        assert len(word) == 2000
+        with pytest.raises(ValueError, match="has 1001 digits"):
+            reduce_classical(complementary(r_a_minus_2_power(f0, 1001)))
+
+    def test_modular_of_a_trillion_digits_exits_1_at_once(self):
+        """In a child process with 1 GB of address space, so that expanding
+        the digits fails by MemoryError instead of taking the machine."""
+        f = r_a_minus_2_power(Form(1, 1, -3), 10 ** 12)
+        proc = run_in_child(
+            "import sys, time\n"
+            "from surdsym.cli import main\n"
+            "t0 = time.perf_counter()\n"
+            "code = main(['modular', *sys.argv[1:]])\n"
+            "print(code, time.perf_counter() - t0)\n", *f)
+        code, seconds = proc.stdout.split()
+        assert code == "1" and float(seconds) < 0.5
+        assert proc.stderr == (
+            f"error: the minus continued fraction of {f!r} has "
+            f"{10 ** 12 + 2} digits to expand, more than the cap of "
+            f"{surdsym.cf.DIGIT_CAP}\n")
+
+    def test_reduce_classical_of_a_trillion_digits_raises(self):
+        f = complementary(r_a_minus_2_power(Form(1, 1, -3), 10 ** 12))
+        proc = run_in_child(
+            "import sys\n"
+            "from surdsym.forms import Form\n"
+            "from surdsym.reduction import reduce_classical\n"
+            "try:\n"
+            "    reduce_classical(Form(*map(int, sys.argv[1:])))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n", *f)
+        assert proc.returncode == 0, proc.stderr
+        assert f"has {10 ** 12} digits to expand" in proc.stdout
 
 
 class TestPeriodConversion:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import surdsym.census
-from surdsym.census import check_census
+from surdsym.census import _windows, check_census
 from surdsym.cli import _orbit_tour, build_parser, main
 from surdsym.forms import Form, InternalError
 from test_reduction import NONSQUARE_GRID
@@ -187,6 +187,32 @@ class TestTable:
         rc2, out2, _ = run(capsys, "table", "--delta-max", "2000",
                            "--format", "csv", "--jobs", "3")
         assert rc1 == rc2 == 0 and out1 == out2
+
+    def test_pool_gets_no_more_workers_than_windows(self, capsys,
+                                                     monkeypatch):
+        """A pool of 100,000 workers would ask the OS for as many
+        processes.  The pool here is an in-process fake that records the
+        size asked for, so no process starts."""
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, iterable, chunksize=None):
+                return list(map(func, iterable))
+
+        monkeypatch.setattr(surdsym.census, "Pool", InProcessPool)
+        argv = ("table", "--delta-max", "300", "--format", "csv", "--jobs")
+        rc, out, _ = run(capsys, *argv, "100000")
+        assert sizes and max(sizes) <= len(_windows(300))
+        assert (rc, out) == run(capsys, *argv, "1")[:2]
 
     @pytest.mark.parametrize("argv", [
         ("table", "--format", "csv"), ("table", "--format", "json"),
