@@ -284,8 +284,11 @@ def _gate_violations(reports: Sequence[ClassReport]) -> Tuple[int, List[str]]:
     """``check_census``'s emit: (super/anti/(m+n) classes checked, one
     VIOLATION line per failed gate) for the reports of one delta, checked
     against facts found without the regular continued fraction: the minus
-    walk of each reduced cycle (sum-rule), genus theory (ambiguous, parity),
-    divisor counts of the H0 forms (h0-points), congruences (square-type)."""
+    walk of each reduced cycle (sum-rule, and t-up: its length is t_up),
+    genus theory (ambiguous, parity), divisor counts of the H0 forms
+    (h0-points), congruences (square-type), and one identity of the counts
+    (t-balance: sum t_up = sum t_down over the classes, as both count half
+    the H0 forms)."""
     S = SymmetryType
     delta = reports[0].delta
     head = f"VIOLATION delta={delta} gate="
@@ -293,6 +296,9 @@ def _gate_violations(reports: Sequence[ClassReport]) -> Tuple[int, List[str]]:
     points, expected = sum(r.t for r in reports), h0_point_count(delta)
     if points != expected:
         lines.append(f"{head}h0-points sum_t={points} expected={expected}")
+    ups, downs = sum(r.t_up for r in reports), sum(r.t_down for r in reports)
+    if ups != downs:
+        lines.append(f"{head}t-balance sum_t_up={ups} sum_t_down={downs}")
     for r in reports:
         rep, sym = r.representative, r.symmetry
         if r.square:
@@ -303,6 +309,9 @@ def _gate_violations(reports: Sequence[ClassReport]) -> Tuple[int, List[str]]:
         elif sym in _SUM_RULE_TYPES:
             checked += 1
             cycle = reduced_cycle(rep)
+            if len(cycle.forms) != r.t_up:
+                lines.append(f"{head}t-up rep={rep} t_up={r.t_up} "
+                             f"reduced_forms={len(cycle.forms)}")
             if not check_sum_rule(cycle, sym):
                 period = ",".join(map(str, cycle.modular_period))
                 lines.append(f"{head}sum-rule rep={rep} symmetry={sym.code} "

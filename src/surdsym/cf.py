@@ -17,7 +17,7 @@ by a closed form (``_along_run``), and are built only by the reader that
 asks for them (``reduction.CycleForms``).  Neither walk stores a state
 table, and each raises InternalError if it has not closed within a step
 bound taken from its input (``_step_bound``).
-``_regular_walk`` and ``_minus_walk`` are the one loop of each recurrence.
+``_regular_walk`` and ``_minus_walk`` are the one walk of each recurrence.
 Every form that reduction and the H0 tour take from the regular walk is a
 ``_state_form``, read off a state and the Q of the state before it, with no
 squaring or division.  ``_regular_walk`` keeps its last ``_WALK_MEMO_SIZE``
@@ -197,8 +197,8 @@ def _minus_walk(f: Form) -> MinusWalk:
     1 < xi_plus < 2, and each step lowers y = 1 / (xi_plus - 1) =
     (sqrt(d) + k + 2m) / (-2c) by one, so a run from g holds floor(y) 2s;
     the walk jumps to the form after it by ``_along_run``.  The walk closes
-    at the first reduced form: at the start of a run or single step by a
-    tuple comparison, and inside a run, as c is fixed along it, by
+    at the first reduced form: at the start of a run or single step by
+    comparing coefficients, and inside a run, as c is fixed along it, by
     ``_index_in_run``, one O(1) test.  In the preperiod the run is cut
     short if the first reduced form lies inside it: y' = (k + 2m - sqrt(d))
     / (-2c), read at the other root xi_minus, falls by one per step as
@@ -206,52 +206,42 @@ def _minus_walk(f: Form) -> MinusWalk:
     y' - i < -1, that is when xi_minus has entered (0, 1); with c > 0 no
     form of the run is.
 
-    In the period, ``is_reduced`` tests every form the walk stops at: each
-    form it steps from alone, the first form g_0 of each run and the form
-    g_L after it.  One that fails raises InternalError.  (Where the cycle
-    closes inside the run, at g_i, the first reduced form, tested when the
-    walk met it, stands for g_L.)  The forms strictly inside the run are
-    then reduced as well.  Its m_i has second difference 2c < 0, so the
-    least of m_0 ... m_L is at an end, and is positive; n_i = m_{i-1} is
-    positive; and m_i + n_i + k_i = c < 0.  Where g and R(A^2(g)) are both
-    reduced, 2 is the digit of g, as xi_plus(R(A^e(g))) = 1 / (e - xi_plus(g))
-    is above 1 only for e = ceil(xi_plus(g)).  So a wrong run length cannot
-    slip a form into the cycle: a run too long ends on a form that is not
-    reduced, and one too short is followed by more 2s.  A walk that has
-    not closed within ``_step_bound`` iterations raises InternalError.
+    The period has a loop of its own.  There every form is reduced, so
+    c < 0 and 2m > 0, and the run length and the single digit each take
+    one floor division with no sign branch.  ``is_reduced`` tests every
+    form the walk stops at: each form it steps from alone, the first form
+    g_0 of each run and the form g_L after it.  One that fails raises
+    InternalError.  (Where the cycle closes inside the run, at g_i, the
+    first reduced form, tested when the walk met it, stands for g_L.)  The
+    forms strictly inside the run are then reduced as well.  Its m_i has
+    second difference 2c < 0, so the least of m_0 ... m_L is at an end, and
+    is positive; n_i = m_{i-1} is positive; and m_i + n_i + k_i = c < 0.
+    Where g and R(A^2(g)) are both reduced, 2 is the digit of g, as
+    xi_plus(R(A^e(g))) = 1 / (e - xi_plus(g)) is above 1 only for
+    e = ceil(xi_plus(g)).  So a wrong run length cannot slip a form into
+    the cycle: a run too long ends on a form that is not reduced, and one
+    too short is followed by more 2s.  A walk that has not closed within
+    ``_step_bound`` iterations, preperiod and period together, raises
+    InternalError.
     """
     m, n, k = f
     d = k * k - 4 * m * n
     r = isqrt(d)
     runs = []
-    firsts = []
-    start = -1
-    for _ in range(_step_bound(d, m, n, k)):
+    bound = _step_bound(d, m, n, k)
+    for steps in range(bound):
+        if is_reduced(m, n, k):
+            break
         c = m + n + k  # not 0: the discriminant is not a square
         # the 2s from here: floor((sqrt(d) + k + 2m) / (-2c)), from r
         num = r + k + 2 * m
         run = num // (-2 * c) if c < 0 else -(num // (2 * c)) - 1
-        if is_reduced(m, n, k):
-            g = _new_form(Form, (m, n, k))
-            if start < 0:
-                start, first, first_c = len(runs), g, c
-            elif g == first:
-                return tuple(runs), tuple(firsts), start
-            firsts.append(g)
-            if run > 0 and c == first_c:
-                i = _index_in_run(m, n, c, run, first)
-                if i:  # the cycle closes inside the run
-                    runs.append((2, i))
-                    return tuple(runs), tuple(firsts), start
-        elif start >= 0:
-            raise InternalError(
-                f"minus CF of {f} left the reduced set: {Form(m, n, k)}")
-        elif run > 0 and c < 0:
-            # the run's first reduced form is its form floor(y') + 2
-            entry = (k + 2 * m - r - 1) // (-2 * c) + 2
-            if 0 < entry < run:
-                run = entry
         if run > 0:
+            if c < 0:
+                # the run's first reduced form is its form floor(y') + 2
+                entry = (k + 2 * m - r - 1) // (-2 * c) + 2
+                if 0 < entry < run:
+                    run = entry
             runs.append((2, run))
             m, n = _along_run(m, n, c, run)
             k = c - m - n
@@ -261,13 +251,50 @@ def _minus_walk(f: Form) -> MinusWalk:
         b = (r - k) // q + 1 if q > 0 else -((r - k) // -q)
         runs.append((b, 1))
         m, n, k = n + b * (k + b * m), m, -k - b * q
-    raise InternalError(f"minus CF of {f} did not close within its step bound")
+    else:
+        raise InternalError(
+            f"minus CF of {f} did not close within its step bound")
+    start = len(runs)
+    first = _new_form(Form, (m, n, k))
+    m0, n0, k0 = first
+    first_c = m + n + k
+    firsts = []  # plain tuples, made Forms in one pass once the cycle closes
+    for _ in range(bound - steps):
+        firsts.append((m, n, k))
+        c = m + n + k
+        run = (r + k + 2 * m) // (-2 * c)
+        if run > 0:
+            if c == first_c:
+                i = _index_in_run(m, n, c, run, first)
+                if i:  # the cycle closes inside the run
+                    runs.append((2, i))
+                    break
+            runs.append((2, run))
+            # _along_run(m, n, c, run), written out
+            d0 = m - n + 2 * c
+            m, n = (m + run * (d0 + c * (run - 1)),
+                    m + (run - 1) * (d0 + c * (run - 2)))
+            k = c - m - n
+        else:
+            b = (r - k) // (2 * m) + 1
+            runs.append((b, 1))
+            m, n, k = n + b * (k + b * m), m, -k - 2 * b * m
+        if not is_reduced(m, n, k):
+            raise InternalError(
+                f"minus CF of {f} left the reduced set: {Form(m, n, k)}")
+        if m == m0 and n == n0 and k == k0:
+            break
+    else:
+        raise InternalError(
+            f"minus CF of {f} did not close within its step bound")
+    return tuple(runs), tuple(map(_new_form, repeat(Form), firsts)), start
 
 
-# The most minus-CF digits that ``modular_cf_surd`` and
-# ``reduction.reduce_classical`` expand into a tuple.  A preperiod run of 2s
-# is as long as the coefficients are large, not as their logarithm:
-# (R A^-2)^M (1, 1, -3) has M - 1 of them.
+# The most minus-CF digits that ``modular_cf_surd``,
+# ``reduction.reduce_classical`` and ``reduction.ReducedCycle.modular_period``
+# expand into a tuple.  A run of 2s is as long as the coefficients are large,
+# not as their logarithm: (R A^-2)^M (1, 1, -3) has M - 1 of them in its
+# preperiod, and the class of regular period (1, M) M - 1 in its period.
 DIGIT_CAP = 10 ** 6
 
 

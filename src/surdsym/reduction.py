@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
-from itertools import accumulate, chain
-from operator import index
+from itertools import accumulate, chain, cycle
+from operator import index, itemgetter
 from typing import NamedTuple, Tuple
 
-from .cf import (SquareDiscriminantError, _digits, _index_in_run, _minus_walk,
-                 _regular_walk, _require_digit_cap, _require_nonsquare,
-                 _run_form, _run_forms, _state_form)
-from .exact import is_square
+from .cf import (Run, SquareDiscriminantError, _digits, _index_in_run,
+                 _minus_walk, _regular_walk, _require_digit_cap,
+                 _require_nonsquare, _run_form, _run_forms, _state_form)
+from .exact import is_square, isqrt
 from .forms import (Form, GeneratorWord, InternalError, antipodal, gen_power,
                     involution, is_reduced, require_indefinite)
 from .periods import SymmetryType
@@ -124,10 +124,19 @@ class CycleForms(Sequence):
 
 
 class ReducedCycle(NamedTuple):
-    """The reduced forms of a class and the minus-CF exponents linking them."""
+    """The reduced forms of a class and the minus-CF exponents linking them,
+    as (digit, count) runs: ``forms[i + 1]`` is R(A^c(forms[i])) for the
+    i-th digit c of the runs expanded."""
 
     forms: Sequence[Form]
-    modular_period: Tuple[int, ...]
+    runs: Tuple[Run, ...]
+
+    @property
+    def modular_period(self) -> Tuple[int, ...]:
+        """The minus-CF period digits, the runs expanded; more than
+        ``cf.DIGIT_CAP`` of them raise ValueError."""
+        _require_digit_cap(self.forms[0], self.runs)
+        return _digits(self.runs)
 
 
 def reduced_cycle(f: Form) -> ReducedCycle:
@@ -137,19 +146,16 @@ def reduced_cycle(f: Form) -> ReducedCycle:
     reduced, so two members of one class give rotations of one cycle.
     Successive forms are R(A^{c_i}(previous)) for the period digits c_i,
     closing back at h: the forms of the minus CF walk of xi_plus(h).  Only
-    the form that starts each run of the walk is built here; ``forms``
-    builds the others when it is indexed or iterated.
+    the form that starts each run of the walk is built here, and no digit
+    is expanded; ``forms`` builds the others when it is indexed or
+    iterated.
     """
     h0 = reduced_representative(f)
     runs, firsts, start = _minus_walk(h0)
     if start:
         raise InternalError(f"minus CF of reduced form {h0} is not purely periodic")
-    forms = CycleForms(firsts, tuple(count for _, count in runs))
-    period = _digits(runs)
-    if len(forms) != len(period):
-        raise InternalError(
-            f"{len(forms)} reduced forms vs period length {len(period)}")
-    return ReducedCycle(forms, period)
+    return ReducedCycle(CycleForms(firsts, tuple(map(itemgetter(1), runs))),
+                        runs)
 
 
 _H0_INVOLUTION_ORDER = ("identity", "conjugate", "adjoint", "antipodal")
@@ -179,18 +185,28 @@ def reduce_to_H0(f: Form) -> Tuple[Form, GeneratorWord, str]:
             break
     else:
         raise InternalError(f"no involution of {f} has a positive first root")
-    # The first reduced state has P**2 < delta, so the peel never reads the
-    # period, and the walk stops there.
+    # The walk ends at the first reduced state, which has P**2 < delta; for
+    # j >= 1 the complete quotient xi_j is above 1, so P_j**2 < delta, that
+    # is xi_j' < 0, holds from its first state on (xi_{j+1}' is then
+    # 1 / (xi_j' - a_j) < 0).  So the peel's stop, the first state with
+    # P**2 < delta, is found by stepping back from the end, and for a
+    # non-square delta P**2 < delta is |P| <= isqrt(delta).
     states, digits, _ = _regular_walk(-g.k, 2 * g.m, d, True)
-    first = next(((j, p, q) for j, (p, q) in enumerate(states) if p * p < d),
-                 None)
-    if first is None:
-        raise InternalError(f"preperiod of {g} did not reach mn <= 0")
-    j, p, q = first
+    r = isqrt(d)
+    j = len(states) - 1
     # j > 0: state 0 is g's own, and mn > 0 means P_0**2 = k**2 > delta.
+    if not j or abs(states[j][0]) > r:
+        raise InternalError(f"preperiod of {g} did not reach mn <= 0")
+    while j > 1 and abs(states[j - 1][0]) <= r:
+        j -= 1
+    p, q = states[j]
     cur = _state_form(p, q, states[j - 1][1])
     cur = antipodal(cur) if j % 2 else cur
-    word = tuple(("AB"[i % 2], a) for i, a in enumerate(digits[:j]) if a > 0)
+    # a_0 >= 0 as xi_plus(g) > 0, the other digits are positive, and a zero
+    # exponent is left out.
+    word = tuple(zip(cycle("AB"), digits[:j]))
+    if digits[0] <= 0:
+        word = word[1:]
     out = cur if tag == "identity" else involution(cur, tag)
     return out, word, tag
 
@@ -220,5 +236,5 @@ def check_sum_rule(cycle: ReducedCycle, symmetry: SymmetryType) -> bool:
     True for the other types, which it does not constrain."""
     if symmetry not in _SUM_RULE_TYPES:
         return True
-    period = cycle.modular_period
-    return sum(period) == 3 * len(period)
+    return sum(b * count for b, count in cycle.runs) == \
+        3 * sum(map(itemgetter(1), cycle.runs))

@@ -360,6 +360,13 @@ def test_checker_covers_every_delta_to_20000(checked_to_20000):
     assert _violations(checked_to_20000, "sum-rule") == []
 
 
+def test_t_up_and_t_balance_hold_to_20000(checked_to_20000):
+    """Every super/anti/(m+n) class has as many reduced forms as its t_up,
+    and the t_up of each delta's classes sum to their t_down."""
+    assert _violations(checked_to_20000, "t-up") == []
+    assert _violations(checked_to_20000, "t-balance") == []
+
+
 def test_ambiguous_classes_match_the_stats_to_20000(checked_to_20000):
     """Genus theory's count of self-inverse classes, scaled ones included,
     equals the super + k classes of every non-square delta <= 2 * 10**4."""
@@ -397,8 +404,9 @@ def small_census():
 
 class TestGatesFire:
     """Each gate reports a doctored report of one delta, and only that gate
-    does: 316 has two k classes and four asymm ones, all of even period
-    length; 148 two super classes (one scaled) and two anti ones."""
+    does, but for a dropped row, which two gates report: 316 has two k
+    classes and four asymm ones, all of even period length; 148 two super
+    classes (one scaled) and two anti ones."""
 
     def gates(self, reports):
         return [line.split()[2] for line in _gate_violations(reports)[1]]
@@ -423,7 +431,7 @@ class TestGatesFire:
         rows = list(small_census[316])
         assert rows[1].symmetry is SymmetryType.ASYMMETRIC
         del rows[1]
-        assert self.gates(rows) == ["gate=h0-points"]
+        assert self.gates(rows) == ["gate=h0-points", "gate=t-balance"]
 
     def test_row_of_the_other_parity(self, small_census):
         rows = list(small_census[316])
@@ -446,3 +454,47 @@ class TestGatesFire:
         assert self.gates(small_census[148]) == ["gate=sum-rule"] * 4
         assert lines[1] == ("VIOLATION delta=148 gate=sum-rule rep=(2,-18,-2) "
                             "symmetry=super period=((3,2,2,2,2,3,7))")
+
+    def test_t_up_off_by_one(self, small_census):
+        """A sum-rule class whose t_up is one off fails the t-up gate, which
+        compares it with the length of its reduced cycle; with t_down one
+        off as well, the t-balance gate passes."""
+        rows = list(small_census[148])
+        assert rows[1].representative == Form(2, -18, -2)
+        rows[1] = rows[1]._replace(t_up=rows[1].t_up + 1)
+        assert self.gates(rows) == ["gate=t-balance", "gate=t-up"]
+        rows[1] = rows[1]._replace(t_down=rows[1].t_down + 1)
+        assert _gate_violations(rows)[1] == [
+            "VIOLATION delta=148 gate=t-up rep=(2,-18,-2) t_up=8 "
+            "reduced_forms=7"]
+
+    def test_t_up_and_t_down_swapped(self, small_census):
+        rows = list(small_census[316])
+        assert (rows[1].t_up, rows[1].t_down) == (5, 8)
+        rows[1] = rows[1]._replace(t_up=8, t_down=5)
+        assert _gate_violations(rows)[1] == [
+            "VIOLATION delta=316 gate=t-balance sum_t_up=54 sum_t_down=48"]
+
+
+def test_t_balance_catches_a_swap_on_odd_state_classes(monkeypatch):
+    """A census that swaps t_up and t_down on the class read off the odd
+    states of each even cycle fails the t-balance gate on most delta
+    <= 3000, where the true census passes it on all."""
+    odd_states = [False]
+    least_member = surdsym.census._least_member
+    counts = surdsym.census._counts_nonsquare
+
+    def marking_least_member(a_runs, cycle, digits):
+        odd_states[0] = a_runs.start == 1
+        return least_member(a_runs, cycle, digits)
+
+    def swapping_counts(gamma, odd):
+        t, t_up, t_down = counts(gamma, odd)
+        return (t, t_down, t_up) if odd_states[0] else (t, t_up, t_down)
+
+    monkeypatch.setattr(surdsym.census, "_least_member", marking_least_member)
+    monkeypatch.setattr(surdsym.census, "_counts_nonsquare", swapping_counts)
+    _, _, lines = check_census(3000)
+    failed = {line.split()[1] for line in lines
+              if line.split()[2] == "gate=t-balance"}
+    assert len(failed) > 1000

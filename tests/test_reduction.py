@@ -140,8 +140,9 @@ class TestReducedCycle:
         forms, period = base.forms, base.modular_period
         assert len({g.m for g in forms}) < len(forms)
         for i, g in enumerate(forms):
-            assert reduced_cycle(g) == ReducedCycle(
-                forms[i:] + forms[:i], period[i:] + period[:i]), g
+            cyc = reduced_cycle(g)
+            assert tuple(cyc.forms) == forms[i:] + forms[:i], g
+            assert cyc.modular_period == period[i:] + period[:i], g
 
     def test_leaving_the_reduced_set_after_a_run_fails_loudly(
             self, monkeypatch, capsys):
@@ -262,6 +263,39 @@ class TestReducedCycle:
             reduced_representative(f)
         assert float(seconds) < 0.2
         assert int(kib) < 64 * 1024  # a million Forms take over 100 MB
+
+    def test_a_trillion_digits_are_not_expanded(self):
+        """The class of the regular period (1, 10**12) has a reduced cycle of
+        10**12 forms, two runs of minus-CF digits.  The cycle, its length
+        and its sum rule come back in well under 1 s, and reading its
+        expanded period raises ValueError naming the count; in a child
+        process with a timeout and a 1 GB address-space cap."""
+        f, _ = period_to_forms((1, 10 ** 12))
+        code = (
+            "import sys, time\n"
+            "from surdsym.forms import Form\n"
+            "from surdsym.periods import SymmetryType, classify_class\n"
+            "from surdsym.reduction import check_sum_rule, reduced_cycle\n"
+            "f = Form(*map(int, sys.argv[1:]))\n"
+            "t = time.perf_counter()\n"
+            "cycle = reduced_cycle(f)\n"
+            "n = len(cycle.forms)\n"
+            "rule = check_sum_rule(cycle, SymmetryType.SUPERSYMMETRIC)\n"
+            "t = time.perf_counter() - t\n"
+            "assert check_sum_rule(cycle, classify_class(f).symmetry)\n"
+            "try:\n"
+            "    cycle.modular_period\n"
+            "except ValueError as exc:\n"
+            "    error = str(exc)\n"
+            "print(n, cycle.runs, rule, t)\n"
+            "print(error)\n")
+        proc = run_in_child(code, *f)
+        assert proc.returncode == 0, proc.stderr
+        first, error = proc.stdout.splitlines()
+        *head, seconds = first.rsplit(" ", 1)
+        assert head == [f"{10 ** 12} {((3, 1), (2, 10 ** 12 - 1))} False"]
+        assert float(seconds) < 1
+        assert f"has {10 ** 12} digits to expand" in error
 
     def test_rotation_invariance(self):
         base = reduced_cycle(Form(2, 4, -7))
