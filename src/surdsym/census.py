@@ -50,11 +50,9 @@ from .periods import (ClassReport, SymmetryType, _square_report,
 from .reduction import _SUM_RULE_TYPES, check_sum_rule, reduced_cycle
 
 
-def valid_deltas(delta_max: int, include_square: bool = True,
-                 include_nonsquare: bool = True, delta_min: int = 1) -> List[int]:
-    """Discriminants delta_min <= delta <= delta_max with delta = 0 or 1 mod 4."""
-    return [d for d in range(delta_min, delta_max + 1) if d % 4 < 2
-            and (include_square if is_square(d) else include_nonsquare)]
+def valid_deltas(delta_max: int) -> List[int]:
+    """Discriminants 1 <= delta <= delta_max with delta = 0 or 1 mod 4."""
+    return [d for d in range(1, delta_max + 1) if d % 4 < 2]
 
 
 def _reduced_states(lo: int, hi: int) -> Dict[int, array]:
@@ -181,22 +179,26 @@ def _windows(delta_max: int) -> List[Tuple[int, int]]:
     return list(zip([1] + [hi + 1 for hi in his[:-1]], his))
 
 
-def _shard(emit: Callable, include_square: bool, include_nonsquare: bool,
-           window: Tuple[int, int]) -> list:
-    """[(delta, emit(all class reports of delta))] for every valid delta of
-    the kinds asked in one window of ``_sweep``, which is sieved here."""
+def _shard(emit: Callable, squares_only: bool, window: Tuple[int, int]) -> list:
+    """[(delta, emit(all class reports of delta))] for every valid delta in
+    one window of ``_sweep``, or every square one with ``squares_only``.
+    The window is sieved here, and the keys of its table are its valid
+    deltas, ascending; square deltas need no sieve."""
     lo, hi = window
-    table = _reduced_states(lo, hi) if include_nonsquare else {}
+    if squares_only:
+        return [(k * k, emit(census_square(k * k)))
+                for k in range(isqrt(lo - 1) + 1, isqrt(hi) + 1)]
+    table = _reduced_states(lo, hi)
     return [(d, emit(census_square(d) if is_square(d)
                      else census_for_delta(d, table.pop(d))))
-            for d in valid_deltas(hi, include_square, include_nonsquare, lo)]
+            for d in list(table)]
 
 
 def _sweep(delta_max: int, jobs: int, emit: Callable,
-           include_square: bool = True, include_nonsquare: bool = True
-           ) -> Iterator[Tuple[int, Any]]:
-    """(delta, emit(reports of delta)) for every valid delta <= delta_max
-    of the kinds asked, delta ascending, as ``jobs`` workers finish them.
+           squares_only: bool = False) -> Iterator[Tuple[int, Any]]:
+    """(delta, emit(reports of delta)) for every valid delta <= delta_max,
+    or every square one with ``squares_only``, delta ascending, as ``jobs``
+    workers finish them.
 
     The windows of ``_windows`` go to the pool 2 * jobs at a time, one
     ``Pool.map`` each, so a worker that finishes a window takes the next
@@ -211,7 +213,7 @@ def _sweep(delta_max: int, jobs: int, emit: Callable,
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     windows = _windows(delta_max)
-    shard = partial(_shard, emit, include_square, include_nonsquare)
+    shard = partial(_shard, emit, squares_only)
     parallel = jobs > 1 and len(windows) > 1
     # A worker beyond the window count would never get work.
     with Pool(min(jobs, len(windows))) if parallel else nullcontext() as pool:
@@ -226,10 +228,9 @@ def _identity(reports: Tuple[ClassReport, ...]) -> Tuple[ClassReport, ...]:
     return reports
 
 
-def full_census(delta_max: int, jobs: int = 1,
-                include_square: bool = True) -> Dict[int, Tuple[ClassReport, ...]]:
+def full_census(delta_max: int, jobs: int = 1) -> Dict[int, Tuple[ClassReport, ...]]:
     """Census of every valid discriminant up to delta_max, keyed by delta."""
-    return dict(_sweep(delta_max, jobs, _identity, include_square))
+    return dict(_sweep(delta_max, jobs, _identity))
 
 
 SYMMETRY_ORDER = (SymmetryType.SUPERSYMMETRIC, SymmetryType.K_SYMMETRIC,
@@ -269,13 +270,11 @@ def stats_rows(delta_max: int, jobs: int = 1) -> List[StatRow]:
     return list(_stat_rows(delta_max, jobs))
 
 
-def first_occurrence(rows: Sequence[StatRow], sym: SymmetryType,
-                     include_square: bool = False) -> Optional[int]:
-    """Smallest delta whose row shows at least one class of the given type."""
+def first_occurrence(rows: Sequence[StatRow], sym: SymmetryType) -> Optional[int]:
+    """Smallest non-square delta whose row shows at least one class of the
+    given type."""
     for row in rows:
-        if row.square and not include_square:
-            continue
-        if row.count_of(sym) > 0:
+        if not row.square and row.count_of(sym) > 0:
             return row.delta
     return None
 
@@ -283,12 +282,13 @@ def first_occurrence(rows: Sequence[StatRow], sym: SymmetryType,
 def _gate_violations(reports: Sequence[ClassReport]) -> Tuple[int, List[str]]:
     """``check_census``'s emit: (super/anti/(m+n) classes checked, one
     VIOLATION line per failed gate) for the reports of one delta, checked
-    against facts found without the regular continued fraction: the minus
-    walk of each reduced cycle (sum-rule, and t-up: its length is t_up),
-    genus theory (ambiguous, parity), divisor counts of the H0 forms
-    (h0-points), congruences (square-type), and one identity of the counts
-    (t-balance: sum t_up = sum t_down over the classes, as both count half
-    the H0 forms)."""
+    against facts found apart from the census's walk of its states: the
+    minus walk of each reduced cycle (sum-rule, and t-up: its length is
+    t_up), which starts from ``reduced_representative``, itself a regular
+    walk of the representative's own surd; genus theory (ambiguous,
+    parity), divisor counts of the H0 forms (h0-points), congruences
+    (square-type), and one identity of the counts (t-balance: sum t_up =
+    sum t_down over the classes, as both count half the H0 forms)."""
     S = SymmetryType
     delta = reports[0].delta
     head = f"VIOLATION delta={delta} gate="

@@ -28,9 +28,8 @@ no caller can change.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, chain, repeat, starmap
+from itertools import chain, repeat, starmap
 from math import gcd
-from operator import add
 from typing import NamedTuple, Tuple
 
 from .exact import is_square, isqrt
@@ -318,19 +317,6 @@ def _run_form(g: Form, i: int) -> Form:
     c = m + n + k
     m, n = _along_run(m, n, c, i)
     return _new_form(Form, (m, n, c - m - n))
-
-
-def _run_forms(g: Form, count: int):
-    """The reduced form g and the count - 1 forms after it along its run
-    of 2s (g alone for count 1): m from the differences m_i - m_{i-1},
-    which start at m - n and grow by 2c, and n_i = m_{i-1}."""
-    m, n, k = g
-    c = m + n + k
-    ms = list(accumulate(accumulate(repeat(2 * c, count - 1), initial=m - n),
-                         initial=n))  # m_{-1} = n, m_0, ..., m_{count-1}
-    inner = ms[1:]
-    return map(_new_form, repeat(Form),
-               zip(inner, ms, map(c.__sub__, map(add, inner, ms))))
 
 
 def _state_form(p: int, q: int, q_prev: int) -> Form:

@@ -1,7 +1,8 @@
 """Command-line interface: classify, period, counts, reduce, modular, orbit,
 table, stats, check.
 
-Exit codes: 0 success, 1 input error, 2 internal-consistency failure.
+Exit codes: 0 success, 1 input error (an --out that cannot be written and
+a reader that closes stdout too), 2 internal-consistency failure.
 All enumeration output is deterministic (delta ascending, representatives in
 lexicographic order) and byte-stable across --jobs settings.
 """
@@ -230,7 +231,7 @@ def cmd_orbit(args) -> int:
     if args.bound is not None and not args.all:
         raise ValueError("--bound requires --all")
     if args.all:
-        if not args.bound:
+        if args.bound is None:
             raise ValueError("--all requires --bound")
         lines = [f"{g.m} {g.n} {g.k}  {domain_of(g).value}"
                  for g in orbit_bfs(f, args.bound)]
@@ -258,8 +259,7 @@ def cmd_table(args) -> int:
     # _report_rows renders none of them: the benchmark's traced test counts
     # those classes (ROADMAP item 1).
     done = _sweep(args.delta_max, args.jobs,
-                  partial(_report_rows, args.format, zero),
-                  include_nonsquare=not zero)
+                  partial(_report_rows, args.format, zero), squares_only=zero)
     _emit(_table(fields, args.format, (part for _, part in done)), args.out)
     return 0
 
@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, help_text, form=True, fmt=(), sweep=False):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, description=help_text)
         if form:
             _add_form_arguments(p)
         if fmt:  # the first choice is the default
@@ -340,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("stats", cmd_stats, "symmetry-type counts and fractions per delta",
         form=False, fmt=("csv", "json"), sweep=True)
     add("check", cmd_check, "check every class with delta <= --delta-max "
-        "against the sum rule, genus theory and H0 point counts",
-        form=False, sweep=True)
+        "against its gates: h0-points, t-balance, square-type, sum-rule, "
+        "t-up, ambiguous and parity", form=False, sweep=True)
     return parser
 
 
@@ -352,7 +352,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OverflowError) as exc:
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull, so that the flush
+        # at exit does not raise again (the recipe in the signal module's
+        # docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (ValueError, OverflowError, OSError) as exc:  # OSError: a bad --out
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,23 +2,17 @@
 
 Quadratic surds (P + sqrt(D)) / Q are never stored as numbers: the
 continued-fraction code in :mod:`surdsym.cf` carries them as integer states
-(P, Q) and takes floors from ``isqrt(D)``.
+(P, Q) and takes floors from ``isqrt(D)``.  ``isqrt`` is ``math.isqrt``,
+exact for every size and a ValueError for negative n.
 """
 from __future__ import annotations
 
-import math
-
-
-def isqrt(n: int) -> int:
-    """Exact integer square root, floor(sqrt(n))."""
-    if n < 0:
-        raise ValueError(f"isqrt of negative number {n}")
-    return math.isqrt(n)
+from math import isqrt
 
 
 def is_square(n: int) -> bool:
     """True iff n is a perfect square (negatives never are)."""
     if n < 0:
         return False
-    r = math.isqrt(n)
+    r = isqrt(n)
     return r * r == n

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
-from itertools import accumulate, chain, cycle
+from itertools import accumulate, cycle
 from operator import index, itemgetter
 from typing import NamedTuple, Tuple
 
 from .cf import (Run, SquareDiscriminantError, _digits, _index_in_run,
                  _minus_walk, _regular_walk, _require_digit_cap,
-                 _require_nonsquare, _run_form, _run_forms, _state_form)
+                 _require_nonsquare, _run_form, _state_form)
 from .exact import is_square, isqrt
 from .forms import (Form, GeneratorWord, InternalError, antipodal, gen_power,
                     involution, is_reduced, require_indefinite)
@@ -53,11 +53,11 @@ class CycleForms(Sequence):
 
     ``firsts[i]`` is the form that starts the i-th run and ``counts[i]`` its
     number of digits (more than 1 only for a run of 2s).  The length is the
-    sum of the counts; an index is answered by the closed form of its run
-    (``cf._run_form``), and iteration builds one run at a time.  No other
-    form is kept.  Membership, ``index`` and ``count`` look at each run
-    once, without building its forms.  It compares and hashes as the tuple
-    of its forms.
+    sum of the counts; each form, read by index or by iteration, is built
+    by the closed form of its run (``cf._run_form``).  No other form is
+    kept.  Membership, ``index`` and ``count`` look at each run once,
+    without building its forms.  It compares and hashes as the tuple of its
+    forms.
     """
 
     __slots__ = ("_firsts", "_counts", "_offsets")
@@ -82,7 +82,8 @@ class CycleForms(Sequence):
         return _run_form(self._firsts[run], j - self._offsets[run])
 
     def __iter__(self):
-        return chain.from_iterable(map(_run_forms, self._firsts, self._counts))
+        return (_run_form(g, i) for g, count in zip(self._firsts, self._counts)
+                for i in range(count))
 
     def _find(self, h) -> int:
         """The index of the form h, or -1 if h is not in the cycle.  h is

@@ -8,7 +8,8 @@ import pytest
 
 import surdsym.census
 from surdsym.census import (SYMMETRY_ORDER, StatRow, _gate_violations,
-                            _reduced_states, _windows, check_census,
+                            _reduced_states, _sweep, _type_counts, _windows,
+                            check_census,
                             census_for_delta, census_square,
                             first_occurrence, full_census, stats_rows,
                             valid_deltas)
@@ -21,6 +22,10 @@ from surdsym.reduction import _SUM_RULE_TYPES, check_sum_rule, reduced_cycle
 
 from h0_points_by_trial_division import h0_points_by_trial_division
 from states_by_divisors import smallest_prime_factors, states_by_divisors
+
+
+def nonsquare_deltas(delta_max):
+    return [d for d in valid_deltas(delta_max) if not is_square(d)]
 
 
 @pytest.fixture(scope="module")
@@ -38,8 +43,8 @@ class TestValidDeltas:
         assert valid_deltas(20) == [1, 4, 5, 8, 9, 12, 13, 16, 17, 20]
 
     def test_square_filter(self):
-        assert valid_deltas(20, include_square=False) == [5, 8, 12, 13, 17, 20]
-        assert valid_deltas(20, include_nonsquare=False) == [1, 4, 9, 16]
+        assert nonsquare_deltas(20) == [5, 8, 12, 13, 17, 20]
+        assert [d for d in valid_deltas(20) if is_square(d)] == [1, 4, 9, 16]
 
     def test_all_residues_valid(self):
         for d in valid_deltas(500):
@@ -155,7 +160,7 @@ class TestPrimitiveEngine:
         cycle walked step by step; its period, counts and type are those of
         the continued fraction of that representative; and the rows' H0
         cycles together hold every primitive H0 form of the discriminant."""
-        for d in valid_deltas(3000, include_square=False):
+        for d in nonsquare_deltas(3000):
             rows = [r for r in census_for_delta(d) if r.primitive]
             for r in rows:
                 rep = r.representative
@@ -178,7 +183,7 @@ class TestReducedStates:
         listing the divisors of (delta - P**2) / 4, each once; and its
         primitive states, gcd(a, c, P) = 1, are the listing's primitive ones."""
         spf = smallest_prime_factors(10_000 // 4)
-        for d in valid_deltas(10_000, include_square=False):
+        for d in nonsquare_deltas(10_000):
             pairs = list(zip(table[d][::2], table[d][1::2]))
             assert len(pairs) == len(set(pairs)), d
             listed = states_by_divisors(d, spf)
@@ -200,15 +205,15 @@ class TestReducedStates:
                 assert states == table[d], (lo, hi, d)
 
     def test_lone_delta_matches_the_sweep(self):
-        census = full_census(2000, include_square=False)
-        for d, reports in census.items():
-            assert census_for_delta(d) == reports, d
+        for d, reports in full_census(2000).items():
+            if not is_square(d):
+                assert census_for_delta(d) == reports, d
 
     def test_scaled_classes_are_scaled_primitive_classes_to_3000(self):
         """The classes that delta's cycles of content s > 1 give are the
         primitive classes of each valid delta / s**2, scaled by s: the same
         period, counts and type."""
-        for d in valid_deltas(3000, include_square=False):
+        for d in nonsquare_deltas(3000):
             scaled = []
             for s in range(2, isqrt(d) + 1):
                 if d % (s * s) == 0 and (d // (s * s)) % 4 in (0, 1):
@@ -221,13 +226,23 @@ class TestReducedStates:
 
     def test_windows_tile_the_sweep(self):
         """The windows cover [1, delta_max] in order, without gaps or
-        overlaps, and there are at least two from delta_max = 2 on."""
+        overlaps, and there are at least two from delta_max = 2 on.  The
+        sweep to 10**4, serial or in a pool, yields every valid delta once,
+        in order, or every square one with ``squares_only``; there windows
+        end at 50**2 and 100**2 and one starts at 63**2, so a square falls
+        on a window's edge."""
         for delta_max in (1, 2, 5, 20, 300, 10_000, 160_000, 10 ** 6):
             windows = _windows(delta_max)
             assert windows[0][0] == 1 and windows[-1][1] == delta_max
             assert all(lo <= hi for lo, hi in windows)
             assert all(a[1] + 1 == b[0] for a, b in zip(windows, windows[1:]))
             assert len(windows) >= min(delta_max, 8), delta_max
+        for jobs in (1, 2):
+            assert [d for d, _ in _sweep(10_000, jobs, _type_counts)] == \
+                valid_deltas(10_000), jobs
+            assert [d for d, _ in _sweep(10_000, jobs, _type_counts,
+                                         squares_only=True)] == \
+                [k * k for k in range(1, 101)], jobs
 
 
 class TestStats:
@@ -252,7 +267,7 @@ class TestStats:
         assert firsts == {S.SUPERSYMMETRIC: 5, S.K_SYMMETRIC: 12,
                           S.M_PLUS_N_SYMMETRIC: 136, S.ANTISYMMETRIC: 145,
                           S.ASYMMETRIC: 316}
-        with_sq = {s: first_occurrence(rows, s, include_square=True)
+        with_sq = {s: next(r.delta for r in rows if r.count_of(s) > 0)
                    for s in SYMMETRY_ORDER}
         assert with_sq == {S.SUPERSYMMETRIC: 1, S.K_SYMMETRIC: 9,
                            S.M_PLUS_N_SYMMETRIC: 25, S.ANTISYMMETRIC: 145,
@@ -285,11 +300,11 @@ class TestSumRule:
     def test_sweep_matches_checking_the_census_to_3000(self):
         """The checker's sum-rule count equals checking every class of the
         census one by one, in delta and representative order."""
-        census = full_census(3000, include_square=False)
+        census = full_census(3000)
         checked, failures = 0, []
         for reports in census.values():
             for r in reports:
-                if r.symmetry in _SUM_RULE_TYPES:
+                if not r.square and r.symmetry in _SUM_RULE_TYPES:
                     checked += 1
                     if not check_sum_rule(reduced_cycle(r.representative),
                                           r.symmetry):

@@ -130,6 +130,10 @@ class TestOrbit:
     def test_all_requires_bound(self, capsys):
         rc, out, err = run(capsys, "orbit", "1", "-1", "-1", "--all")
         assert rc == 1 and err.startswith("error: --all requires --bound")
+        rc, out, err = run(capsys, "orbit", "2", "-1", "-3", "--all",
+                           "--bound", "0")
+        assert rc == 1 and out == ""
+        assert err == "error: coeff_bound must be positive\n"
 
     def test_square_normal_form(self, capsys):
         rc, out, _ = run(capsys, "orbit", "2", "2", "-5")
@@ -419,7 +423,34 @@ def test_help_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: surdsym")
+    out = capsys.readouterr().out
+    assert out.startswith("usage: surdsym")
+    if argv[0] == "check":  # every gate of census._gate_violations
+        gates = "".join(out.split())  # argparse may wrap at a hyphen
+        for gate in ("h0-points", "t-balance", "square-type", "sum-rule",
+                     "t-up", "ambiguous", "parity"):
+            assert gate in gates, gate
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_closed_stdout_exits_1_quietly(jobs):
+    """A reader that closes the pipe after one line ends the run with exit
+    1 and nothing on stderr, pool and all."""
+    src = str(Path(surdsym.census.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "surdsym.cli", "table", "--delta-max", "3000",
+         "--format", "csv", "--jobs", jobs],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline().startswith(b"delta,m,n,k")
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
 
 
 class TestOutAndEntry:
@@ -433,7 +464,7 @@ class TestOutAndEntry:
         assert "5,1,-1,-1,[1],1,2,1,1,super,0" in text
         assert os.listdir(tmp_path) == ["table.csv"]
 
-    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+    def test_failed_write_keeps_old_file(self, capsys, tmp_path, monkeypatch):
         target = tmp_path / "table.csv"
         target.write_text("old bytes\n")
         real_fdopen = os.fdopen
@@ -457,11 +488,24 @@ class TestOutAndEntry:
 
         monkeypatch.setattr(os, "fdopen",
                             lambda *a, **kw: HalfWriter(real_fdopen(*a, **kw)))
-        with pytest.raises(OSError, match="no space"):
-            main(["table", "--delta-max", "20", "--format", "csv",
-                  "--out", str(target)])
+        rc, out, err = run(capsys, "table", "--delta-max", "20",
+                           "--format", "csv", "--out", str(target))
+        assert rc == 1 and out == ""
+        assert err == "error: no space left on device\n"
         assert target.read_text() == "old bytes\n"
         assert os.listdir(tmp_path) == ["table.csv"]
+
+    def test_out_path_that_cannot_be_written(self, capsys, tmp_path):
+        """--out into a missing directory, or onto a directory, exits 1
+        with an error line, and leaves no temp file beside the target."""
+        target = tmp_path / "dir"
+        target.mkdir()
+        for out_path in (tmp_path / "missing" / "table.csv", target):
+            rc, out, err = run(capsys, "table", "--delta-max", "20",
+                               "--out", str(out_path))
+            assert rc == 1 and out == "" and err.startswith("error: "), err
+            assert os.listdir(tmp_path) == ["dir"]
+            assert os.listdir(target) == []
 
     def test_failure_mid_stream_keeps_old_file(self, capsys, monkeypatch,
                                                tmp_path):
