@@ -183,15 +183,16 @@ def _shard(emit: Callable, squares_only: bool, window: Tuple[int, int]) -> list:
     """[(delta, emit(all class reports of delta))] for every valid delta in
     one window of ``_sweep``, or every square one with ``squares_only``.
     The window is sieved here, and the keys of its table are its valid
-    deltas, ascending; square deltas need no sieve."""
+    deltas, ascending; square deltas need no sieve.  Each delta's states
+    leave the table as it is passed, a square one's unread."""
     lo, hi = window
     if squares_only:
         return [(k * k, emit(census_square(k * k)))
                 for k in range(isqrt(lo - 1) + 1, isqrt(hi) + 1)]
     table = _reduced_states(lo, hi)
     return [(d, emit(census_square(d) if is_square(d)
-                     else census_for_delta(d, table.pop(d))))
-            for d in list(table)]
+                     else census_for_delta(d, states)))
+            for d, states in ((d, table.pop(d)) for d in list(table))]
 
 
 def _sweep(delta_max: int, jobs: int, emit: Callable,

@@ -17,7 +17,7 @@ import sys
 import tempfile
 from functools import partial
 from operator import itemgetter
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 # census (and multiprocessing with it) is imported here, not when a sweep
 # command runs: the benchmark's tracer wraps only the modules that are
@@ -25,19 +25,15 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 from .census import StatRow, _stat_rows, _sweep, check_census
 from .cf import _regular_walk, _state_form, cf_surd, modular_cf_surd
 from .exact import is_square
-from .forms import (Form, InternalError, antipodal, discriminant, domain_of,
-                    require_indefinite, word_str)
+from .forms import (Form, InternalError, antipodal, complementary,
+                    discriminant, domain_of, require_indefinite, word_str)
 from .oracle import orbit_bfs
 from .periods import ClassReport, classify_class, normalize_square_form
 from .reduction import reduce_to_H0
 
 
-def _seq(xs: Sequence[int]) -> str:
-    return "[" + ",".join(str(x) for x in xs) + "]"
-
-
-def _modular_seq(xs: Sequence[int]) -> str:
-    return "((" + ",".join(str(x) for x in xs) + "))"
+def _seq(xs: Sequence[int], left: str = "[", right: str = "]") -> str:
+    return left + ",".join(map(str, xs)) + right
 
 
 NONZERO_FIELDS = ("delta", "m", "n", "k", "gamma", "p", "t", "t_up", "t_down",
@@ -67,8 +63,7 @@ def _report_record(r: ClassReport) -> tuple:
             r.t, r.t_up, r.t_down, r.symmetry.code, 1 if r.star else 0)
 
 
-def _report_rows(fmt: str, zero: bool,
-                 reports: Sequence[ClassReport]) -> Tuple[str, Tuple[int, ...]]:
+def _report_rows(fmt: str, zero: bool, reports: Sequence[ClassReport]) -> str:
     """``table``'s sweep emit, run in the worker: the rendered rows of one
     discriminant's class reports.  The non-zero table renders no row of a
     square discriminant, whose classes the sweep still computes."""
@@ -77,10 +72,8 @@ def _report_rows(fmt: str, zero: bool,
                    fields, fmt)
 
 
-def _render(records: Sequence[tuple], fields: Sequence[str],
-            fmt: str) -> Tuple[str, Tuple[int, ...]]:
-    """Some rows of a table, rendered without its header or frame: (text,
-    the widest cell of each column for md, else ()).
+def _render(records: Sequence[tuple], fields: Sequence[str], fmt: str) -> str:
+    """Some rows of a table, rendered as text without its header or frame.
 
     csv: one line per row.  json: each row's object as it stands in the
     table's list, indented by two spaces, joined by ",\n".  md: each row's
@@ -90,31 +83,29 @@ def _render(records: Sequence[tuple], fields: Sequence[str],
     if fmt == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(records)
-        return buf.getvalue(), ()
+        return buf.getvalue()
     if fmt == "json":
         keys = JSON_KEYS[fields]
         pick = itemgetter(*(fields.index(k) for k in keys))
         objects = (json.dumps(dict(zip(keys, pick(rec))), indent=2)
                    for rec in records)
-        return ",\n".join("  " + obj.replace("\n", "\n  ") for obj in objects), ()
+        return ",\n".join("  " + obj.replace("\n", "\n  ") for obj in objects)
     if fmt == "md":
-        rows = [[str(cell) for cell in rec] for rec in records]
-        return ("\n".join("\t".join(row) for row in rows),
-                tuple(max(map(len, column)) for column in zip(*rows)))
+        return "\n".join("\t".join(map(str, rec)) for rec in records)
     raise ValueError(f"unknown format {fmt!r}")
 
 
 def _table(fields: Sequence[str], fmt: str,
-           parts: Iterable[Tuple[str, Tuple[int, ...]]]) -> Iterator[str]:
+           parts: Iterable[str]) -> Iterator[str]:
     """The chunks of a whole table: its header, then each part (a
-    ``_render`` result) in order, framed for fmt; never joined.  csv and
-    json pass each part on as it comes; md first reads every part for the
-    widest cell of each column."""
-    if fmt == "md":
-        parts = list(parts)
-    texts = (text for text, _ in parts if text)
+    ``_render`` text) in order, framed for fmt; never joined.  csv and json
+    pass each part on as it comes.  md first reads every part and splits it
+    into cells for the widest cell of each column, then splits it again to
+    write it padded as one chunk: it keeps the parts as text, as a string
+    per cell would take about twice the memory."""
+    texts = (text for text in parts if text)
     if fmt == "csv":
-        yield _render([fields], fields, fmt)[0]
+        yield _render([fields], fields, fmt)
         yield from texts
     elif fmt == "json":
         i = -1
@@ -123,8 +114,11 @@ def _table(fields: Sequence[str], fmt: str,
             yield text
         yield "\n]\n" if i >= 0 else "[]\n"
     else:
-        widths = [max([len(f)] + [w[i] for _, w in parts if w])
-                  for i, f in enumerate(fields)]
+        texts = list(texts)
+        widths = list(map(len, fields))
+        for text in texts:
+            columns = zip(*(row.split("\t") for row in text.split("\n")))
+            widths = [max(w, *map(len, column)) for w, column in zip(widths, columns)]
 
         def line(cells):
             return "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |\n"
@@ -175,7 +169,7 @@ def cmd_period(args) -> int:
         raise ValueError(f"form {f} has m = n = 0: its roots are 0 and "
                          f"infinity, so xi_plus has no continued fraction")
     if f.m == 0:
-        f = Form(f.n, f.m, -f.k)  # complementary form, same class, m != 0
+        f = complementary(f)  # same class, m != 0
     exp = cf_surd(f)
     _emit([f"preperiod {_seq(exp.preperiod)}\nperiod {_seq(exp.period)}\n"], args.out)
     return 0
@@ -195,10 +189,10 @@ def cmd_reduce(args) -> int:
 
 def cmd_modular(args) -> int:
     mcf = modular_cf_surd(_form_args(args))
-    if mcf.is_purely_periodic:
-        _emit([_modular_seq(mcf.period) + "\n"], args.out)
-    else:
-        _emit([f"{_seq(mcf.preperiod)} {_modular_seq(mcf.period)}\n"], args.out)
+    text = _seq(mcf.period, "((", "))")
+    if not mcf.is_purely_periodic:
+        text = f"{_seq(mcf.preperiod)} {text}"
+    _emit([text + "\n"], args.out)
     return 0
 
 
@@ -212,7 +206,7 @@ def _orbit_tour(f: Form) -> List[str]:
     if f.m * f.n >= 0:
         f = reduce_to_H0(f)[0]
     if f.m < 0:  # H0R member: complementary partner lies in the same class
-        f = Form(f.n, f.m, -f.k)
+        f = complementary(f)
     d = discriminant(f)
     states, digits, start = _regular_walk(-f.k, 2 * f.m, d)
     cycle, period = states[start:], digits[start:]

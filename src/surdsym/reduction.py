@@ -20,8 +20,8 @@ from .cf import (Run, SquareDiscriminantError, _digits, _index_in_run,
                  _minus_walk, _regular_walk, _require_digit_cap,
                  _require_nonsquare, _run_form, _state_form)
 from .exact import is_square, isqrt
-from .forms import (Form, GeneratorWord, InternalError, antipodal, gen_power,
-                    involution, is_reduced, require_indefinite)
+from .forms import (Form, GeneratorWord, InternalError, antipodal, conjugate,
+                    gen_power, is_reduced, require_indefinite)
 from .periods import SymmetryType
 
 
@@ -159,9 +159,6 @@ def reduced_cycle(f: Form) -> ReducedCycle:
                         runs)
 
 
-_H0_INVOLUTION_ORDER = ("identity", "conjugate", "adjoint", "antipodal")
-
-
 def reduce_to_H0(f: Form) -> Tuple[Form, GeneratorWord, str]:
     """A form f' with m'n' <= 0 in the class of iota(f), plus the word used.
 
@@ -171,6 +168,13 @@ def reduce_to_H0(f: Form) -> Tuple[Form, GeneratorWord, str]:
     of the regular CF of that root is peeled off with alternating A and B
     exponents (stopping as soon as mn <= 0), and iota is applied again; since
     each involution maps mn <= 0 forms to mn <= 0 forms, the result stands.
+
+    Only the first two can be chosen.  xi_plus(g) > 0 is g.m * g.k < 0, and
+    mn > 0 with k**2 - 4mn > 0 forces k != 0, so the identity passes exactly
+    when mk < 0 and the conjugate (m, n, -k) exactly when mk > 0.  The
+    adjoint (-n, -m, k) passes only when nk > 0, that is mk > 0, and the
+    antipodal (-n, -m, -k) only when mk < 0.
+
     Peeling a_0 ... a_{j-1} reaches the j-th state form (antipodal for odd
     j), whose mn is (P_j**2 - delta) / 4: the peel stops at P_j**2 < delta.
     """
@@ -180,12 +184,8 @@ def reduce_to_H0(f: Form) -> Tuple[Form, GeneratorWord, str]:
     if is_square(d):
         raise SquareDiscriminantError(
             f"form {f} has square discriminant {d}; use normalize_square_form")
-    for tag in _H0_INVOLUTION_ORDER:
-        g = f if tag == "identity" else involution(f, tag)
-        if g.m * g.k < 0:  # exactly when xi_plus(g) > 0
-            break
-    else:
-        raise InternalError(f"no involution of {f} has a positive first root")
+    tag = "identity" if f.m * f.k < 0 else "conjugate"
+    g = f if tag == "identity" else conjugate(f)
     # The walk ends at the first reduced state, which has P**2 < delta; for
     # j >= 1 the complete quotient xi_j is above 1, so P_j**2 < delta, that
     # is xi_j' < 0, holds from its first state on (xi_{j+1}' is then
@@ -208,7 +208,7 @@ def reduce_to_H0(f: Form) -> Tuple[Form, GeneratorWord, str]:
     word = tuple(zip(cycle("AB"), digits[:j]))
     if digits[0] <= 0:
         word = word[1:]
-    out = cur if tag == "identity" else involution(cur, tag)
+    out = cur if tag == "identity" else conjugate(cur)
     return out, word, tag
 
 

@@ -8,8 +8,8 @@ import pytest
 
 import surdsym.census
 from surdsym.census import (SYMMETRY_ORDER, StatRow, _gate_violations,
-                            _reduced_states, _sweep, _type_counts, _windows,
-                            check_census,
+                            _reduced_states, _shard, _sweep, _type_counts,
+                            _windows, check_census,
                             census_for_delta, census_square,
                             first_occurrence, full_census, stats_rows,
                             valid_deltas)
@@ -223,6 +223,19 @@ class TestReducedStates:
                                if r.primitive]
             assert [r for r in census_for_delta(d) if not r.primitive] == \
                 sorted(scaled, key=lambda r: r.representative), d
+
+    def test_shard_drains_its_table(self, monkeypatch):
+        """A shard takes every delta's states out of its window's table as
+        it passes that delta, the unread states of square deltas too."""
+        tables = []
+
+        def kept_reduced_states(lo, hi):
+            tables.append(_reduced_states(lo, hi))
+            return tables[-1]
+        monkeypatch.setattr(surdsym.census, "_reduced_states", kept_reduced_states)
+        rows = _shard(_type_counts, False, (1, 300))
+        assert [d for d, _ in rows] == valid_deltas(300)
+        assert tables == [{}]
 
     def test_windows_tile_the_sweep(self):
         """The windows cover [1, delta_max] in order, without gaps or

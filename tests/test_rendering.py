@@ -1,5 +1,8 @@
 """Table output against the whole-list reference renderers: the same bytes
-for every format of table, stats and classify, on stdout and with --out."""
+for every format of table, stats and classify, on stdout and with --out;
+and the bytes of every command pinned by their sha256."""
+
+from hashlib import sha256
 
 import pytest
 
@@ -38,10 +41,13 @@ def test_table_matches_reference(capsys, census, fmt, zero, delta_max, jobs):
     assert got == want
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("delta_max", [300, 2000])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_stats_matches_reference(capsys, fmt):
-    records = [_stat_record(row) for row in stats_rows(300)]
-    assert stdout_of(capsys, "stats", "--delta-max", "300", "--format", fmt) \
+def test_stats_matches_reference(capsys, fmt, delta_max, jobs):
+    records = [_stat_record(row) for row in stats_rows(delta_max)]
+    assert stdout_of(capsys, "stats", "--delta-max", str(delta_max),
+                     "--jobs", jobs, "--format", fmt) \
         == render(records, STATS_FIELDS, fmt)
 
 
@@ -64,3 +70,43 @@ def test_out_file_matches_stdout(capsys, tmp_path, argv):
     target = tmp_path / "table.out"
     assert stdout_of(capsys, *argv, "--out", str(target)) == ""
     assert target.read_bytes() == stdout_of(capsys, *argv).encode()
+
+
+# The first 16 hex digits of the sha256 of each command's stdout, pinned
+# from an earlier version: the bytes of every table, stats and check
+# (the same for any --jobs) and of the single-form commands.
+PINNED_DIGESTS = [
+    (("table", "--format", "csv"), "ab81fa0837843148"),
+    (("table", "--format", "json"), "4dd9775d3a1088f1"),
+    (("table", "--format", "md"), "e1d465edd6d74960"),
+    (("table", "--which", "zero", "--format", "csv"), "6a1f791e55c367a0"),
+    (("table", "--which", "zero", "--format", "json"), "b5e3ed3d18b3a8ba"),
+    (("table", "--which", "zero", "--format", "md"), "c42cf48ceabf0585"),
+    (("stats", "--format", "csv"), "1414a6ad229214ed"),
+    (("stats", "--format", "json"), "7718167d8e181116"),
+    (("check",), "4299d0fe38849ada"),
+    (("classify", "2", "-1", "-3", "--format", "md"), "3850ecbc818135c6"),
+    (("classify", "2", "-1", "-3", "--format", "csv"), "25a06b8b99736945"),
+    (("classify", "2", "-1", "-3", "--format", "json"), "c38d4a1af078d7d4"),
+    (("period", "2", "-1", "-3"), "d14216eb5d1dc6b5"),
+    (("reduce", "2", "-1", "-3"), "d9279d32b383f1cd"),
+    (("modular", "2", "-1", "-3"), "42453ad01436188f"),
+    (("orbit", "2", "-1", "-3"), "87d80242f8bd1bcb"),
+    (("classify", "5", "7", "22", "--format", "md"), "c80704590cde7bf2"),
+    (("classify", "5", "7", "22", "--format", "csv"), "62697e218bc92fa5"),
+    (("classify", "5", "7", "22", "--format", "json"), "665e104ec1481c96"),
+    (("period", "5", "7", "22"), "7756e397b2e3a7d2"),
+    (("reduce", "5", "7", "22"), "a3dce2cc1a17c94b"),
+    (("modular", "5", "7", "22"), "0c906c2a1b099b13"),
+    (("orbit", "5", "7", "22"), "d5223df8a42c21d3"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_DIGESTS,
+                         ids=["/".join(argv) for argv, _ in PINNED_DIGESTS])
+def test_output_bytes_are_pinned(capsys, argv, digest):
+    """Sweeps run to delta 3000 in a pool of two workers."""
+    if argv[0] in ("table", "stats", "check"):
+        argv = (*argv, "--delta-max", "3000", "--jobs", "2")
+    out = stdout_of(capsys, *argv).encode()
+    assert sha256(out).hexdigest()[:16] == digest
