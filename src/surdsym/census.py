@@ -40,9 +40,9 @@ from operator import attrgetter
 from typing import (Any, Callable, Dict, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
-from .cf import _regular_walk
+from .cf import _period_walk
 from .exact import is_square
-from .forms import Form, InternalError
+from .forms import Form
 from .oracle import (_genus_exponent, ambiguous_classes, h0_point_count,
                      square_symmetry)
 from .periods import (ClassReport, SymmetryType, _square_report,
@@ -134,9 +134,7 @@ def census_for_delta(delta: int, states: Optional[array] = None
             continue
         p, q = start
         primitive = gcd(q // 2, (delta - p * p) // (2 * q), p) == 1
-        cycle, digits, back = _regular_walk(p, q, delta)
-        if back:
-            raise InternalError(f"state {start} of {delta} is not on a cycle")
+        cycle, digits = _period_walk(p, q, delta)
         visited.update(cycle)
         n = len(digits)
         symmetry = _classify_period(digits)

@@ -17,13 +17,18 @@ by a closed form (``_along_run``), and are built only by the reader that
 asks for them (``reduction.CycleForms``).  Neither walk stores a state
 table, and each raises InternalError if it has not closed within a step
 bound taken from its input (``_step_bound``).
-``_regular_walk`` and ``_minus_walk`` are the one walk of each recurrence.
-Every form that reduction and the H0 tour take from the regular walk is a
-``_state_form``, read off a state and the Q of the state before it, with no
-squaring or division.  ``_regular_walk`` keeps its last ``_WALK_MEMO_SIZE``
-walks, so the calls that answer one form query (classify, reduce to H0,
-reduced cycle) walk the form's expansion once; its results are tuples, which
-no caller can change.
+
+The regular walk is two loops, ``_preperiod_walk`` up to the first reduced
+state and ``_period_walk`` round the cycle from it, and each caller asks
+for the half it needs; ``_minus_walk`` is the one walk of the other
+recurrence.  Every form that reduction and the H0 tour take from the
+regular walk is a ``_state_form``, read off a state and the Q of the state
+before it, with no squaring or division.  Each regular loop keeps its last
+``_WALK_MEMO_SIZE`` walks, so the calls that answer one form query
+(classify, reduce to H0, reduced cycle) walk the form's expansion once:
+reduce_to_H0 reads the preperiod of conjugate(f) off f's and walks at most
+three digits of its own.  The results are tuples, which no caller can
+change.
 """
 from __future__ import annotations
 
@@ -85,55 +90,79 @@ def cf_rational(num: int, den: int) -> CFExpansion:
 
 
 State = Tuple[int, int]
-Walk = Tuple[Tuple[State, ...], Tuple[int, ...], int]
+Walk = Tuple[Tuple[State, ...], Tuple[int, ...]]
 Run = Tuple[int, int]
 MinusWalk = Tuple[Tuple[Run, ...], Tuple[Form, ...], int]
 
-# Walks kept by _regular_walk: a form query walks f for its class, then the
-# preperiod of an involution of f in reduce_to_H0, then f again for its
-# reduced representative.
+# Walks kept by each of _preperiod_walk and _period_walk.  A form query
+# walks f's preperiod and period for its class, a preperiod of at most three
+# digits in reduce_to_H0 (or conjugate(f)'s whole preperiod, where f's is
+# too short to read it off), and reads f's two walks again for its reduced
+# representative.
 _WALK_MEMO_SIZE = 4
 
 
 @lru_cache(maxsize=_WALK_MEMO_SIZE)
-def _regular_walk(p: int, q: int, d: int, preperiod_only: bool = False) -> Walk:
+def _preperiod_walk(p: int, q: int, d: int) -> Walk:
     """Regular continued fraction of (p + sqrt(d)) / q, d > 0 non-square and
-    q | (d - p**2), until it returns to its first reduced state, or with
-    ``preperiod_only`` until it reaches that state.
+    q | (d - p**2), until it reaches its first reduced state.
 
-    Returns (states, digits, start): ``states[j]`` is the state (P_j, Q_j),
-    ``digits[j]`` is the floor of its value, and the period is
-    ``digits[start:]``.  With ``preperiod_only`` the states end at the first
-    reduced state, ``states[start]``, and the digits are the preperiod's.
-    A state is reduced when its value xi satisfies
-    xi > 1 and -1 < xi' < 0, that is 0 < P <= r and r - P < Q <= r + P with
-    r = isqrt(d); by Galois' theorem its expansion is then purely periodic,
-    and the first reduced state is the period's first.  The state after
-    (P_j, Q_j) has Q_{j+1} * Q_j = d - P_{j+1}**2, so that, with a_j the
-    digit, Q_{j+1} = Q_{j-1} + a_j * (P_j - P_{j+1}) and only Q_{-1} takes
-    a division.  A walk that has not closed within ``_step_bound``
-    iterations raises InternalError.
+    Returns (states, digits): ``states[j]`` is the state (P_j, Q_j) and
+    ``digits[j]`` the floor of its value; the states run up to and
+    including the first reduced state, ``states[-1]``, and the digits are
+    the preperiod's, one fewer.  A state is reduced when its value xi
+    satisfies xi > 1 and -1 < xi' < 0, that is 0 < P <= r and
+    r - P < Q <= r + P with r = isqrt(d); by Galois' theorem its expansion
+    is then purely periodic, and the first reduced state is the period's
+    first (``_period_walk``).  The state after (P_j, Q_j) has
+    Q_{j+1} * Q_j = d - P_{j+1}**2, so that, with a_j the digit,
+    Q_{j+1} = Q_{j-1} + a_j * (P_j - P_{j+1}) and only Q_{-1} takes a
+    division.  A walk that has not reached a reduced state within
+    ``_step_bound`` iterations raises InternalError.
     """
     r = isqrt(d)
     q_prev = (d - p * p) // q
     states = []
     digits = []
-    start = -1
     for _ in range(_step_bound(d, p, q)):
-        state = (p, q)
-        if start >= 0:
-            if state == first:
-                return tuple(states), tuple(digits), start
-        elif 0 < p <= r and r - p < q <= r + p:
-            start, first = len(states), state
-            if preperiod_only:
-                return (*states, state), tuple(digits), start
-        states.append(state)
+        states.append((p, q))
+        if 0 < p <= r and r - p < q <= r + p:
+            return tuple(states), tuple(digits)
         # floor((p + sqrt(d))/q) from r = floor(sqrt(d)); d is not a square
         a = (p + r) // q if q > 0 else -((p + r) // -q) - 1
         digits.append(a)
         p_next = a * q - p
         p, q, q_prev = p_next, q_prev + a * (p - p_next), q
+    raise InternalError(f"regular CF of a surd with radicand {d} did not "
+                        "reach a reduced state within its step bound")
+
+
+@lru_cache(maxsize=_WALK_MEMO_SIZE)
+def _period_walk(p: int, q: int, d: int) -> Walk:
+    """The period of the regular continued fraction of the reduced
+    (p + sqrt(d)) / q, d > 0 non-square and q | (d - p**2), as
+    (states, digits): the cycle of states from (p, q) until it returns to
+    it, and the floor of each.  A state that is not reduced raises
+    InternalError, as does a cycle that has not closed within
+    ``_step_bound`` iterations.  Every state of the cycle is reduced, so
+    Q > 0 and the digit takes one floor division with no sign branch; the
+    step is ``_preperiod_walk``'s.
+    """
+    r = isqrt(d)
+    if not (0 < p <= r and r - p < q <= r + p):
+        raise InternalError(f"state {(p, q)} of {d} is not on a cycle")
+    first = p, q
+    q_prev = (d - p * p) // q
+    states = []
+    digits = []
+    for _ in range(_step_bound(d, p, q)):
+        states.append((p, q))
+        a = (p + r) // q
+        digits.append(a)
+        p_next = a * q - p
+        p, q, q_prev = p_next, q_prev + a * (p - p_next), q
+        if (p, q) == first:
+            return tuple(states), tuple(digits)
     raise InternalError(f"regular CF of a surd with radicand {d} did not "
                         "close within its step bound")
 
@@ -374,8 +403,8 @@ def cf_surd(f: Form) -> CFExpansion:
         if den < 0:
             num, den = -num, -den
         return cf_rational(num, den)
-    _, digits, start = _regular_walk(-f.k, 2 * f.m, d)
-    return CFExpansion(digits[:start], digits[start:])
+    states, preperiod = _preperiod_walk(-f.k, 2 * f.m, d)
+    return CFExpansion(preperiod, _period_walk(*states[-1], d)[1])
 
 
 def _require_nonsquare(f: Form) -> int:

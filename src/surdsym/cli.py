@@ -23,7 +23,8 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 # command runs: the benchmark's tracer wraps only the modules that are
 # loaded when it installs.
 from .census import StatRow, _stat_rows, _sweep, check_census
-from .cf import _regular_walk, _state_form, cf_surd, modular_cf_surd
+from .cf import (_period_walk, _preperiod_walk, _state_form, cf_surd,
+                 modular_cf_surd)
 from .exact import is_square
 from .forms import (Form, InternalError, antipodal, complementary,
                     discriminant, domain_of, require_indefinite, word_str)
@@ -208,13 +209,13 @@ def _orbit_tour(f: Form) -> List[str]:
     if f.m < 0:  # H0R member: complementary partner lies in the same class
         f = complementary(f)
     d = discriminant(f)
-    states, digits, start = _regular_walk(-f.k, 2 * f.m, d)
-    cycle, period = states[start:], digits[start:]
+    states, preperiod = _preperiod_walk(-f.k, 2 * f.m, d)
+    cycle, period = _period_walk(*states[-1], d)
     n = len(period)
     lines = []
     for i in range(n if n % 2 == 0 else 2 * n):
         g = _state_form(*cycle[i % n], cycle[(i - 1) % n][1])
-        g = antipodal(g) if (start + i) % 2 else g
+        g = antipodal(g) if (len(preperiod) + i) % 2 else g
         lines.append(f"{g.m} {g.n} {g.k}  {_seq(period[i % n:] + period[:i % n])}")
     return lines
 

@@ -16,9 +16,10 @@ from itertools import accumulate, cycle
 from operator import index, itemgetter
 from typing import NamedTuple, Tuple
 
-from .cf import (Run, SquareDiscriminantError, _digits, _index_in_run,
-                 _minus_walk, _regular_walk, _require_digit_cap,
-                 _require_nonsquare, _run_form, _state_form)
+from .cf import (Run, SquareDiscriminantError, Walk, _digits, _index_in_run,
+                 _minus_walk, _period_walk, _preperiod_walk,
+                 _require_digit_cap, _require_nonsquare, _run_form,
+                 _state_form)
 from .exact import is_square, isqrt
 from .forms import (Form, GeneratorWord, InternalError, antipodal, conjugate,
                     gen_power, is_reduced, require_indefinite)
@@ -38,11 +39,14 @@ def reduced_representative(f: Form) -> Form:
     if is_reduced(*f):
         return f
     # The j-th state form of the expansion lies in C(f) exactly when j is even.
-    states, _, n_pre = _regular_walk(-f.k, 2 * f.m, d)
-    j0 = n_pre if n_pre % 2 == 0 else n_pre + 1
-    j = j0 if j0 < len(states) else n_pre  # a period of length 1
-    # states[j - 1] steps into state j; for j = 0 it is the period's last state.
-    h = gen_power(_state_form(*states[j], states[j - 1][1]), "A", -1)
+    states, preperiod = _preperiod_walk(-f.k, 2 * f.m, d)
+    p, q = states[-1]
+    q_prev = (d - p * p) // q  # the Q of every state that steps into (p, q)
+    if len(preperiod) % 2:
+        cycle = _period_walk(p, q, d)[0]
+        if len(cycle) > 1:  # else the period's one state stands for both
+            (p, q), q_prev = cycle[1], q
+    h = gen_power(_state_form(p, q, q_prev), "A", -1)
     if not is_reduced(*h):
         raise InternalError(f"representative {h} of {f} is not reduced")
     return h
@@ -159,6 +163,49 @@ def reduced_cycle(f: Form) -> ReducedCycle:
                         runs)
 
 
+def _conjugate_preperiod(f: Form, d: int, r: int
+                         ) -> Tuple[Tuple[int, ...], Walk]:
+    """The preperiod of the regular CF of xi_plus(conjugate(f)), for
+    m * k > 0, as (head, (states, digits)): its digits are head + digits,
+    and ``states`` are its states from index len(head) on, up to the first
+    reduced one.  r is isqrt(d).
+
+    xi_plus(conjugate(f)) is -xi_minus(f).  With x_j = (P_j + sqrt(d)) / Q_j
+    the complete quotients of f's walk, a_j its digits and x_j' their
+    conjugates, x_{j+1}' = 1 / (x_j' - a_j).  For j >= 1, x_j' < 1 is
+    absorbing, as a_j >= 1 makes x_{j+1}' < 0; and x_{j+1}' > 1 gives
+    floor(x_j') = a_j.  So with J the last j <= s with x_j' > 1, s the
+    index of f's first reduced state, xi_minus(f) = [a_0; a_1, ..., a_{J-1},
+    x_J'], and its negative is [-a_0 - 1; 1, a_1 - 1, a_2, ..., a_{J-1},
+    x_J'] for a_1 >= 2, or [-a_0 - 1; a_2 + 1, a_3, ..., a_{J-1}, x_J'] for
+    a_1 = 1.  Its expansion goes on as the walk from the state (-P_J, -Q_J)
+    of x_J', which reaches a reduced state in at most three digits.  As x_{J+1}' < 1, x_J' - a_J
+    is above 1 or below 0, so x_J' and x_J differ in their floors, b and
+    a_J; the tail's second complete quotient has the conjugate
+    1 / (x_J - b) < 1, and by absorption the conjugate is in (-1, 0), and
+    the state reduced, two steps later at the latest.  Likewise s <= J + 3,
+    so J is found by stepping back from s, as x_j' > 1 is
+    (P_j - Q_j > r) == (Q_j > 0).  Where J is below 2, or below 3 with
+    a_1 = 1, the head would be too short to hold the rewritten digits, and
+    conjugate(f) is walked itself.
+    """
+    states, a = _preperiod_walk(-f.k, 2 * f.m, d)
+    j = len(a) - 1
+    while j > 0:
+        p, q = states[j]
+        if (p - q > r) == (q > 0):
+            break
+        j -= 1
+    if j >= 2 and a[1] >= 2:
+        head = (-a[0] - 1, 1, a[1] - 1, *a[2:j])
+    elif j >= 3 and a[1] == 1:
+        head = (-a[0] - 1, a[2] + 1, *a[3:j])
+    else:
+        return (), _preperiod_walk(f.k, 2 * f.m, d)
+    p, q = states[j]
+    return head, _preperiod_walk(-p, -q, d)
+
+
 def reduce_to_H0(f: Form) -> Tuple[Form, GeneratorWord, str]:
     """A form f' with m'n' <= 0 in the class of iota(f), plus the word used.
 
@@ -177,6 +224,12 @@ def reduce_to_H0(f: Form) -> Tuple[Form, GeneratorWord, str]:
 
     Peeling a_0 ... a_{j-1} reaches the j-th state form (antipodal for odd
     j), whose mn is (P_j**2 - delta) / 4: the peel stops at P_j**2 < delta.
+    For the conjugate, the preperiod is read off f's own walk, which the
+    rest of a form query walks as well, and only its last three digits or
+    fewer are walked here (``_conjugate_preperiod``).  The states of
+    conjugate(f)'s walk that the digits read off f stand for have
+    P**2 > delta, as the complete quotient at each and its conjugate are
+    both positive, so the stop lies among the states walked here.
     """
     d = require_indefinite(f)
     if f.m * f.n <= 0:
@@ -185,27 +238,33 @@ def reduce_to_H0(f: Form) -> Tuple[Form, GeneratorWord, str]:
         raise SquareDiscriminantError(
             f"form {f} has square discriminant {d}; use normalize_square_form")
     tag = "identity" if f.m * f.k < 0 else "conjugate"
-    g = f if tag == "identity" else conjugate(f)
+    r = isqrt(d)
+    if tag == "identity":
+        head, (states, digits) = (), _preperiod_walk(-f.k, 2 * f.m, d)
+    else:
+        head, (states, digits) = _conjugate_preperiod(f, d, r)
     # The walk ends at the first reduced state, which has P**2 < delta; for
     # j >= 1 the complete quotient xi_j is above 1, so P_j**2 < delta, that
     # is xi_j' < 0, holds from its first state on (xi_{j+1}' is then
     # 1 / (xi_j' - a_j) < 0).  So the peel's stop, the first state with
     # P**2 < delta, is found by stepping back from the end, and for a
     # non-square delta P**2 < delta is |P| <= isqrt(delta).
-    states, digits, _ = _regular_walk(-g.k, 2 * g.m, d, True)
-    r = isqrt(d)
     j = len(states) - 1
-    # j > 0: state 0 is g's own, and mn > 0 means P_0**2 = k**2 > delta.
+    # j > 0: P_0**2 > delta for the first state walked, f's or
+    # conjugate(f)'s own (mn > 0 means k**2 > delta), or that of x_J',
+    # whose conjugate x_J is above 1 as well.
     if not j or abs(states[j][0]) > r:
-        raise InternalError(f"preperiod of {g} did not reach mn <= 0")
+        raise InternalError(f"preperiod of the {tag} of {f} did not reach "
+                            "mn <= 0")
     while j > 1 and abs(states[j - 1][0]) <= r:
         j -= 1
     p, q = states[j]
     cur = _state_form(p, q, states[j - 1][1])
-    cur = antipodal(cur) if j % 2 else cur
-    # a_0 >= 0 as xi_plus(g) > 0, the other digits are positive, and a zero
-    # exponent is left out.
-    word = tuple(zip(cycle("AB"), digits[:j]))
+    digits = head + digits[:j]
+    cur = antipodal(cur) if len(digits) % 2 else cur
+    # a_0 >= 0 as the root peeled is positive, the other digits are
+    # positive, and a zero exponent is left out.
+    word = tuple(zip(cycle("AB"), digits))
     if digits[0] <= 0:
         word = word[1:]
     out = cur if tag == "identity" else conjugate(cur)

@@ -1,13 +1,15 @@
 """Continued-fraction helpers that only the suite uses.
 
-The value of a finite expansion, the first digits of an expansion, and the
-period of a class's regular expansion are read by tests alone; the program
-never needs them, so they live here rather than in ``surdsym.cf``.
+The value of a finite expansion, the first digits of an expansion, the
+period of a class's regular expansion, the regular walk with its two halves
+joined, and a reset of the walks' memos are used by tests alone; the
+program never needs them, so they live here rather than in ``surdsym.cf``.
 """
 from fractions import Fraction
 from typing import Tuple
 
-from surdsym.cf import CFExpansion, _require_nonsquare, cf_surd
+from surdsym.cf import (CFExpansion, _period_walk, _preperiod_walk,
+                        _require_nonsquare, cf_surd)
 from surdsym.forms import Form
 
 
@@ -39,3 +41,17 @@ def period_of_class(f: Form) -> Tuple[int, ...]:
     """The periodic part of cf_surd(f); requires a non-square discriminant."""
     _require_nonsquare(f)
     return cf_surd(f).period
+
+
+def regular_walk(p: int, q: int, d: int):
+    """(states, digits, start) of the whole regular walk from (p, q), as
+    ``regular_walk_by_states`` gives them: the period is ``digits[start:]``."""
+    states, preperiod = _preperiod_walk(p, q, d)
+    cycle, period = _period_walk(*states[-1], d)
+    return states[:-1] + cycle, preperiod + period, len(preperiod)
+
+
+def clear_walk_memos() -> None:
+    """Empty the memos of both halves of the regular walk."""
+    _preperiod_walk.cache_clear()
+    _period_walk.cache_clear()

@@ -1,14 +1,16 @@
 """Reference reduction to H0 for the suite: the peel's stop by a forward scan.
 
-``reduction.reduce_to_H0`` finds the first state of the regular walk with
+``reduction.reduce_to_H0`` reads the preperiod of conjugate(f) off the
+walk of f where it can, finds the first state of the regular walk with
 P**2 < delta by stepping back from the walk's last state, and builds its
-generator word by pairing A, B, A, ... with the digits.  This module scans
-the states from the first on, and builds the word digit by digit, leaving
-out every digit that is not positive.
+generator word by pairing A, B, A, ... with the digits.  This module walks
+the involution it picks itself, scans the states from the first on, and
+builds the word digit by digit, leaving out every digit that is not
+positive.
 """
 from typing import Tuple
 
-from surdsym.cf import SquareDiscriminantError, _regular_walk, _state_form
+from surdsym.cf import SquareDiscriminantError, _preperiod_walk, _state_form
 from surdsym.exact import is_square
 from surdsym.forms import (Form, GeneratorWord, InternalError, antipodal,
                            involution, require_indefinite)
@@ -32,7 +34,7 @@ def h0_peel_by_forward_scan(f: Form) -> Tuple[Form, GeneratorWord, str]:
             break
     else:
         raise InternalError(f"no involution of {f} has a positive first root")
-    states, digits, _ = _regular_walk(-g.k, 2 * g.m, d, True)
+    states, digits = _preperiod_walk(-g.k, 2 * g.m, d)
     first = next(((j, p, q) for j, (p, q) in enumerate(states) if p * p < d),
                  None)
     if first is None:

@@ -1,8 +1,9 @@
 """Reference regular continued fraction for the suite: the (P, Q) state table.
 
-``cf._regular_walk`` starts its period at the first reduced state and stores
-no state.  This module keeps each state in a dict instead, and finds the
-period at the first repeated state.
+``cf._preperiod_walk`` stops at the first reduced state, where
+``cf._period_walk`` starts the period, and neither keeps a state table.
+This module keeps each state in a dict instead, and finds the period at the
+first repeated state.
 """
 from math import isqrt
 

@@ -6,18 +6,18 @@ from fractions import Fraction
 import pytest
 
 import surdsym.cf
-from cf_helpers import cf_digits, cf_value, period_of_class
+from cf_helpers import cf_digits, cf_value, period_of_class, regular_walk
 from minus_walk_by_states import minus_walk_by_states, state_form
 from regular_walk_by_states import regular_walk_by_states
 from surdsym.census import _reduced_states
 from surdsym.cf import (CFExpansion, ModularCF, SquareDiscriminantError,
-                        _digits, _minus_walk, _regular_walk, _state_form,
-                        cf_period_to_modular_period, cf_rational, cf_surd,
-                        modular_cf_surd, period_to_forms)
+                        _digits, _minus_walk, _period_walk, _preperiod_walk,
+                        _state_form, cf_period_to_modular_period, cf_rational,
+                        cf_surd, modular_cf_surd, period_to_forms)
 from surdsym.exact import is_square
-from surdsym.forms import (INVOLUTION_NAMES, Form, antipodal, apply_word,
-                           complementary, conjugate, discriminant, gen_power,
-                           involution)
+from surdsym.forms import (INVOLUTION_NAMES, Form, InternalError, antipodal,
+                           apply_word, complementary, conjugate, discriminant,
+                           gen_power, involution)
 from surdsym.periods import classify_class, classify_square
 from surdsym.reduction import CycleForms, reduce_classical
 from test_reduction import NONSQUARE_GRID, run_in_child
@@ -34,7 +34,7 @@ def _assert_walk_floors(p, q, d):
     """Every digit of the walk from (p, q) is the floor of its state, the
     states are distinct, and each steps to the next, the last to the start;
     the walk is the state table's."""
-    states, digits, start = _regular_walk(p, q, d)
+    states, digits, start = regular_walk(p, q, d)
     assert (states, digits, start) == regular_walk_by_states(p, q, d)
     assert states[0] == (p, q)
     assert len(set(states)) == len(states) == len(digits)
@@ -198,7 +198,7 @@ class TestRegularWalk:
         for f in NONSQUARE_GRID:
             assert {involution(f, w) for w in INVOLUTION_NAMES} <= grid, f
             args = (-f.k, 2 * f.m, discriminant(f))
-            assert _regular_walk(*args) == regular_walk_by_states(*args), f
+            assert regular_walk(*args) == regular_walk_by_states(*args), f
 
     def test_matches_the_state_table_on_census_states(self):
         """From every reduced state the census sieves for non-square
@@ -209,11 +209,20 @@ class TestRegularWalk:
                 continue
             pairs = iter(flat)
             for p, q in zip(pairs, pairs):
-                walk = _regular_walk(p, q, d)
+                walk = regular_walk(p, q, d)
                 assert walk == regular_walk_by_states(p, q, d), (p, q, d)
                 assert walk[2] == 0, (p, q, d)
                 walked += 1
         assert walked > 10000
+
+    def test_period_walk_needs_a_reduced_state(self):
+        """The period walk starts only from a reduced state: (-3, 4) of
+        radicand 17 is not one, though 4 | 17 - 9; its walk's first
+        reduced state, (3, 2), is."""
+        with pytest.raises(InternalError, match="not on a cycle"):
+            _period_walk(-3, 4, 17)
+        assert _preperiod_walk(-3, 4, 17) == (((-3, 4), (3, 2)), (0,))
+        assert _period_walk(3, 2, 17) == (((3, 2), (3, 4), (1, 4)), (3, 1, 1))
 
 
 def _recomputed_state_form(p, q, d):
@@ -231,7 +240,7 @@ class TestStateForm:
         checked = 0
         for f in NONSQUARE_GRID:
             d = discriminant(f)
-            states, _, start = _regular_walk(-f.k, 2 * f.m, d)
+            states, _, start = regular_walk(-f.k, 2 * f.m, d)
             assert _state_form(*states[0], -2 * f.n) == f
             for j in range(1, len(states)):
                 assert _state_form(*states[j], states[j - 1][1]) \

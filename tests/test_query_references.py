@@ -1,20 +1,25 @@
 """The single-form query path against its references: ``reduce_to_H0``
-against the forward scan of the regular walk's states, and the two loops
-of ``cf._minus_walk`` against one loop, on the test grid, on seeded
-disguised forms of 100-400 bits, and on cycles that close inside a run of
-2s."""
+against the forward scan of the regular walk's states, the preperiod of
+conjugate(f) that it reads off f's walk against the walk of conjugate(f),
+and the two loops of ``cf._minus_walk`` against one loop, on the test
+grid, on seeded disguised forms of 100-400 bits, on forms a few generator
+powers from a reduced one, and on cycles that close inside a run of 2s."""
 
 import random
+from collections import Counter
 
 import pytest
 
-from surdsym.cf import _minus_walk, is_primitive_period, period_to_forms
-from surdsym.forms import Form, INVOLUTION_NAMES, gen_power, involution
-from surdsym.reduction import reduce_to_H0, reduced_cycle
+from surdsym.cf import (_minus_walk, _preperiod_walk, is_primitive_period,
+                        period_to_forms)
+from surdsym.exact import isqrt
+from surdsym.forms import (Form, INVOLUTION_NAMES, apply_word, discriminant,
+                           gen_power, involution)
+from surdsym.reduction import _conjugate_preperiod, reduce_to_H0, reduced_cycle
 
 from h0_peel_by_forward_scan import h0_peel_by_forward_scan
 from minus_walk_by_one_loop import minus_walk_by_one_loop
-from test_reduction import NONSQUARE_GRID
+from test_reduction import NONSQUARE_GRID, run_in_child
 
 SEEDS = (1, 2, 3)
 DIGITS = (1, 1, 1, 2, 2, 3, 4, 7, 12, 40, 300)
@@ -72,6 +77,87 @@ class TestReduceToH0:
             out = reduce_to_H0(f)
             assert out == h0_peel_by_forward_scan(f), f
             assert out[1], f  # every one has mn > 0 and is peeled
+
+
+# A form whose regular period is far too long to walk (its discriminant is
+# about 3.6 * 10**600), and its disguise, with 1,102-bit coefficients, all
+# negative, which reduce_to_H0 takes to its conjugate.
+LONG_PERIOD = Form(10 ** 300 + 7, 10 ** 299 + 3, -(2 * 10 ** 300 + 11))
+LONG_PERIOD_DISGUISED = apply_word(
+    LONG_PERIOD, (("B", 3), ("A", 5), ("B", 2), ("A", 7), ("B", 1), ("A", 4)) * 5)
+
+
+@pytest.mark.parametrize("f, tag", [(LONG_PERIOD, "identity"),
+                                    (LONG_PERIOD_DISGUISED, "conjugate")])
+def test_reduce_never_walks_the_period(f, tag):
+    """reduce_to_H0 walks preperiods only: in a child capped at 1 GB of
+    address space, where the walk of the period would run out of memory,
+    it answers within a second, as the forward scan does."""
+    expected = h0_peel_by_forward_scan(f)
+    assert expected[2] == tag
+    proc = run_in_child(
+        "import sys, time\n"
+        "from surdsym.forms import Form\n"
+        "from surdsym.reduction import reduce_to_H0\n"
+        "f = Form(*map(int, sys.argv[1:]))\n"
+        "start = time.perf_counter()\n"
+        "out = reduce_to_H0(f)\n"
+        "print(time.perf_counter() - start)\n"
+        "print(repr(out))\n", *f)
+    assert proc.returncode == 0, proc.stderr
+    seconds, out = proc.stdout.splitlines()
+    assert float(seconds) < 1
+    assert out == repr(expected)
+
+
+def conjugate_branch(f: Form) -> str:
+    """The branch ``_conjugate_preperiod`` takes for f (m * n > 0 and
+    m * k > 0), once its digits and states are checked against the walk
+    of conjugate(f): "a1>=2 J=<J>" or "a1=1 J=<J>" where it rewrites the
+    digits of f's walk up to J (a head of J + 1 or J - 1 digits) and walks
+    a tail of at most three, or "fallback" where it walks conjugate(f)
+    itself."""
+    d = discriminant(f)
+    head, (states, digits) = _conjugate_preperiod(f, d, isqrt(d))
+    conjugate_states, conjugate_digits = _preperiod_walk(f.k, 2 * f.m, d)
+    assert head + digits == conjugate_digits, f
+    assert states == conjugate_states[len(head):], f
+    if not head:
+        return "fallback"
+    assert len(digits) <= 3, f
+    a_1 = _preperiod_walk(-f.k, 2 * f.m, d)[1][1]
+    return f"a1>=2 J={len(head) - 1}" if a_1 >= 2 else f"a1=1 J={len(head) + 1}"
+
+
+class TestConjugatePreperiod:
+    def test_seeded_forms_read_it_off_f(self, seeded_forms):
+        branches = Counter(conjugate_branch(f) for f in seeded_forms
+                           if f.m * f.n > 0 and f.m * f.k > 0)
+        by_a_1 = Counter(b.split()[0] for b in branches.elements())
+        assert by_a_1 == {"a1=1": 487, "a1>=2": 113}
+
+    def test_grid_walks_the_conjugate(self):
+        """On the grid J never reaches 2."""
+        branches = Counter(conjugate_branch(f) for f in NONSQUARE_GRID
+                           if f.m * f.n > 0 and f.m * f.k > 0)
+        assert branches == {"fallback": 3340}
+
+    @pytest.mark.parametrize("powers, form, branch", [
+        ("A3 B2", Form(66, 11, 54), "a1=1 J=3"),
+        ("B2 A1 B1", Form(-37, -13, -44), "a1>=2 J=2"),
+        ("A3 B1 A1 B1", Form(167, 66, 210), "a1>=2 J=3"),
+        ("A3 B1 A1 B2", Form(443, 66, 342), "a1=1 J=5"),
+        ("A2", Form(2, 3, 6), "fallback"),      # J = 0
+        ("B2", Form(-6, -1, -6), "fallback"),   # J = 1
+        ("B3", Form(-13, -1, -8), "fallback"),  # J = 2 with a_1 = 1
+    ])
+    def test_forms_a_few_powers_from_a_reduced_one(self, powers, form, branch):
+        f = period_to_forms((1, 2))[0]
+        for power in powers.split():
+            f = gen_power(f, power[0], int(power[1:]))
+        assert f == form
+        assert conjugate_branch(f) == branch
+        assert reduce_to_H0(f) == h0_peel_by_forward_scan(f)
 
 
 class TestMinusWalk:

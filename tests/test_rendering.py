@@ -99,6 +99,14 @@ PINNED_DIGESTS = [
     (("reduce", "5", "7", "22"), "a3dce2cc1a17c94b"),
     (("modular", "5", "7", "22"), "0c906c2a1b099b13"),
     (("orbit", "5", "7", "22"), "d5223df8a42c21d3"),
+    # Disguised forms of 106 bits whose preperiod reduce_to_H0 reads off
+    # the walk of f, by each rewriting of its digits: a_1 >= 2, then a_1 = 1.
+    (("reduce", "8217673018733628407887655561177",
+      "55509172426419958943389186160330", "42715628453334219567514459656506"),
+     "da52a9d5f647b7b9"),
+    (("reduce", "-57074212240122951014887484012815",
+      "-473799084087270499776345510643", "-10400328741799027818799154846265"),
+     "88aae1534817c2e1"),
 ]
 
 

@@ -1,17 +1,25 @@
-"""The memo on cf._regular_walk: one regular walk per form query, the same
-answers with a cold and a warm cache, immutable cached walks, and a cache
-that never grows past its constant size."""
+"""The memos on the two halves of the regular walk, cf._preperiod_walk and
+cf._period_walk: one regular walk of f per form query, the same answers
+with cold and warm caches, immutable cached walks, and caches that never
+grow past their constant size."""
 
+import pytest
+
+import surdsym.cf
+import surdsym.reduction
+from cf_helpers import clear_walk_memos
 from surdsym.census import census_for_delta
-from surdsym.cf import _WALK_MEMO_SIZE, _regular_walk, cf_surd
+from surdsym.cf import _WALK_MEMO_SIZE, _period_walk, _preperiod_walk, cf_surd
 from surdsym.cli import _orbit_tour
-from surdsym.forms import Form, discriminant
+from surdsym.forms import INVOLUTION_NAMES, Form, discriminant, involution
 from surdsym.periods import classify_class
 from surdsym.reduction import (is_reduced, reduce_to_H0, reduced_cycle,
                                reduced_representative)
+from test_query_references import SEEDS, disguised_forms
 from test_reduction import NONSQUARE_GRID
 
 QUERY = (classify_class, reduce_to_H0, reduced_cycle)
+MEMOS = (_preperiod_walk, _period_walk)
 
 GRID = [f for f in (Form(m, n, k) for m in range(-12, 13)
                     for n in range(-12, 13) for k in range(-25, 26))
@@ -27,23 +35,23 @@ def outcome(fn, f):
 
 
 def cold_answers(f):
-    """The query's answers, each computed from an empty cache."""
+    """The query's answers, each computed from empty caches."""
     out = []
     for fn in QUERY:
-        _regular_walk.cache_clear()
+        clear_walk_memos()
         out.append(outcome(fn, f))
     return out
 
 
 def warm_answers(f):
-    """The query's answers in query order, the cache kept between calls."""
+    """The query's answers in query order, the caches kept between calls."""
     return [outcome(fn, f) for fn in QUERY]
 
 
 def assert_cold_equals_warm(forms):
-    _regular_walk.cache_clear()
+    clear_walk_memos()
     warm = [warm_answers(f) for f in forms]
-    assert _regular_walk.cache_info().hits > 0
+    assert all(memo.cache_info().hits > 0 for memo in MEMOS)
     for f, answers in zip(forms, warm):
         assert cold_answers(f) == answers, f
 
@@ -53,48 +61,100 @@ def test_cold_and_warm_cache_agree_on_grid():
     assert_cold_equals_warm(GRID)
 
 
-def test_a_query_walks_the_expansion_of_f_once():
+@pytest.fixture
+def preperiod_misses(monkeypatch):
+    """The walks that miss the preperiod memo, in call order, as
+    (key, digits): every module that calls ``_preperiod_walk`` in a query
+    calls it through a recorder."""
+    missed = []
+
+    def recorder(*key):
+        before = _preperiod_walk.cache_info().misses
+        walk = _preperiod_walk(*key)
+        if _preperiod_walk.cache_info().misses > before:
+            missed.append((key, walk[1]))
+        return walk
+
+    for module in (surdsym.cf, surdsym.reduction):
+        monkeypatch.setattr(module, "_preperiod_walk", recorder)
+    return missed
+
+
+def test_a_query_walks_the_expansion_of_f_once(preperiod_misses):
     """classify_class and reduced_cycle (through reduced_representative)
-    share one walk of f, although reduce_to_H0 walks another form between
-    them; a query makes at most one other walk, which stops at the end of
-    the preperiod of conjugate(f) or the like."""
+    share one walk of f, preperiod and period, although reduce_to_H0 walks
+    another preperiod between them: at most one period walk and two
+    preperiod walks per query.  The first preperiod walk is f's."""
     shared = 0
     for f in NONSQUARE_GRID:
-        _regular_walk.cache_clear()
+        clear_walk_memos()
+        preperiod_misses.clear()
         warm_answers(f)
-        info = _regular_walk.cache_info()
-        assert info.misses <= 2, f
+        assert _period_walk.cache_info().misses <= 1, f
+        assert len(preperiod_misses) <= 2, f
+        assert preperiod_misses[0][0] == (-f.k, 2 * f.m, discriminant(f)), f
         if not is_reduced(*f):
-            assert info.hits >= 1, f
+            assert _preperiod_walk.cache_info().hits >= 1, f
             shared += 1
     assert shared > 15000
 
 
+def test_reduce_reads_the_conjugate_preperiod_off_f(preperiod_misses):
+    """On the seeded disguised forms with m, n, k of one sign, reduce_to_H0
+    takes the conjugate and reads its preperiod off f's walk: the query's
+    second preperiod walk has at most three digits, where the preperiod of
+    conjugate(f) itself has tens."""
+    forms = [involution(f, which) for seed in SEEDS
+             for f in disguised_forms(seed, 100) for which in INVOLUTION_NAMES]
+    conjugate_tag = [f for f in forms if f.m * f.n > 0 and f.m * f.k > 0]
+    assert len(conjugate_tag) == 600
+    for f in conjugate_tag:
+        clear_walk_memos()
+        preperiod_misses.clear()
+        warm_answers(f)
+        assert _period_walk.cache_info().misses == 1, f
+        assert len(preperiod_misses) == 2, f
+        assert len(preperiod_misses[1][1]) <= 3, f
+        conjugate_walk = _preperiod_walk(f.k, 2 * f.m, discriminant(f))
+        assert len(conjugate_walk[1]) > 3, f
+
+
 def test_cached_walk_is_immutable():
     f = Form(5, -3, -13)
-    key = (-f.k, 2 * f.m, discriminant(f))
-    _regular_walk.cache_clear()
-    states, digits, start = walk = _regular_walk(*key)
-    hash(walk)  # every part is a tuple of ints or of int pairs
-    assert isinstance(states, tuple) and isinstance(digits, tuple)
-    # The callers leave the cached walk as a fresh walk gives it.
+    d = discriminant(f)
+    clear_walk_memos()
+    preperiod_key = (-f.k, 2 * f.m, d)
+    period_key = (*_preperiod_walk(*preperiod_key)[0][-1], d)
+    cached = []
+    for memo, key in zip(MEMOS, (preperiod_key, period_key)):
+        states, digits = walk = memo(*key)
+        hash(walk)  # every part is a tuple of ints or of int pairs
+        assert isinstance(states, tuple) and isinstance(digits, tuple)
+        cached.append((memo, key, walk))
+    # The callers leave the cached walks as fresh walks give them.
     cf_surd(f)
     classify_class(f)
     reduce_to_H0(f)
     reduced_representative(f)
     reduced_cycle(f)
     _orbit_tour(f)
-    assert _regular_walk(*key) is walk
-    assert walk == _regular_walk.__wrapped__(*key)
+    for memo, key, walk in cached:
+        assert memo(*key) is walk
+        assert walk == memo.__wrapped__(*key)
 
 
 def test_cache_stays_at_its_constant_size():
+    """Both memos stay full and no larger: the grid's queries fill them,
+    and census_for_delta, which walks periods only, runs the period's
+    through many more walks."""
     assert _WALK_MEMO_SIZE >= 2
-    _regular_walk.cache_clear()
+    clear_walk_memos()
     for f in NONSQUARE_GRID[:200]:
         warm_answers(f)
-        assert _regular_walk.cache_info().currsize <= _WALK_MEMO_SIZE
+        for memo in MEMOS:
+            assert memo.cache_info().currsize <= _WALK_MEMO_SIZE
     census_for_delta(9997)
-    info = _regular_walk.cache_info()
-    assert info.maxsize == _WALK_MEMO_SIZE
-    assert info.currsize == _WALK_MEMO_SIZE
+    for memo in MEMOS:
+        info = memo.cache_info()
+        assert info.maxsize == _WALK_MEMO_SIZE
+        assert info.currsize == _WALK_MEMO_SIZE
