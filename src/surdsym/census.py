@@ -284,7 +284,7 @@ def _gate_violations(reports: Sequence[ClassReport]) -> Tuple[int, List[str]]:
     against facts found apart from the census's walk of its states: the
     minus walk of each reduced cycle (sum-rule, and t-up: its length is
     t_up), which starts from ``reduced_representative``, itself a regular
-    walk of the representative's own surd; genus theory (ambiguous,
+    walk of the representative's own preperiod; genus theory (ambiguous,
     parity), divisor counts of the H0 forms (h0-points), congruences
     (square-type), and one identity of the counts (t-balance: sum t_up =
     sum t_down over the classes, as both count half the H0 forms)."""

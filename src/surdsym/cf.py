@@ -16,19 +16,23 @@ that starts each period run; the forms inside a run follow from that one
 by a closed form (``_along_run``), and are built only by the reader that
 asks for them (``reduction.CycleForms``).  Neither walk stores a state
 table, and each raises InternalError if it has not closed within a step
-bound taken from its input (``_step_bound``).
+bound taken from its input (``_step_bound``), and ValueError if its period
+runs past a cap taken from the discriminant (``_walk_cap``) where that bound
+is larger.
 
 The regular walk is two loops, ``_preperiod_walk`` up to the first reduced
 state and ``_period_walk`` round the cycle from it, and each caller asks
 for the half it needs; ``_minus_walk`` is the one walk of the other
 recurrence.  Every form that reduction and the H0 tour take from the
 regular walk is a ``_state_form``, read off a state and the Q of the state
-before it, with no squaring or division.  Each regular loop keeps its last
-``_WALK_MEMO_SIZE`` walks, so the calls that answer one form query
-(classify, reduce to H0, reduced cycle) walk the form's expansion once:
+before it, with no squaring or division.  The preperiod loop keeps its
+last ``_WALK_MEMO_SIZE`` walks, so the calls that answer one form query
+(classify, reduce to H0, reduced cycle) walk the form's preperiod once:
 reduce_to_H0 reads the preperiod of conjugate(f) off f's and walks at most
-three digits of its own.  The results are tuples, which no caller can
-change.
+three digits of its own, and the reduced representative steps once past
+the first reduced state itself.  Of these only classify walks the period,
+so the period loop keeps no memo.  The results are tuples, which no caller
+can change.
 """
 from __future__ import annotations
 
@@ -94,12 +98,18 @@ Walk = Tuple[Tuple[State, ...], Tuple[int, ...]]
 Run = Tuple[int, int]
 MinusWalk = Tuple[Tuple[Run, ...], Tuple[Form, ...], int]
 
-# Walks kept by each of _preperiod_walk and _period_walk.  A form query
-# walks f's preperiod and period for its class, a preperiod of at most three
-# digits in reduce_to_H0 (or conjugate(f)'s whole preperiod, where f's is
-# too short to read it off), and reads f's two walks again for its reduced
-# representative.
-_WALK_MEMO_SIZE = 4
+# Walks kept by _preperiod_walk.  A form query holds f's preperiod, which
+# classify, reduce_to_H0 and the reduced representative each read, across
+# one other: reduce_to_H0's tail of at most three digits, or conjugate(f)'s
+# whole preperiod where f's is too short to read it off.
+_WALK_MEMO_SIZE = 2
+
+# The most steps, states or runs, that the period loops of _period_walk and
+# _minus_walk take for a discriminant of at most 64 bits; fewer for a larger
+# one (``_walk_cap``).  The principal cycles of 80 primes D = 1 mod 120 just
+# above 10**12 have up to 2,769,425 states, and 50 of them more than 10**6;
+# a walk of 2.77 * 10**6 states there peaks at about 450 MB.
+WALK_CAP = 4 * 10 ** 6
 
 
 @lru_cache(maxsize=_WALK_MEMO_SIZE)
@@ -137,16 +147,16 @@ def _preperiod_walk(p: int, q: int, d: int) -> Walk:
                         "reach a reduced state within its step bound")
 
 
-@lru_cache(maxsize=_WALK_MEMO_SIZE)
 def _period_walk(p: int, q: int, d: int) -> Walk:
     """The period of the regular continued fraction of the reduced
     (p + sqrt(d)) / q, d > 0 non-square and q | (d - p**2), as
     (states, digits): the cycle of states from (p, q) until it returns to
     it, and the floor of each.  A state that is not reduced raises
     InternalError, as does a cycle that has not closed within
-    ``_step_bound`` iterations.  Every state of the cycle is reduced, so
-    Q > 0 and the digit takes one floor division with no sign branch; the
-    step is ``_preperiod_walk``'s.
+    ``_step_bound`` iterations; one that has not closed within
+    ``_walk_cap``, where that is fewer, raises ValueError.  Every state of
+    the cycle is reduced, so Q > 0 and the digit takes one floor division
+    with no sign branch; the step is ``_preperiod_walk``'s.
     """
     r = isqrt(d)
     if not (0 < p <= r and r - p < q <= r + p):
@@ -155,7 +165,8 @@ def _period_walk(p: int, q: int, d: int) -> Walk:
     q_prev = (d - p * p) // q
     states = []
     digits = []
-    for _ in range(_step_bound(d, p, q)):
+    bound, cap = _step_bound(d, p, q), _walk_cap(d)
+    for _ in range(min(bound, cap)):
         states.append((p, q))
         a = (p + r) // q
         digits.append(a)
@@ -163,8 +174,19 @@ def _period_walk(p: int, q: int, d: int) -> Walk:
         p, q, q_prev = p_next, q_prev + a * (p - p_next), q
         if (p, q) == first:
             return tuple(states), tuple(digits)
+    if bound > cap:
+        raise ValueError(f"the regular period of radicand {d} is longer than "
+                         f"the cap of {cap} states")
     raise InternalError(f"regular CF of a surd with radicand {d} did not "
                         "close within its step bound")
+
+
+def _walk_cap(d: int) -> int:
+    """Period steps a walk of discriminant d may take: WALK_CAP, scaled down
+    past 64 bits by d's size, as each state the walk keeps holds numbers of
+    about half d's bits, so that a period too long to hold in memory raises
+    ValueError before the memory runs out."""
+    return WALK_CAP * 64 // max(64, d.bit_length())
 
 
 def _step_bound(d: int, *coeffs: int) -> int:
@@ -250,7 +272,8 @@ def _minus_walk(f: Form) -> MinusWalk:
     the cycle: a run too long ends on a form that is not reduced, and one
     too short is followed by more 2s.  A walk that has not closed within
     ``_step_bound`` iterations, preperiod and period together, raises
-    InternalError.
+    InternalError; a period that has not closed within ``_walk_cap`` runs,
+    where that is fewer, raises ValueError.
     """
     m, n, k = f
     d = k * k - 4 * m * n
@@ -287,7 +310,8 @@ def _minus_walk(f: Form) -> MinusWalk:
     m0, n0, k0 = first
     first_c = m + n + k
     firsts = []  # plain tuples, made Forms in one pass once the cycle closes
-    for _ in range(bound - steps):
+    cap = _walk_cap(d)
+    for _ in range(min(bound - steps, cap)):
         firsts.append((m, n, k))
         c = m + n + k
         run = (r + k + 2 * m) // (-2 * c)
@@ -313,6 +337,9 @@ def _minus_walk(f: Form) -> MinusWalk:
         if m == m0 and n == n0 and k == k0:
             break
     else:
+        if bound - steps > cap:
+            raise ValueError(f"the minus period of {f} is longer than the "
+                             f"cap of {cap} runs")
         raise InternalError(
             f"minus CF of {f} did not close within its step bound")
     return tuple(runs), tuple(map(_new_form, repeat(Form), firsts)), start

@@ -17,9 +17,8 @@ from operator import index, itemgetter
 from typing import NamedTuple, Tuple
 
 from .cf import (Run, SquareDiscriminantError, Walk, _digits, _index_in_run,
-                 _minus_walk, _period_walk, _preperiod_walk,
-                 _require_digit_cap, _require_nonsquare, _run_form,
-                 _state_form)
+                 _minus_walk, _preperiod_walk, _require_digit_cap,
+                 _require_nonsquare, _run_form, _state_form)
 from .exact import is_square, isqrt
 from .forms import (Form, GeneratorWord, InternalError, antipodal, conjugate,
                     gen_power, is_reduced, require_indefinite)
@@ -33,7 +32,9 @@ def reduced_representative(f: Form) -> Form:
     already-reduced f is its own representative.  Otherwise, run the
     continued fraction of xi_plus(f) to the first even digit index j0 at or
     past the period start; the state form there, pulled back by A^-1, is
-    reduced and in-class.
+    reduced and in-class.  That is the first reduced state, or the state
+    one regular step past it where the preperiod is odd: the period itself
+    is never walked.
     """
     d = _require_nonsquare(f)
     if is_reduced(*f):
@@ -42,10 +43,9 @@ def reduced_representative(f: Form) -> Form:
     states, preperiod = _preperiod_walk(-f.k, 2 * f.m, d)
     p, q = states[-1]
     q_prev = (d - p * p) // q  # the Q of every state that steps into (p, q)
-    if len(preperiod) % 2:
-        cycle = _period_walk(p, q, d)[0]
-        if len(cycle) > 1:  # else the period's one state stands for both
-            (p, q), q_prev = cycle[1], q
+    if len(preperiod) % 2:  # _preperiod_walk's step; Q > 0 on the cycle
+        a = (p + isqrt(d)) // q
+        p, q, q_prev = a * q - p, q_prev + a * (2 * p - a * q), q
     h = gen_power(_state_form(p, q, q_prev), "A", -1)
     if not is_reduced(*h):
         raise InternalError(f"representative {h} of {f} is not reduced")

@@ -2,7 +2,7 @@
 
 The value of a finite expansion, the first digits of an expansion, the
 period of a class's regular expansion, the regular walk with its two halves
-joined, and a reset of the walks' memos are used by tests alone; the
+joined, and a reset of the walk's memo are used by tests alone; the
 program never needs them, so they live here rather than in ``surdsym.cf``.
 """
 from fractions import Fraction
@@ -52,6 +52,5 @@ def regular_walk(p: int, q: int, d: int):
 
 
 def clear_walk_memos() -> None:
-    """Empty the memos of both halves of the regular walk."""
+    """Empty the regular walk's one memo, that of its preperiod."""
     _preperiod_walk.cache_clear()
-    _period_walk.cache_clear()

@@ -1,6 +1,7 @@
 """Unit tests for regular and minus continued fractions of surds."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from surdsym.forms import (INVOLUTION_NAMES, Form, InternalError, antipodal,
                            gen_power, involution)
 from surdsym.periods import classify_class, classify_square
 from surdsym.reduction import CycleForms, reduce_classical
+from test_query_references import LONG_PERIOD, LONG_PERIOD_DISGUISED
 from test_reduction import NONSQUARE_GRID, run_in_child
 
 
@@ -491,6 +493,71 @@ class TestDigitCap:
             "    print(exc)\n", *f)
         assert proc.returncode == 0, proc.stderr
         assert f"has {10 ** 12} digits to expand" in proc.stdout
+
+
+class TestWalkCap:
+    """The period loops of _period_walk and _minus_walk take at most
+    cf._walk_cap(d) steps, cf.WALK_CAP up to 64 bits of discriminant and
+    fewer in proportion past it, and raise ValueError past it."""
+
+    F = period_to_forms((1, 2, 3, 4, 5, 6, 7, 8, 9))[0]
+
+    def test_the_cap_scales_past_64_bits(self):
+        cap = surdsym.cf.WALK_CAP
+        assert surdsym.cf._walk_cap(2 ** 63) == cap
+        assert surdsym.cf._walk_cap(2 ** 127) == cap // 2
+        assert surdsym.cf._walk_cap(discriminant(LONG_PERIOD)) == \
+            cap * 64 // 1996
+
+    def test_the_cap_is_the_last_state_count_allowed(self, monkeypatch):
+        d = discriminant(self.F)
+        key = (-self.F.k, 2 * self.F.m, d)
+        states, digits = _period_walk(*key)
+        assert len(states) == len(digits) == 9
+        monkeypatch.setattr(surdsym.cf, "WALK_CAP", 9)
+        assert _period_walk(*key) == (states, digits)
+        monkeypatch.setattr(surdsym.cf, "WALK_CAP", 8)
+        with pytest.raises(ValueError, match=f"the regular period of radicand "
+                           f"{d} is longer than the cap of 8 states"):
+            _period_walk(*key)
+
+    def test_the_cap_is_the_last_run_count_allowed(self, monkeypatch):
+        """From a form outside the cycle: its preperiod's runs do not
+        count."""
+        f = gen_power(self.F, "B", 5)
+        walk = runs, _, start = _minus_walk(f)
+        assert start == 3 and len(runs) == 20
+        monkeypatch.setattr(surdsym.cf, "WALK_CAP", 17)
+        assert _minus_walk(f) == walk
+        monkeypatch.setattr(surdsym.cf, "WALK_CAP", 16)
+        with pytest.raises(ValueError, match=rf"the minus period of "
+                           rf"{re.escape(repr(f))} is longer than the cap "
+                           r"of 16 runs"):
+            _minus_walk(f)
+
+    @pytest.mark.parametrize("f", [LONG_PERIOD, LONG_PERIOD_DISGUISED],
+                             ids=["found", "disguised"])
+    @pytest.mark.parametrize("command, walk", [
+        ("counts", "regular"), ("period", "regular"), ("orbit", "regular"),
+        ("classify", "regular"), ("modular", "minus")])
+    def test_a_period_too_long_to_walk_exits_1(self, command, walk, f):
+        """In a child process with 1 GB of address space, where a walk of
+        the whole period would run out of memory: exit 1 with one error
+        line.  main took 0.13-0.26 s (0.51 s for modular) on two vCPUs; the
+        test allows 5 s."""
+        proc = run_in_child(
+            "import sys, time\n"
+            "from surdsym.cli import main\n"
+            "t0 = time.perf_counter()\n"
+            "code = main([sys.argv[1], '--', *sys.argv[2:]])\n"
+            "print(code, time.perf_counter() - t0)\n", command, *f)
+        code, seconds = proc.stdout.split()
+        assert code == "1" and float(seconds) < 5
+        cap = surdsym.cf._walk_cap(discriminant(f))
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith(f"error: the {walk} period of ")
+        assert proc.stderr.endswith(f" is longer than the cap of {cap} "
+                                    f"{'runs' if walk == 'minus' else 'states'}\n")
 
 
 class TestPeriodConversion:

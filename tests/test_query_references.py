@@ -1,24 +1,27 @@
 """The single-form query path against its references: ``reduce_to_H0``
 against the forward scan of the regular walk's states, the preperiod of
 conjugate(f) that it reads off f's walk against the walk of conjugate(f),
-and the two loops of ``cf._minus_walk`` against one loop, on the test
-grid, on seeded disguised forms of 100-400 bits, on forms a few generator
-powers from a reduced one, and on cycles that close inside a run of 2s."""
+``reduced_representative`` against the state table of the whole walk, and
+the two loops of ``cf._minus_walk`` against one loop, on the test grid, on
+seeded disguised forms of 100-400 bits, on forms a few generator powers
+from a reduced one, and on cycles that close inside a run of 2s."""
 
 import random
 from collections import Counter
 
 import pytest
 
-from surdsym.cf import (_minus_walk, _preperiod_walk, is_primitive_period,
-                        period_to_forms)
+from surdsym.cf import (_minus_walk, _preperiod_walk, _state_form,
+                        is_primitive_period, period_to_forms)
 from surdsym.exact import isqrt
 from surdsym.forms import (Form, INVOLUTION_NAMES, apply_word, discriminant,
-                           gen_power, involution)
-from surdsym.reduction import _conjugate_preperiod, reduce_to_H0, reduced_cycle
+                           gen_power, involution, is_reduced)
+from surdsym.reduction import (_conjugate_preperiod, reduce_to_H0,
+                               reduced_cycle, reduced_representative)
 
 from h0_peel_by_forward_scan import h0_peel_by_forward_scan
 from minus_walk_by_one_loop import minus_walk_by_one_loop
+from regular_walk_by_states import regular_walk_by_states
 from test_reduction import NONSQUARE_GRID, run_in_child
 
 SEEDS = (1, 2, 3)
@@ -108,6 +111,60 @@ def test_reduce_never_walks_the_period(f, tag):
     seconds, out = proc.stdout.splitlines()
     assert float(seconds) < 1
     assert out == repr(expected)
+
+
+def representative_by_states(f: Form) -> Form:
+    """reduced_representative by its definition, on the state table of the
+    whole regular walk of xi_plus(f): f itself if it is reduced, else the
+    state form at the first even index at or past the period start, pulled
+    back by A^-1."""
+    if is_reduced(*f):
+        return f
+    d = discriminant(f)
+    states, _, start = regular_walk_by_states(-f.k, 2 * f.m, d)
+    # The table holds one period: a period of one state stands for both.
+    p, q = states[start + start % 2 % (len(states) - start)]
+    return gen_power(_state_form(p, q, (d - p * p) // q), "A", -1)
+
+
+class TestReducedRepresentative:
+    def test_matches_the_state_table_on_grid(self):
+        for f in NONSQUARE_GRID:
+            assert reduced_representative(f) == representative_by_states(f), f
+
+    def test_matches_the_state_table_on_disguised_forms(self, seeded_forms):
+        for f in seeded_forms:
+            assert reduced_representative(f) == representative_by_states(f), f
+
+    @pytest.mark.parametrize("generator, preperiod", [("B", 3), ("R", 1)])
+    def test_never_walks_the_period(self, generator, preperiod):
+        """From B and R of LONG_PERIOD, whose preperiods have 3 and 1
+        digits, an odd count, reduced_representative steps once past the
+        first reduced state: in a child capped at 1 GB of address space it
+        answers within a second, as the state table's first states give."""
+        f = gen_power(LONG_PERIOD, generator, 1)
+        d = discriminant(f)
+        states, digits = _preperiod_walk(-f.k, 2 * f.m, d)
+        assert len(digits) == preperiod
+        proc = run_in_child(
+            "import sys, time\n"
+            "from surdsym.forms import Form\n"
+            "from surdsym.reduction import reduced_representative\n"
+            "f = Form(*map(int, sys.argv[1:]))\n"
+            "start = time.perf_counter()\n"
+            "h = reduced_representative(f)\n"
+            "print(time.perf_counter() - start)\n"
+            "print(repr(h))\n", *f)
+        assert proc.returncode == 0, proc.stderr
+        seconds, out = proc.stdout.splitlines()
+        assert float(seconds) < 1
+        # The state after the first reduced one, its Q by a division.
+        p, q = states[-1]
+        a = (p + isqrt(d)) // q
+        p_next = a * q - p
+        expected = gen_power(_state_form(p_next, (d - p_next ** 2) // q, q),
+                             "A", -1)
+        assert is_reduced(*expected) and out == repr(expected)
 
 
 def conjugate_branch(f: Form) -> str:

@@ -1,7 +1,8 @@
-"""The memos on the two halves of the regular walk, cf._preperiod_walk and
-cf._period_walk: one regular walk of f per form query, the same answers
-with cold and warm caches, immutable cached walks, and caches that never
-grow past their constant size."""
+"""The regular walk's one memo, on its preperiod, cf._preperiod_walk: one
+regular walk of f per form query, the same answers with a cold and a warm
+cache, immutable cached walks, and a cache that never grows past its
+constant size.  The period walk, cf._period_walk, keeps no memo: a query
+walks f's period at most once, and reduction never walks one."""
 
 import pytest
 
@@ -19,7 +20,6 @@ from test_query_references import SEEDS, disguised_forms
 from test_reduction import NONSQUARE_GRID
 
 QUERY = (classify_class, reduce_to_H0, reduced_cycle)
-MEMOS = (_preperiod_walk, _period_walk)
 
 GRID = [f for f in (Form(m, n, k) for m in range(-12, 13)
                     for n in range(-12, 13) for k in range(-25, 26))
@@ -51,7 +51,7 @@ def warm_answers(f):
 def assert_cold_equals_warm(forms):
     clear_walk_memos()
     warm = [warm_answers(f) for f in forms]
-    assert all(memo.cache_info().hits > 0 for memo in MEMOS)
+    assert _preperiod_walk.cache_info().hits > 0
     for f, answers in zip(forms, warm):
         assert cold_answers(f) == answers, f
 
@@ -80,17 +80,33 @@ def preperiod_misses(monkeypatch):
     return missed
 
 
-def test_a_query_walks_the_expansion_of_f_once(preperiod_misses):
+@pytest.fixture
+def period_walks(monkeypatch):
+    """The keys of the period walks, in call order: ``cf_surd``, the one
+    caller in a query, calls ``_period_walk`` through a recorder."""
+    walked = []
+
+    def recorder(*key):
+        walked.append(key)
+        return _period_walk(*key)
+
+    monkeypatch.setattr(surdsym.cf, "_period_walk", recorder)
+    return walked
+
+
+def test_a_query_walks_the_expansion_of_f_once(preperiod_misses, period_walks):
     """classify_class and reduced_cycle (through reduced_representative)
-    share one walk of f, preperiod and period, although reduce_to_H0 walks
-    another preperiod between them: at most one period walk and two
-    preperiod walks per query.  The first preperiod walk is f's."""
+    share one walk of f's preperiod, although reduce_to_H0 walks another
+    preperiod between them, and only classify_class walks the period: at
+    most one period walk and two preperiod walks per query.  The first
+    preperiod walk is f's."""
     shared = 0
     for f in NONSQUARE_GRID:
         clear_walk_memos()
         preperiod_misses.clear()
+        period_walks.clear()
         warm_answers(f)
-        assert _period_walk.cache_info().misses <= 1, f
+        assert len(period_walks) <= 1, f
         assert len(preperiod_misses) <= 2, f
         assert preperiod_misses[0][0] == (-f.k, 2 * f.m, discriminant(f)), f
         if not is_reduced(*f):
@@ -99,7 +115,8 @@ def test_a_query_walks_the_expansion_of_f_once(preperiod_misses):
     assert shared > 15000
 
 
-def test_reduce_reads_the_conjugate_preperiod_off_f(preperiod_misses):
+def test_reduce_reads_the_conjugate_preperiod_off_f(preperiod_misses,
+                                                    period_walks):
     """On the seeded disguised forms with m, n, k of one sign, reduce_to_H0
     takes the conjugate and reads its preperiod off f's walk: the query's
     second preperiod walk has at most three digits, where the preperiod of
@@ -111,50 +128,65 @@ def test_reduce_reads_the_conjugate_preperiod_off_f(preperiod_misses):
     for f in conjugate_tag:
         clear_walk_memos()
         preperiod_misses.clear()
+        period_walks.clear()
         warm_answers(f)
-        assert _period_walk.cache_info().misses == 1, f
+        assert len(period_walks) == 1, f
         assert len(preperiod_misses) == 2, f
         assert len(preperiod_misses[1][1]) <= 3, f
         conjugate_walk = _preperiod_walk(f.k, 2 * f.m, discriminant(f))
         assert len(conjugate_walk[1]) > 3, f
 
 
+def test_reduction_walks_no_regular_period(monkeypatch):
+    """With cf._period_walk raising, reduce_to_H0, reduced_representative
+    and reduced_cycle each answer from a cold memo, as they do with it, on
+    the grid and on the seeded disguised forms.  The name is patched in
+    reduction too, so that an import of it there cannot hide a walk."""
+    forms = NONSQUARE_GRID + [f for seed in SEEDS
+                              for f in disguised_forms(seed, 100)]
+    calls = (reduce_to_H0, reduced_representative, reduced_cycle)
+    expected = [[fn(f) for fn in calls] for f in forms]
+
+    def no_period_walk(*key):
+        raise AssertionError(f"a period walk from {key}")
+
+    monkeypatch.setattr(surdsym.cf, "_period_walk", no_period_walk)
+    monkeypatch.setattr(surdsym.reduction, "_period_walk", no_period_walk,
+                        raising=False)
+    for f, answers in zip(forms, expected):
+        for fn, answer in zip(calls, answers):
+            clear_walk_memos()
+            assert fn(f) == answer, (fn.__name__, f)
+
+
 def test_cached_walk_is_immutable():
     f = Form(5, -3, -13)
-    d = discriminant(f)
+    key = (-f.k, 2 * f.m, discriminant(f))
     clear_walk_memos()
-    preperiod_key = (-f.k, 2 * f.m, d)
-    period_key = (*_preperiod_walk(*preperiod_key)[0][-1], d)
-    cached = []
-    for memo, key in zip(MEMOS, (preperiod_key, period_key)):
-        states, digits = walk = memo(*key)
-        hash(walk)  # every part is a tuple of ints or of int pairs
-        assert isinstance(states, tuple) and isinstance(digits, tuple)
-        cached.append((memo, key, walk))
-    # The callers leave the cached walks as fresh walks give them.
+    states, digits = walk = _preperiod_walk(*key)
+    hash(walk)  # every part is a tuple of ints or of int pairs
+    assert isinstance(states, tuple) and isinstance(digits, tuple)
+    # The callers leave the cached walk as a fresh walk gives it.
     cf_surd(f)
     classify_class(f)
     reduce_to_H0(f)
     reduced_representative(f)
     reduced_cycle(f)
     _orbit_tour(f)
-    for memo, key, walk in cached:
-        assert memo(*key) is walk
-        assert walk == memo.__wrapped__(*key)
+    assert _preperiod_walk(*key) is walk
+    assert walk == _preperiod_walk.__wrapped__(*key)
 
 
 def test_cache_stays_at_its_constant_size():
-    """Both memos stay full and no larger: the grid's queries fill them,
-    and census_for_delta, which walks periods only, runs the period's
-    through many more walks."""
+    """The memo stays full and no larger: the grid's queries fill it, and
+    census_for_delta, which walks periods only, leaves it as it is."""
     assert _WALK_MEMO_SIZE >= 2
     clear_walk_memos()
     for f in NONSQUARE_GRID[:200]:
         warm_answers(f)
-        for memo in MEMOS:
-            assert memo.cache_info().currsize <= _WALK_MEMO_SIZE
+        assert _preperiod_walk.cache_info().currsize <= _WALK_MEMO_SIZE
+    before = _preperiod_walk.cache_info()
     census_for_delta(9997)
-    for memo in MEMOS:
-        info = memo.cache_info()
-        assert info.maxsize == _WALK_MEMO_SIZE
-        assert info.currsize == _WALK_MEMO_SIZE
+    info = _preperiod_walk.cache_info()
+    assert info == before
+    assert info.maxsize == info.currsize == _WALK_MEMO_SIZE
