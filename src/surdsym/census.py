@@ -81,11 +81,12 @@ def _reduced_states(lo: int, hi: int) -> Dict[int, array]:
     return out
 
 
-def _least_member(a_runs: Sequence[int], cycle: Sequence[Tuple[int, int]],
+def _least_member(a_runs: Sequence[int], ps: Sequence[int], qs: Sequence[int],
                   digits: Sequence[int]) -> Tuple[int, int, int, int, bool]:
     """The lexicographically least H0 member of one class, located on its
-    cycle of states (P_j, Q_j): (m, n, k, index where its period starts,
-    preperiod length odd).
+    cycle of states (P_j, Q_j) = (``ps[j]``, ``qs[j]``), as
+    ``cf._period_walk`` gives them: (m, n, k, index where its period
+    starts, preperiod length odd).
 
     With f_j = (Q_j/2, -Q_{j-1}/2, -P_j), the class's H0 cycle is made of
     the A-runs A^i f_j, 0 <= i < a_j, for j in a_runs, each followed by the
@@ -97,11 +98,11 @@ def _least_member(a_runs: Sequence[int], cycle: Sequence[Tuple[int, int]],
     """
     best = None
     for j in a_runs:
-        p, q = cycle[j]
+        q = qs[j]
         m = q // 2
         if best and m > best[0]:
             continue
-        c, a = cycle[j - 1][1] // 2, digits[j]
+        p, c, a = ps[j], qs[j - 1] // 2, digits[j]
         vertex = min(p // q, a)
         for i in {vertex, min(vertex + 1, a)}:
             cand = (m, m * i * i - p * i - c, 2 * m * i - p, j + (i > 0), i > 0)
@@ -134,8 +135,8 @@ def census_for_delta(delta: int, states: Optional[array] = None
             continue
         p, q = start
         primitive = gcd(q // 2, (delta - p * p) // (2 * q), p) == 1
-        cycle, digits = _period_walk(p, q, delta)
-        visited.update(cycle)
+        ps, qs, digits = _period_walk(p, q, delta)
+        visited.update(zip(ps, qs))
         n = len(digits)
         symmetry = _classify_period(digits)
         if n % 2:  # one class, with an A-run at every state
@@ -143,7 +144,7 @@ def census_for_delta(delta: int, states: Optional[array] = None
         else:     # two classes, with A-runs on the even or the odd states
             classes = (range(0, n, 2), range(1, n, 2))
         for a_runs in classes:
-            m, nn, k, s, odd = _least_member(a_runs, cycle, digits)
+            m, nn, k, s, odd = _least_member(a_runs, ps, qs, digits)
             s %= n
             gamma = digits[s:] + digits[:s]
             t, t_up, t_down = _counts_nonsquare(gamma, odd)

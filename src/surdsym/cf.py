@@ -12,13 +12,14 @@ as the minus CF of a quadratic irrational xi is purely periodic exactly
 when xi > 1 > xi' > 0 (Zagier, Zetafunktionen und quadratische Koerper,
 1981), and ends where the walk returns to that form.  It takes each run of
 2s in one stride and returns (digit, count) runs with the reduced form
-that starts each period run; the forms inside a run follow from that one
-by a closed form (``_along_run``), and are built only by the reader that
-asks for them (``reduction.CycleForms``).  Neither walk stores a state
-table, and each raises InternalError if it has not closed within a step
-bound taken from its input (``_step_bound``), and ValueError if its period
-runs past a cap taken from the discriminant (``_walk_cap``) where that bound
-is larger.
+that starts each period run, as a plain (m, n, k) triple; the forms inside
+a run follow from that one by a closed form (``_along_run``), and the
+reader that asks for a form builds it (``reduction.CycleForms``,
+``reduction.reduce_classical``).  Neither walk stores a state table or
+builds a per-step object that no caller reads, and each raises
+InternalError if it has not closed within a step bound taken from its
+input (``_step_bound``), and ValueError if its period runs past a cap
+taken from the discriminant (``_walk_cap``) where that bound is larger.
 
 The regular walk is two loops, ``_preperiod_walk`` up to the first reduced
 state and ``_period_walk`` round the cycle from it, and each caller asks
@@ -31,8 +32,9 @@ last ``_WALK_MEMO_SIZE`` walks, so the calls that answer one form query
 reduce_to_H0 reads the preperiod of conjugate(f) off f's and walks at most
 three digits of its own, and the reduced representative steps once past
 the first reduced state itself.  Of these only classify walks the period,
-so the period loop keeps no memo.  The results are tuples, which no caller
-can change.
+so the period loop keeps no memo.  Both loops return the states' P and Q
+as two tuples of ints, not a pair per state, with the digits.  The results
+are tuples, which no caller can change.
 """
 from __future__ import annotations
 
@@ -93,10 +95,11 @@ def cf_rational(num: int, den: int) -> CFExpansion:
     return CFExpansion(tuple(digits), ())
 
 
-State = Tuple[int, int]
-Walk = Tuple[Tuple[State, ...], Tuple[int, ...]]
+# (ps, qs, digits): the P and the Q of each state, and the digits.
+Walk = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
 Run = Tuple[int, int]
-MinusWalk = Tuple[Tuple[Run, ...], Tuple[Form, ...], int]
+# (runs, firsts, start): firsts are (m, n, k) triples, not Forms.
+MinusWalk = Tuple[Tuple[Run, ...], Tuple[Tuple[int, int, int], ...], int]
 
 # Walks kept by _preperiod_walk.  A form query holds f's preperiod, which
 # classify, reduce_to_H0 and the reduced representative each read, across
@@ -117,11 +120,11 @@ def _preperiod_walk(p: int, q: int, d: int) -> Walk:
     """Regular continued fraction of (p + sqrt(d)) / q, d > 0 non-square and
     q | (d - p**2), until it reaches its first reduced state.
 
-    Returns (states, digits): ``states[j]`` is the state (P_j, Q_j) and
-    ``digits[j]`` the floor of its value; the states run up to and
-    including the first reduced state, ``states[-1]``, and the digits are
-    the preperiod's, one fewer.  A state is reduced when its value xi
-    satisfies xi > 1 and -1 < xi' < 0, that is 0 < P <= r and
+    Returns (ps, qs, digits): (``ps[j]``, ``qs[j]``) is the state
+    (P_j, Q_j) and ``digits[j]`` the floor of its value; the states run up
+    to and including the first reduced state, (``ps[-1]``, ``qs[-1]``), and
+    the digits are the preperiod's, one fewer.  A state is reduced when its
+    value xi satisfies xi > 1 and -1 < xi' < 0, that is 0 < P <= r and
     r - P < Q <= r + P with r = isqrt(d); by Galois' theorem its expansion
     is then purely periodic, and the first reduced state is the period's
     first (``_period_walk``).  The state after (P_j, Q_j) has
@@ -132,12 +135,14 @@ def _preperiod_walk(p: int, q: int, d: int) -> Walk:
     """
     r = isqrt(d)
     q_prev = (d - p * p) // q
-    states = []
+    ps = []
+    qs = []
     digits = []
     for _ in range(_step_bound(d, p, q)):
-        states.append((p, q))
+        ps.append(p)
+        qs.append(q)
         if 0 < p <= r and r - p < q <= r + p:
-            return tuple(states), tuple(digits)
+            return tuple(ps), tuple(qs), tuple(digits)
         # floor((p + sqrt(d))/q) from r = floor(sqrt(d)); d is not a square
         a = (p + r) // q if q > 0 else -((p + r) // -q) - 1
         digits.append(a)
@@ -150,10 +155,10 @@ def _preperiod_walk(p: int, q: int, d: int) -> Walk:
 def _period_walk(p: int, q: int, d: int) -> Walk:
     """The period of the regular continued fraction of the reduced
     (p + sqrt(d)) / q, d > 0 non-square and q | (d - p**2), as
-    (states, digits): the cycle of states from (p, q) until it returns to
-    it, and the floor of each.  A state that is not reduced raises
-    InternalError, as does a cycle that has not closed within
-    ``_step_bound`` iterations; one that has not closed within
+    (ps, qs, digits): the P and the Q of each state of the cycle from
+    (p, q) until it returns to it, and the floor of each.  A state that is
+    not reduced raises InternalError, as does a cycle that has not closed
+    within ``_step_bound`` iterations; one that has not closed within
     ``_walk_cap``, where that is fewer, raises ValueError.  Every state of
     the cycle is reduced, so Q > 0 and the digit takes one floor division
     with no sign branch; the step is ``_preperiod_walk``'s.
@@ -161,19 +166,21 @@ def _period_walk(p: int, q: int, d: int) -> Walk:
     r = isqrt(d)
     if not (0 < p <= r and r - p < q <= r + p):
         raise InternalError(f"state {(p, q)} of {d} is not on a cycle")
-    first = p, q
+    p0, q0 = p, q
     q_prev = (d - p * p) // q
-    states = []
+    ps = []
+    qs = []
     digits = []
     bound, cap = _step_bound(d, p, q), _walk_cap(d)
     for _ in range(min(bound, cap)):
-        states.append((p, q))
+        ps.append(p)
+        qs.append(q)
         a = (p + r) // q
         digits.append(a)
         p_next = a * q - p
         p, q, q_prev = p_next, q_prev + a * (p - p_next), q
-        if (p, q) == first:
-            return tuple(states), tuple(digits)
+        if p == p0 and q == q0:
+            return tuple(ps), tuple(qs), tuple(digits)
     if bound > cap:
         raise ValueError(f"the regular period of radicand {d} is longer than "
                          f"the cap of {cap} states")
@@ -239,8 +246,9 @@ def _minus_walk(f: Form) -> MinusWalk:
     digits of every step from f on in order: a run of 2s is one pair, and
     every other digit a pair with count 1.  The period ``runs[start:]``
     starts at the first reduced form and ends when the walk returns to it;
-    ``firsts[i]`` is the reduced form that starts ``runs[start + i]``.  No
-    other form is built: the forms inside a run follow from its first by
+    ``firsts[i]`` is the (m, n, k) of the reduced form that starts
+    ``runs[start + i]``, a plain triple: the reader makes it a Form.  No
+    other form is kept: the forms inside a run follow from its first by
     ``_along_run``, and the preperiod's not at all.
 
     A run of 2s is taken in one stride.  The digit is 2 exactly while
@@ -257,23 +265,25 @@ def _minus_walk(f: Form) -> MinusWalk:
     form of the run is.
 
     The period has a loop of its own.  There every form is reduced, so
-    c < 0 and 2m > 0, and the run length and the single digit each take
-    one floor division with no sign branch.  ``is_reduced`` tests every
-    form the walk stops at: each form it steps from alone, the first form
-    g_0 of each run and the form g_L after it.  One that fails raises
-    InternalError.  (Where the cycle closes inside the run, at g_i, the
-    first reduced form, tested when the walk met it, stands for g_L.)  The
-    forms strictly inside the run are then reduced as well.  Its m_i has
-    second difference 2c < 0, so the least of m_0 ... m_L is at an end, and
-    is positive; n_i = m_{i-1} is positive; and m_i + n_i + k_i = c < 0.
-    Where g and R(A^2(g)) are both reduced, 2 is the digit of g, as
-    xi_plus(R(A^e(g))) = 1 / (e - xi_plus(g)) is above 1 only for
-    e = ceil(xi_plus(g)).  So a wrong run length cannot slip a form into
-    the cycle: a run too long ends on a form that is not reduced, and one
-    too short is followed by more 2s.  A walk that has not closed within
-    ``_step_bound`` iterations, preperiod and period together, raises
-    InternalError; a period that has not closed within ``_walk_cap`` runs,
-    where that is fewer, raises ValueError.
+    c < 0 and 2m > 0, and the digit and the run length each take one floor
+    division with no sign branch.  The digit comes first: on a reduced form
+    xi_plus > 1, so the digit is 2 exactly when xi_plus < 2, that is when
+    the run is not empty, and c and the run length are found only then.
+    ``is_reduced`` tests every form the walk stops at: each form it steps
+    from alone, the first form g_0 of each run and the form g_L after it.
+    One that fails raises InternalError.  (Where the cycle closes inside
+    the run, at g_i, the first reduced form, tested when the walk met it,
+    stands for g_L.)  The forms strictly inside the run are then reduced as
+    well.  Its m_i has second difference 2c < 0, so the least of
+    m_0 ... m_L is at an end, and is positive; n_i = m_{i-1} is positive;
+    and m_i + n_i + k_i = c < 0.  Where g and R(A^2(g)) are both reduced, 2
+    is the digit of g, as xi_plus(R(A^e(g))) = 1 / (e - xi_plus(g)) is
+    above 1 only for e = ceil(xi_plus(g)).  So a wrong run length cannot
+    slip a form into the cycle: a run too long ends on a form that is not
+    reduced, and one too short is followed by more 2s.  A walk that has not
+    closed within ``_step_bound`` iterations, preperiod and period
+    together, raises InternalError; a period that has not closed within
+    ``_walk_cap`` runs, where that is fewer, raises ValueError.
     """
     m, n, k = f
     d = k * k - 4 * m * n
@@ -309,13 +319,14 @@ def _minus_walk(f: Form) -> MinusWalk:
     first = _new_form(Form, (m, n, k))
     m0, n0, k0 = first
     first_c = m + n + k
-    firsts = []  # plain tuples, made Forms in one pass once the cycle closes
+    firsts = []
     cap = _walk_cap(d)
     for _ in range(min(bound - steps, cap)):
         firsts.append((m, n, k))
-        c = m + n + k
-        run = (r + k + 2 * m) // (-2 * c)
-        if run > 0:
+        b = (r - k) // (2 * m) + 1
+        if b == 2:
+            c = m + n + k
+            run = (r + k + 2 * m) // (-2 * c)
             if c == first_c:
                 i = _index_in_run(m, n, c, run, first)
                 if i:  # the cycle closes inside the run
@@ -328,7 +339,6 @@ def _minus_walk(f: Form) -> MinusWalk:
                     m + (run - 1) * (d0 + c * (run - 2)))
             k = c - m - n
         else:
-            b = (r - k) // (2 * m) + 1
             runs.append((b, 1))
             m, n, k = n + b * (k + b * m), m, -k - 2 * b * m
         if not is_reduced(m, n, k):
@@ -342,7 +352,7 @@ def _minus_walk(f: Form) -> MinusWalk:
                              f"cap of {cap} runs")
         raise InternalError(
             f"minus CF of {f} did not close within its step bound")
-    return tuple(runs), tuple(map(_new_form, repeat(Form), firsts)), start
+    return tuple(runs), tuple(firsts), start
 
 
 # The most minus-CF digits that ``modular_cf_surd``,
@@ -430,8 +440,8 @@ def cf_surd(f: Form) -> CFExpansion:
         if den < 0:
             num, den = -num, -den
         return cf_rational(num, den)
-    states, preperiod = _preperiod_walk(-f.k, 2 * f.m, d)
-    return CFExpansion(preperiod, _period_walk(*states[-1], d)[1])
+    ps, qs, preperiod = _preperiod_walk(-f.k, 2 * f.m, d)
+    return CFExpansion(preperiod, _period_walk(ps[-1], qs[-1], d)[2])
 
 
 def _require_nonsquare(f: Form) -> int:

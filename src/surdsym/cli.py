@@ -209,12 +209,12 @@ def _orbit_tour(f: Form) -> List[str]:
     if f.m < 0:  # H0R member: complementary partner lies in the same class
         f = complementary(f)
     d = discriminant(f)
-    states, preperiod = _preperiod_walk(-f.k, 2 * f.m, d)
-    cycle, period = _period_walk(*states[-1], d)
+    ps, qs, preperiod = _preperiod_walk(-f.k, 2 * f.m, d)
+    ps, qs, period = _period_walk(ps[-1], qs[-1], d)
     n = len(period)
     lines = []
     for i in range(n if n % 2 == 0 else 2 * n):
-        g = _state_form(*cycle[i % n], cycle[(i - 1) % n][1])
+        g = _state_form(ps[i % n], qs[i % n], qs[(i - 1) % n])
         g = antipodal(g) if (len(preperiod) + i) % 2 else g
         lines.append(f"{g.m} {g.n} {g.k}  {_seq(period[i % n:] + period[:i % n])}")
     return lines

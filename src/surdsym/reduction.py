@@ -40,8 +40,8 @@ def reduced_representative(f: Form) -> Form:
     if is_reduced(*f):
         return f
     # The j-th state form of the expansion lies in C(f) exactly when j is even.
-    states, preperiod = _preperiod_walk(-f.k, 2 * f.m, d)
-    p, q = states[-1]
+    ps, qs, preperiod = _preperiod_walk(-f.k, 2 * f.m, d)
+    p, q = ps[-1], qs[-1]
     q_prev = (d - p * p) // q  # the Q of every state that steps into (p, q)
     if len(preperiod) % 2:  # _preperiod_walk's step; Q > 0 on the cycle
         a = (p + isqrt(d)) // q
@@ -55,18 +55,20 @@ def reduced_representative(f: Form) -> Form:
 class CycleForms(Sequence):
     """The reduced forms of a cycle, read off its runs of minus-CF digits.
 
-    ``firsts[i]`` is the form that starts the i-th run and ``counts[i]`` its
+    ``firsts[i]`` is the (m, n, k) of the form that starts the i-th run, a
+    plain triple as ``cf._minus_walk`` gives it, and ``counts[i]`` its
     number of digits (more than 1 only for a run of 2s).  The length is the
-    sum of the counts; each form, read by index or by iteration, is built
-    by the closed form of its run (``cf._run_form``).  No other form is
-    kept.  Membership, ``index`` and ``count`` look at each run once,
-    without building its forms.  It compares and hashes as the tuple of its
-    forms.
+    sum of the counts; each form, read by index, by iteration or by slice,
+    is built as a Form by the closed form of its run (``cf._run_form``).
+    No other form is kept.  Membership, ``index`` and ``count`` look at each
+    run once, without building its forms.  It compares and hashes as the
+    tuple of its forms.
     """
 
     __slots__ = ("_firsts", "_counts", "_offsets")
 
-    def __init__(self, firsts: Tuple[Form, ...], counts: Tuple[int, ...]):
+    def __init__(self, firsts: Tuple[Tuple[int, int, int], ...],
+                 counts: Tuple[int, ...]):
         self._firsts = firsts
         self._counts = counts
         self._offsets = tuple(accumulate(counts, initial=0))
@@ -99,7 +101,7 @@ class CycleForms(Sequence):
             for g, count, offset in zip(self._firsts, self._counts, self._offsets):
                 if g == h:
                     return offset
-                i = count > 1 and sum(g) == c and _index_in_run(g.m, g.n, c, count, h)
+                i = count > 1 and sum(g) == c and _index_in_run(g[0], g[1], c, count, h)
                 if i:
                     return offset + i
         return -1
@@ -151,9 +153,9 @@ def reduced_cycle(f: Form) -> ReducedCycle:
     reduced, so two members of one class give rotations of one cycle.
     Successive forms are R(A^{c_i}(previous)) for the period digits c_i,
     closing back at h: the forms of the minus CF walk of xi_plus(h).  Only
-    the form that starts each run of the walk is built here, and no digit
-    is expanded; ``forms`` builds the others when it is indexed or
-    iterated.
+    the coefficients of the form that starts each run of the walk are kept
+    here, no Form is built and no digit is expanded; ``forms`` builds each
+    form when it is indexed or iterated.
     """
     h0 = reduced_representative(f)
     runs, firsts, start = _minus_walk(h0)
@@ -166,9 +168,9 @@ def reduced_cycle(f: Form) -> ReducedCycle:
 def _conjugate_preperiod(f: Form, d: int, r: int
                          ) -> Tuple[Tuple[int, ...], Walk]:
     """The preperiod of the regular CF of xi_plus(conjugate(f)), for
-    m * k > 0, as (head, (states, digits)): its digits are head + digits,
-    and ``states`` are its states from index len(head) on, up to the first
-    reduced one.  r is isqrt(d).
+    m * k > 0, as (head, (ps, qs, digits)): its digits are head + digits,
+    and ``ps`` and ``qs`` the P and the Q of its states from index
+    len(head) on, up to the first reduced one.  r is isqrt(d).
 
     xi_plus(conjugate(f)) is -xi_minus(f).  With x_j = (P_j + sqrt(d)) / Q_j
     the complete quotients of f's walk, a_j its digits and x_j' their
@@ -189,10 +191,10 @@ def _conjugate_preperiod(f: Form, d: int, r: int
     a_1 = 1, the head would be too short to hold the rewritten digits, and
     conjugate(f) is walked itself.
     """
-    states, a = _preperiod_walk(-f.k, 2 * f.m, d)
+    ps, qs, a = _preperiod_walk(-f.k, 2 * f.m, d)
     j = len(a) - 1
     while j > 0:
-        p, q = states[j]
+        p, q = ps[j], qs[j]
         if (p - q > r) == (q > 0):
             break
         j -= 1
@@ -202,8 +204,7 @@ def _conjugate_preperiod(f: Form, d: int, r: int
         head = (-a[0] - 1, a[2] + 1, *a[3:j])
     else:
         return (), _preperiod_walk(f.k, 2 * f.m, d)
-    p, q = states[j]
-    return head, _preperiod_walk(-p, -q, d)
+    return head, _preperiod_walk(-ps[j], -qs[j], d)
 
 
 def reduce_to_H0(f: Form) -> Tuple[Form, GeneratorWord, str]:
@@ -240,26 +241,25 @@ def reduce_to_H0(f: Form) -> Tuple[Form, GeneratorWord, str]:
     tag = "identity" if f.m * f.k < 0 else "conjugate"
     r = isqrt(d)
     if tag == "identity":
-        head, (states, digits) = (), _preperiod_walk(-f.k, 2 * f.m, d)
+        head, (ps, qs, digits) = (), _preperiod_walk(-f.k, 2 * f.m, d)
     else:
-        head, (states, digits) = _conjugate_preperiod(f, d, r)
+        head, (ps, qs, digits) = _conjugate_preperiod(f, d, r)
     # The walk ends at the first reduced state, which has P**2 < delta; for
     # j >= 1 the complete quotient xi_j is above 1, so P_j**2 < delta, that
     # is xi_j' < 0, holds from its first state on (xi_{j+1}' is then
     # 1 / (xi_j' - a_j) < 0).  So the peel's stop, the first state with
     # P**2 < delta, is found by stepping back from the end, and for a
     # non-square delta P**2 < delta is |P| <= isqrt(delta).
-    j = len(states) - 1
+    j = len(ps) - 1
     # j > 0: P_0**2 > delta for the first state walked, f's or
     # conjugate(f)'s own (mn > 0 means k**2 > delta), or that of x_J',
     # whose conjugate x_J is above 1 as well.
-    if not j or abs(states[j][0]) > r:
+    if not j or abs(ps[j]) > r:
         raise InternalError(f"preperiod of the {tag} of {f} did not reach "
                             "mn <= 0")
-    while j > 1 and abs(states[j - 1][0]) <= r:
+    while j > 1 and abs(ps[j - 1]) <= r:
         j -= 1
-    p, q = states[j]
-    cur = _state_form(p, q, states[j - 1][1])
+    cur = _state_form(ps[j], qs[j], qs[j - 1])
     digits = head + digits[:j]
     cur = antipodal(cur) if len(digits) % 2 else cur
     # a_0 >= 0 as the root peeled is positive, the other digits are
@@ -282,8 +282,8 @@ def reduce_classical(f: Form) -> Tuple[Form, GeneratorWord]:
     runs, firsts, start = _minus_walk(f)
     preperiod = runs[:start]
     _require_digit_cap(f, preperiod)
-    return firsts[0], tuple(step for b in _digits(preperiod)
-                            for step in (("A", b), ("R", 1)))
+    return Form(*firsts[0]), tuple(step for b in _digits(preperiod)
+                                   for step in (("A", b), ("R", 1)))
 
 
 _SUM_RULE_TYPES = frozenset((SymmetryType.SUPERSYMMETRIC,

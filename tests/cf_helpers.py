@@ -46,9 +46,10 @@ def period_of_class(f: Form) -> Tuple[int, ...]:
 def regular_walk(p: int, q: int, d: int):
     """(states, digits, start) of the whole regular walk from (p, q), as
     ``regular_walk_by_states`` gives them: the period is ``digits[start:]``."""
-    states, preperiod = _preperiod_walk(p, q, d)
-    cycle, period = _period_walk(*states[-1], d)
-    return states[:-1] + cycle, preperiod + period, len(preperiod)
+    ps, qs, preperiod = _preperiod_walk(p, q, d)
+    cycle_ps, cycle_qs, period = _period_walk(ps[-1], qs[-1], d)
+    states = tuple(zip(ps[:-1] + cycle_ps, qs[:-1] + cycle_qs))
+    return states, preperiod + period, len(preperiod)
 
 
 def clear_walk_memos() -> None:

@@ -34,13 +34,13 @@ def h0_peel_by_forward_scan(f: Form) -> Tuple[Form, GeneratorWord, str]:
             break
     else:
         raise InternalError(f"no involution of {f} has a positive first root")
-    states, digits = _preperiod_walk(-g.k, 2 * g.m, d)
-    first = next(((j, p, q) for j, (p, q) in enumerate(states) if p * p < d),
-                 None)
+    ps, qs, digits = _preperiod_walk(-g.k, 2 * g.m, d)
+    first = next(((j, p, q) for j, (p, q) in enumerate(zip(ps, qs))
+                  if p * p < d), None)
     if first is None:
         raise InternalError(f"preperiod of {g} did not reach mn <= 0")
     j, p, q = first
-    cur = _state_form(p, q, states[j - 1][1])
+    cur = _state_form(p, q, qs[j - 1])
     cur = antipodal(cur) if j % 2 else cur
     word = tuple(("AB"[i % 2], a) for i, a in enumerate(digits[:j]) if a > 0)
     out = cur if tag == "identity" else involution(cur, tag)

@@ -512,9 +512,9 @@ def test_t_balance_catches_a_swap_on_odd_state_classes(monkeypatch):
     least_member = surdsym.census._least_member
     counts = surdsym.census._counts_nonsquare
 
-    def marking_least_member(a_runs, cycle, digits):
+    def marking_least_member(a_runs, ps, qs, digits):
         odd_states[0] = a_runs.start == 1
-        return least_member(a_runs, cycle, digits)
+        return least_member(a_runs, ps, qs, digits)
 
     def swapping_counts(gamma, odd):
         t, t_up, t_down = counts(gamma, odd)

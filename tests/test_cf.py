@@ -223,8 +223,8 @@ class TestRegularWalk:
         reduced state, (3, 2), is."""
         with pytest.raises(InternalError, match="not on a cycle"):
             _period_walk(-3, 4, 17)
-        assert _preperiod_walk(-3, 4, 17) == (((-3, 4), (3, 2)), (0,))
-        assert _period_walk(3, 2, 17) == (((3, 2), (3, 4), (1, 4)), (3, 1, 1))
+        assert _preperiod_walk(-3, 4, 17) == ((-3, 3), (4, 2), (0,))
+        assert _period_walk(3, 2, 17) == ((3, 3, 1), (2, 4, 4), (3, 1, 1))
 
 
 def _recomputed_state_form(p, q, d):
@@ -512,10 +512,10 @@ class TestWalkCap:
     def test_the_cap_is_the_last_state_count_allowed(self, monkeypatch):
         d = discriminant(self.F)
         key = (-self.F.k, 2 * self.F.m, d)
-        states, digits = _period_walk(*key)
-        assert len(states) == len(digits) == 9
+        walk = ps, qs, digits = _period_walk(*key)
+        assert len(ps) == len(qs) == len(digits) == 9
         monkeypatch.setattr(surdsym.cf, "WALK_CAP", 9)
-        assert _period_walk(*key) == (states, digits)
+        assert _period_walk(*key) == walk
         monkeypatch.setattr(surdsym.cf, "WALK_CAP", 8)
         with pytest.raises(ValueError, match=f"the regular period of radicand "
                            f"{d} is longer than the cap of 8 states"):

@@ -144,7 +144,7 @@ class TestReducedRepresentative:
         answers within a second, as the state table's first states give."""
         f = gen_power(LONG_PERIOD, generator, 1)
         d = discriminant(f)
-        states, digits = _preperiod_walk(-f.k, 2 * f.m, d)
+        ps, qs, digits = _preperiod_walk(-f.k, 2 * f.m, d)
         assert len(digits) == preperiod
         proc = run_in_child(
             "import sys, time\n"
@@ -159,7 +159,7 @@ class TestReducedRepresentative:
         seconds, out = proc.stdout.splitlines()
         assert float(seconds) < 1
         # The state after the first reduced one, its Q by a division.
-        p, q = states[-1]
+        p, q = ps[-1], qs[-1]
         a = (p + isqrt(d)) // q
         p_next = a * q - p
         expected = gen_power(_state_form(p_next, (d - p_next ** 2) // q, q),
@@ -175,14 +175,15 @@ def conjugate_branch(f: Form) -> str:
     a tail of at most three, or "fallback" where it walks conjugate(f)
     itself."""
     d = discriminant(f)
-    head, (states, digits) = _conjugate_preperiod(f, d, isqrt(d))
-    conjugate_states, conjugate_digits = _preperiod_walk(f.k, 2 * f.m, d)
+    head, (ps, qs, digits) = _conjugate_preperiod(f, d, isqrt(d))
+    conjugate_ps, conjugate_qs, conjugate_digits = _preperiod_walk(f.k, 2 * f.m, d)
     assert head + digits == conjugate_digits, f
-    assert states == conjugate_states[len(head):], f
+    assert ps == conjugate_ps[len(head):], f
+    assert qs == conjugate_qs[len(head):], f
     if not head:
         return "fallback"
     assert len(digits) <= 3, f
-    a_1 = _preperiod_walk(-f.k, 2 * f.m, d)[1][1]
+    a_1 = _preperiod_walk(-f.k, 2 * f.m, d)[2][1]
     return f"a1>=2 J={len(head) - 1}" if a_1 >= 2 else f"a1=1 J={len(head) + 1}"
 
 

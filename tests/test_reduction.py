@@ -1,5 +1,6 @@
 """Unit tests for reduction to the reduced cycle and to H0."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -13,8 +14,9 @@ from surdsym.cf import (SquareDiscriminantError, modular_cf_surd,
                         period_to_forms)
 from surdsym.cli import main
 from surdsym.exact import is_square
-from surdsym.forms import (Form, InternalError, apply_word, discriminant,
-                           domain_of, DomainLabel, gen_power, involution)
+from surdsym.forms import (Form, INVOLUTION_NAMES, InternalError, apply_word,
+                           discriminant, domain_of, DomainLabel, gen_power,
+                           involution)
 from surdsym.periods import SymmetryType, classify_class
 from surdsym.reduction import (ReducedCycle, check_sum_rule, is_reduced,
                                reduce_classical, reduce_to_H0,
@@ -404,6 +406,63 @@ class TestReduceClassical:
             h, word = reduce_classical(f)
             assert is_reduced(*h)
             assert discriminant(h) == discriminant(f)
+
+
+# The form_queries benchmark's seeded query forms, read from its generator,
+# which does not import surdsym.
+_spec = importlib.util.spec_from_file_location(
+    "form_queries", Path(__file__).resolve().parents[1] / "benchmarks" / "queries.py")
+form_queries = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(form_queries)
+
+
+class TestFormsLeaveAsForms:
+    """The minus walk keeps each run's first form as a plain (m, n, k)
+    triple, which prints as (m, n, k) where a Form prints (m,n,k).  Every
+    form that reduction hands out is a Form, and the cycle finds each of
+    its own forms, on the grid 0 < m, n <= 30, -61 <= k < 0 (the signs
+    reduce_classical takes) and on the seeded form_queries forms."""
+
+    WIDE_GRID = [f for f in (Form(m, n, k) for m in range(1, 31)
+                             for n in range(1, 31) for k in range(-61, 0))
+                 if discriminant(f) > 0 and not is_square(discriminant(f))]
+    QUERY_FORMS = [Form(*q.form) for q in form_queries.make_queries(0, 200, 100)
+                   if not q.square]
+
+    @staticmethod
+    def assert_cycle_is_of_forms(f):
+        forms = reduced_cycle(f).forms
+        whole = tuple(forms)
+        assert all(type(h) is Form for h in whole), f
+        for cut in (slice(None), slice(1, None, 2), slice(None, None, -1)):
+            assert all(type(h) is Form for h in forms[cut]), (f, cut)
+        for i, h in enumerate(whole):
+            assert type(forms[i]) is Form, (f, i)
+            assert h in forms and forms.index(h) == i, (f, i)
+        return whole
+
+    def test_reduce_classical_returns_a_form(self):
+        signed = [g for f in self.QUERY_FORMS
+                  for g in (f, *(involution(f, w) for w in INVOLUTION_NAMES))
+                  if g.m > 0 and g.n > 0 and g.k < 0]
+        assert len(self.WIDE_GRID) > 25000 and len(signed) > 100
+        for f in self.WIDE_GRID + signed:
+            h = reduce_classical(f)[0]
+            assert type(h) is Form and repr(h) == "({},{},{})".format(*h), f
+
+    def test_cycle_forms_are_forms_on_the_grid(self):
+        seen, members = set(), 0
+        for f in self.WIDE_GRID:
+            if is_reduced(*f) and f not in seen:
+                whole = self.assert_cycle_is_of_forms(f)
+                seen.update(whole)
+                members += len(whole)
+        assert members > 100000
+
+    def test_cycle_forms_are_forms_on_query_forms(self):
+        assert len(self.QUERY_FORMS) > 190
+        for f in self.QUERY_FORMS:
+            self.assert_cycle_is_of_forms(f)
 
 
 class TestSumRule:

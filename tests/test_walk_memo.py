@@ -72,7 +72,7 @@ def preperiod_misses(monkeypatch):
         before = _preperiod_walk.cache_info().misses
         walk = _preperiod_walk(*key)
         if _preperiod_walk.cache_info().misses > before:
-            missed.append((key, walk[1]))
+            missed.append((key, walk[2]))
         return walk
 
     for module in (surdsym.cf, surdsym.reduction):
@@ -134,7 +134,7 @@ def test_reduce_reads_the_conjugate_preperiod_off_f(preperiod_misses,
         assert len(preperiod_misses) == 2, f
         assert len(preperiod_misses[1][1]) <= 3, f
         conjugate_walk = _preperiod_walk(f.k, 2 * f.m, discriminant(f))
-        assert len(conjugate_walk[1]) > 3, f
+        assert len(conjugate_walk[2]) > 3, f
 
 
 def test_reduction_walks_no_regular_period(monkeypatch):
@@ -163,9 +163,9 @@ def test_cached_walk_is_immutable():
     f = Form(5, -3, -13)
     key = (-f.k, 2 * f.m, discriminant(f))
     clear_walk_memos()
-    states, digits = walk = _preperiod_walk(*key)
-    hash(walk)  # every part is a tuple of ints or of int pairs
-    assert isinstance(states, tuple) and isinstance(digits, tuple)
+    ps, qs, digits = walk = _preperiod_walk(*key)
+    hash(walk)  # every part is a tuple of ints
+    assert all(isinstance(part, tuple) for part in walk)
     # The callers leave the cached walk as a fresh walk gives it.
     cf_surd(f)
     classify_class(f)
