@@ -127,6 +127,7 @@ def census_for_delta(delta: int, states: Optional[array] = None
         raise ValueError(f"{delta} is not a valid non-square discriminant")
     if states is None:
         states = _reduced_states(delta, delta)[delta]
+    r = isqrt(delta)
     reports = []
     visited = set()
     pairs = iter(states)
@@ -135,7 +136,7 @@ def census_for_delta(delta: int, states: Optional[array] = None
             continue
         p, q = start
         primitive = gcd(q // 2, (delta - p * p) // (2 * q), p) == 1
-        ps, qs, digits = _period_walk(p, q, delta)
+        ps, qs, digits = _period_walk(p, q, delta, r)
         visited.update(zip(ps, qs))
         n = len(digits)
         symmetry = _classify_period(digits)

@@ -6,15 +6,18 @@ and every update keeps the invariant Q | (D - P**2).  Its period starts at
 the first reduced state, whose value xi has xi > 1 and -1 < xi' < 0 (by
 Galois' theorem, exactly the purely periodic expansions), and ends where
 the walk returns to that state.  The minus expansion of xi_plus(f) runs on
-the forms themselves: each digit b moves f to R(A^b(f)), whose xi_plus is
-the next complete quotient.  Its period starts at the first reduced form,
-as the minus CF of a quadratic irrational xi is purely periodic exactly
-when xi > 1 > xi' > 0 (Zagier, Zetafunktionen und quadratische Koerper,
-1981), and ends where the walk returns to that form.  It takes each run of
-2s in one stride and returns (digit, count) runs with the reduced form
-that starts each period run, as a plain (m, n, k) triple; the forms inside
-a run follow from that one by a closed form (``_along_run``), and the
-reader that asks for a form builds it (``reduction.CycleForms``,
+the integer state (P, Q, M) = (-k, 2m, 2n) of the form g whose xi_plus is
+the complete quotient (P + sqrt(D)) / Q, M = (P**2 - D) / Q: each digit b
+moves g to R(A^b(g)), P' = bQ - P, Q' = M + b(P' - P) and M' = Q, the
+regular step with the sign of P - P' flipped and no division.  Its period
+starts at the first reduced state, that of a reduced form, as the minus CF
+of a quadratic irrational xi is purely periodic exactly when
+xi > 1 > xi' > 0 (Zagier, Zetafunktionen und quadratische Koerper, 1981),
+and ends where the walk returns to that state.  It takes each run of 2s in
+one stride and returns (digit, count) runs with the state that starts each
+period run, as a plain (P, Q, M) triple; the states inside a run follow
+from that one by a closed form (``_along_run``), and the reader that asks
+for a form builds it (``_state_form``, ``reduction.CycleForms``,
 ``reduction.reduce_classical``).  Neither walk stores a state table or
 builds a per-step object that no caller reads, and each raises
 InternalError if it has not closed within a step bound taken from its
@@ -26,15 +29,18 @@ state and ``_period_walk`` round the cycle from it, and each caller asks
 for the half it needs; ``_minus_walk`` is the one walk of the other
 recurrence.  Every form that reduction and the H0 tour take from the
 regular walk is a ``_state_form``, read off a state and the Q of the state
-before it, with no squaring or division.  The preperiod loop keeps its
-last ``_WALK_MEMO_SIZE`` walks, so the calls that answer one form query
-(classify, reduce to H0, reduced cycle) walk the form's preperiod once:
-reduce_to_H0 reads the preperiod of conjugate(f) off f's and walks at most
-three digits of its own, and the reduced representative steps once past
-the first reduced state itself.  Of these only classify walks the period,
-so the period loop keeps no memo.  Both loops return the states' P and Q
-as two tuples of ints, not a pair per state, with the digits.  The results
-are tuples, which no caller can change.
+before it, with no squaring or division.  Each walk takes r = isqrt(D) from
+its caller, so that an entry point (``cf_surd``, ``modular_cf_surd``,
+``reduction.reduce_to_H0``, ``reduction.reduced_cycle``) checks D and takes
+its root once.  The preperiod loop keeps its last ``_WALK_MEMO_SIZE``
+walks, so the calls that answer one form query (classify, reduce to H0,
+reduced cycle) walk the form's preperiod once: reduce_to_H0 reads the
+preperiod of conjugate(f) off f's and walks at most three digits of its
+own, and the reduced representative steps once past the first reduced
+state itself.  Of these only classify walks the period, so the period loop
+keeps no memo.  Both loops return the states' P and Q as two tuples of
+ints, not a pair per state, with the digits.  The results are tuples,
+which no caller can change.
 """
 from __future__ import annotations
 
@@ -43,8 +49,8 @@ from itertools import chain, repeat, starmap
 from math import gcd
 from typing import NamedTuple, Tuple
 
-from .exact import is_square, isqrt
-from .forms import Form, InternalError, antipodal, is_reduced, require_indefinite
+from .exact import isqrt
+from .forms import Form, InternalError, antipodal, require_indefinite
 
 # tuple.__new__(Form, (m, n, k)) builds a Form without a Python-level call.
 _new_form = tuple.__new__
@@ -98,7 +104,8 @@ def cf_rational(num: int, den: int) -> CFExpansion:
 # (ps, qs, digits): the P and the Q of each state, and the digits.
 Walk = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
 Run = Tuple[int, int]
-# (runs, firsts, start): firsts are (m, n, k) triples, not Forms.
+# (runs, firsts, start): firsts are the minus walk's (P, Q, M) = (-k, 2m, 2n)
+# states, not Forms.
 MinusWalk = Tuple[Tuple[Run, ...], Tuple[Tuple[int, int, int], ...], int]
 
 # Walks kept by _preperiod_walk.  A form query holds f's preperiod, which
@@ -116,9 +123,10 @@ WALK_CAP = 4 * 10 ** 6
 
 
 @lru_cache(maxsize=_WALK_MEMO_SIZE)
-def _preperiod_walk(p: int, q: int, d: int) -> Walk:
-    """Regular continued fraction of (p + sqrt(d)) / q, d > 0 non-square and
-    q | (d - p**2), until it reaches its first reduced state.
+def _preperiod_walk(p: int, q: int, d: int, r: int) -> Walk:
+    """Regular continued fraction of (p + sqrt(d)) / q, d > 0 non-square,
+    r = isqrt(d) and q | (d - p**2), until it reaches its first reduced
+    state.
 
     Returns (ps, qs, digits): (``ps[j]``, ``qs[j]``) is the state
     (P_j, Q_j) and ``digits[j]`` the floor of its value; the states run up
@@ -133,7 +141,6 @@ def _preperiod_walk(p: int, q: int, d: int) -> Walk:
     division.  A walk that has not reached a reduced state within
     ``_step_bound`` iterations raises InternalError.
     """
-    r = isqrt(d)
     q_prev = (d - p * p) // q
     ps = []
     qs = []
@@ -152,9 +159,9 @@ def _preperiod_walk(p: int, q: int, d: int) -> Walk:
                         "reach a reduced state within its step bound")
 
 
-def _period_walk(p: int, q: int, d: int) -> Walk:
+def _period_walk(p: int, q: int, d: int, r: int) -> Walk:
     """The period of the regular continued fraction of the reduced
-    (p + sqrt(d)) / q, d > 0 non-square and q | (d - p**2), as
+    (p + sqrt(d)) / q, d > 0 non-square, r = isqrt(d) and q | (d - p**2), as
     (ps, qs, digits): the P and the Q of each state of the cycle from
     (p, q) until it returns to it, and the floor of each.  A state that is
     not reduced raises InternalError, as does a cycle that has not closed
@@ -163,7 +170,6 @@ def _period_walk(p: int, q: int, d: int) -> Walk:
     the cycle is reduced, so Q > 0 and the digit takes one floor division
     with no sign branch; the step is ``_preperiod_walk``'s.
     """
-    r = isqrt(d)
     if not (0 < p <= r and r - p < q <= r + p):
         raise InternalError(f"state {(p, q)} of {d} is not on a cycle")
     p0, q0 = p, q
@@ -206,145 +212,154 @@ def _step_bound(d: int, *coeffs: int) -> int:
     return 2 * d + 64 * max(map(abs, coeffs)).bit_length()
 
 
-def _along_run(m: int, n: int, c: int, i: int) -> Tuple[int, int]:
-    """(m_i, n_i) of the i-th form of the run of 2s from (m, n, c - m - n).
+def _along_run(p: int, q: int, q_prev: int, i: int) -> Tuple[int, int, int]:
+    """The minus walk's state i steps into the run of 2s from the state
+    (p, q, q_prev); i = 0 gives it back.
 
-    A step with digit 2 keeps c = m + n + k and gives m' = 2m - n + 2c and
-    n' = m, so m_i = m + i * d0 + c * i * (i - 1) with d0 = m - n + 2c, and
-    n_i = m_{i-1}; i = 0 gives (m, n) back."""
-    d0 = m - n + 2 * c
-    return m + i * (d0 + c * (i - 1)), m + (i - 1) * (d0 + c * (i - 2))
+    A step with digit 2 keeps E = 2P - Q - M (-2c, with c = m + n + k)
+    and lowers eta = 1 / (xi - 1) = (sqrt(d) + Q - P) / E by one, so that
+    t_i = Q_i - P_i is t_0 - i * E.  As eta is also Q / (sqrt(d) - t),
+    Q_i = (d - t_i**2) / E, and Q_i - Q_0 = (t_0 - t_i)(t_0 + t_i) / E =
+    i * (t_0 + t_i) takes no division; then P_i = Q_i - t_i and
+    M_i = 2P_i - Q_i - E = Q_i - E - 2t_i."""
+    e = 2 * p - q - q_prev
+    t = q - p - i * e
+    q_i = q + i * (q - p + t)
+    return q_i - t, q_i, q_i - e - 2 * t
 
 
-def _index_in_run(m: int, n: int, c: int, run: int, h: Form) -> int:
-    """The i with 0 < i < run at which the run of 2s from (m, n, c - m - n)
-    passes h, or 0 if it does not; h must have m + n + k = c.
-
-    m_i = h.m is c i**2 + (d0 - c) i + (m - h.m) = 0, solved exactly with
-    isqrt; a root that is an integer in range is h when n_i = h.n too,
-    as then k_i = c - m_i - n_i = h.k."""
-    b = m - n + c  # d0 - c
-    disc = b * b - 4 * c * (m - h.m)
-    if disc < 0:
-        return 0
-    s = isqrt(disc)
-    if s * s != disc:
-        return 0
-    for num in (s - b, -s - b):
-        i, rest = divmod(num, 2 * c)
-        if not rest and 0 < i < run and _along_run(m, n, c, i)[1] == h.n:
-            return i
+def _index_in_run(g: Tuple[int, int, int], run: int,
+                  h: Tuple[int, int, int]) -> int:
+    """The i with 0 < i < run at which the run of 2s from the minus walk's
+    state g passes the state h, or 0 if it does not.  Along the run t =
+    Q - P falls by E per step (``_along_run``), so h can only be at
+    i = (t_g - t_h) / E, one O(1) test; it is there when the state there
+    is h."""
+    p, q, q_prev = g
+    i, rest = divmod(q - p - h[1] + h[0], 2 * p - q - q_prev)
+    if not rest and 0 < i < run and _along_run(p, q, q_prev, i) == h:
+        return i
     return 0
 
 
-def _minus_walk(f: Form) -> MinusWalk:
-    """Minus continued fraction of xi_plus(f), walked on forms, for a
-    non-square discriminant, as runs.
+def _is_reduced_state(p: int, q: int, q_prev: int) -> bool:
+    """The minus walk's state (P, Q, M) = (-k, 2m, 2n) is that of a reduced
+    form (``forms.is_reduced``): Q > 0, M > 0 and Q + M < 2P."""
+    return q > 0 and q_prev > 0 and q + q_prev < 2 * p
 
-    Each step takes the form g to R(A^b(g)), b the ceiling of xi_plus(g).
-    Returns (runs, firsts, start).  ``runs`` are (digit, count) pairs, the
-    digits of every step from f on in order: a run of 2s is one pair, and
-    every other digit a pair with count 1.  The period ``runs[start:]``
-    starts at the first reduced form and ends when the walk returns to it;
-    ``firsts[i]`` is the (m, n, k) of the reduced form that starts
-    ``runs[start + i]``, a plain triple: the reader makes it a Form.  No
-    other form is kept: the forms inside a run follow from its first by
-    ``_along_run``, and the preperiod's not at all.
+
+def _minus_walk(f: Form, d: int, r: int) -> MinusWalk:
+    """Minus continued fraction of xi_plus(f) = (-k + sqrt(d)) / (2m), for
+    the discriminant d of f, not a square, and r = isqrt(d), as runs.
+
+    The walk runs on the integer state (P, Q, M) = (-k, 2m, 2n) of the
+    form g whose xi_plus is the complete quotient (P + sqrt(d)) / Q; M is
+    (P**2 - d) / Q, the Q of any state that steps into it.  The step is
+    xi -> 1 / (b - xi) with b the ceiling of xi, which takes g to
+    R(A^b(g)): P' = bQ - P, Q' = M + b(P' - P) and M' = Q, the regular
+    walk's division-free step with the sign of P - P' flipped.  Returns
+    (runs, firsts, start).  ``runs`` are (digit, count) pairs, the digits
+    of every step from f on in order: a run of 2s is one pair, and every
+    other digit a pair with count 1.  The period ``runs[start:]`` starts at
+    the first reduced state and ends when the walk returns to it;
+    ``firsts[i]`` is the state (P, Q, M) that starts ``runs[start + i]``,
+    which the reader makes a Form (``_state_form``).  No other state
+    is kept: those inside a run follow from its first by ``_along_run``,
+    and the preperiod's not at all.
 
     A run of 2s is taken in one stride.  The digit is 2 exactly while
-    1 < xi_plus < 2, and each step lowers y = 1 / (xi_plus - 1) =
-    (sqrt(d) + k + 2m) / (-2c) by one, so a run from g holds floor(y) 2s;
-    the walk jumps to the form after it by ``_along_run``.  The walk closes
-    at the first reduced form: at the start of a run or single step by
-    comparing coefficients, and inside a run, as c is fixed along it, by
-    ``_index_in_run``, one O(1) test.  In the preperiod the run is cut
-    short if the first reduced form lies inside it: y' = (k + 2m - sqrt(d))
-    / (-2c), read at the other root xi_minus, falls by one per step as
-    well, and with c < 0 the run's i-th form is reduced exactly when
-    y' - i < -1, that is when xi_minus has entered (0, 1); with c > 0 no
-    form of the run is.
+    1 < xi < 2, and each step lowers eta = 1 / (xi - 1) = (sqrt(d) + Q - P)
+    / E by one, where E = 2P - Q - M (-2c, with c = m + n + k) is fixed
+    along the run; so a run from g holds L = floor(eta) = (Q - P + r) // E
+    2s, and the walk jumps to the state after it by ``_along_run``: with
+    t = Q - P - L * E, Q_L = Q + L(Q - P + t), P_L = Q_L - t and
+    M_L = Q_L - E - 2t.  The walk closes at the first reduced state: at the
+    start of a run or single step by comparing states, and inside a run, as
+    E is fixed along it, by ``_index_in_run``, one O(1) test.  In the
+    preperiod the run is cut short if the first reduced state lies inside
+    it: eta' = (Q - P - sqrt(d)) / E, read at the other root xi_minus,
+    falls by one per step as well, and with E > 0 the run's i-th state is
+    reduced exactly when eta' - i < -1, that is when xi_minus has entered
+    (0, 1); with E < 0 no state of the run is.
 
-    The period has a loop of its own.  There every form is reduced, so
-    c < 0 and 2m > 0, and the digit and the run length each take one floor
-    division with no sign branch.  The digit comes first: on a reduced form
-    xi_plus > 1, so the digit is 2 exactly when xi_plus < 2, that is when
-    the run is not empty, and c and the run length are found only then.
-    ``is_reduced`` tests every form the walk stops at: each form it steps
-    from alone, the first form g_0 of each run and the form g_L after it.
-    One that fails raises InternalError.  (Where the cycle closes inside
-    the run, at g_i, the first reduced form, tested when the walk met it,
-    stands for g_L.)  The forms strictly inside the run are then reduced as
-    well.  Its m_i has second difference 2c < 0, so the least of
-    m_0 ... m_L is at an end, and is positive; n_i = m_{i-1} is positive;
-    and m_i + n_i + k_i = c < 0.  Where g and R(A^2(g)) are both reduced, 2
-    is the digit of g, as xi_plus(R(A^e(g))) = 1 / (e - xi_plus(g)) is
-    above 1 only for e = ceil(xi_plus(g)).  So a wrong run length cannot
-    slip a form into the cycle: a run too long ends on a form that is not
-    reduced, and one too short is followed by more 2s.  A walk that has not
-    closed within ``_step_bound`` iterations, preperiod and period
-    together, raises InternalError; a period that has not closed within
-    ``_walk_cap`` runs, where that is fewer, raises ValueError.
+    The period has a loop of its own.  There every state is reduced, so
+    E > 0 and Q > 0, and the digit and the run length each take one floor
+    division with no sign branch.  The digit comes first: on a reduced
+    state xi > 1, so the digit is 2 exactly when xi < 2, that is when the
+    run is not empty, and E and the run length are found only then.
+    ``_is_reduced_state`` tests every state the walk stops at: each state
+    it steps from alone, the first state g_0 of each run and the state g_L
+    after it.  One that fails raises InternalError.  (Where the cycle
+    closes inside the run, at g_i, the first reduced state, tested when the
+    walk met it, stands for g_L.)  The states strictly inside the run are
+    then reduced as well.  Its Q_i has second difference -2E < 0, so the
+    least of Q_0 ... Q_L is at an end, and is positive; M_i = Q_{i-1} is
+    positive; and Q_i + M_i - 2P_i = -E < 0.  Where g and R(A^2(g)) are
+    both reduced, 2 is the digit of g, as xi_plus(R(A^e(g))) =
+    1 / (e - xi_plus(g)) is above 1 only for e = ceil(xi_plus(g)).  So a
+    wrong run length cannot slip a state into the cycle: a run too long
+    ends on a state that is not reduced, and one too short is followed by
+    more 2s.  A walk that has not closed within ``_step_bound``
+    iterations, preperiod and period together, raises InternalError; a
+    period that has not closed within ``_walk_cap`` runs, where that is
+    fewer, raises ValueError.
     """
-    m, n, k = f
-    d = k * k - 4 * m * n
-    r = isqrt(d)
+    p, q, q_prev = -f.k, 2 * f.m, 2 * f.n
     runs = []
-    bound = _step_bound(d, m, n, k)
+    bound = _step_bound(d, *f)
     for steps in range(bound):
-        if is_reduced(m, n, k):
+        if _is_reduced_state(p, q, q_prev):
             break
-        c = m + n + k  # not 0: the discriminant is not a square
-        # the 2s from here: floor((sqrt(d) + k + 2m) / (-2c)), from r
-        num = r + k + 2 * m
-        run = num // (-2 * c) if c < 0 else -(num // (2 * c)) - 1
+        e = 2 * p - q - q_prev  # not 0: the discriminant is not a square
+        # the 2s from here: floor((sqrt(d) + Q - P) / E), from r
+        num = q - p + r
+        run = num // e if e > 0 else -(num // -e) - 1
         if run > 0:
-            if c < 0:
-                # the run's first reduced form is its form floor(y') + 2
-                entry = (k + 2 * m - r - 1) // (-2 * c) + 2
+            if e > 0:
+                # the run's first reduced state is its state floor(eta') + 2
+                entry = (q - p - r - 1) // e + 2
                 if 0 < entry < run:
                     run = entry
             runs.append((2, run))
-            m, n = _along_run(m, n, c, run)
-            k = c - m - n
+            p, q, q_prev = _along_run(p, q, q_prev, run)
             continue
-        # ceiling of the irrational (-k + sqrt(d))/q, from r = floor(sqrt(d))
-        q = 2 * m
-        b = (r - k) // q + 1 if q > 0 else -((r - k) // -q)
+        # ceiling of the irrational (P + sqrt(d))/Q, from r = floor(sqrt(d))
+        b = (p + r) // q + 1 if q > 0 else -((p + r) // -q)
         runs.append((b, 1))
-        m, n, k = n + b * (k + b * m), m, -k - b * q
+        p_next = b * q - p
+        p, q, q_prev = p_next, q_prev + b * (p_next - p), q
     else:
         raise InternalError(
             f"minus CF of {f} did not close within its step bound")
     start = len(runs)
-    first = _new_form(Form, (m, n, k))
-    m0, n0, k0 = first
-    first_c = m + n + k
+    first = p, q, q_prev
+    p0, q0, e0 = p, q, 2 * p - q - q_prev
     firsts = []
     cap = _walk_cap(d)
     for _ in range(min(bound - steps, cap)):
-        firsts.append((m, n, k))
-        b = (r - k) // (2 * m) + 1
+        firsts.append((p, q, q_prev))
+        b = (p + r) // q + 1
         if b == 2:
-            c = m + n + k
-            run = (r + k + 2 * m) // (-2 * c)
-            if c == first_c:
-                i = _index_in_run(m, n, c, run, first)
+            e = 2 * p - q - q_prev
+            run = (q - p + r) // e
+            if e == e0:
+                i = _index_in_run((p, q, q_prev), run, first)
                 if i:  # the cycle closes inside the run
                     runs.append((2, i))
                     break
             runs.append((2, run))
-            # _along_run(m, n, c, run), written out
-            d0 = m - n + 2 * c
-            m, n = (m + run * (d0 + c * (run - 1)),
-                    m + (run - 1) * (d0 + c * (run - 2)))
-            k = c - m - n
+            # _along_run(p, q, q_prev, run), written out
+            t = q - p - run * e
+            q = q + run * (q - p + t)
+            p, q_prev = q - t, q - e - 2 * t
         else:
             runs.append((b, 1))
-            m, n, k = n + b * (k + b * m), m, -k - 2 * b * m
-        if not is_reduced(m, n, k):
-            raise InternalError(
-                f"minus CF of {f} left the reduced set: {Form(m, n, k)}")
-        if m == m0 and n == n0 and k == k0:
+            p_next = b * q - p
+            p, q, q_prev = p_next, q_prev + b * (p_next - p), q
+        if not _is_reduced_state(p, q, q_prev):
+            raise InternalError(f"minus CF of {f} left the reduced set: "
+                                f"{_state_form(p, q, -q_prev)}")
+        if p == p0 and q == q0:  # P and Q fix M = (P**2 - d) / Q
             break
     else:
         if bound - steps > cap:
@@ -377,12 +392,11 @@ def _require_digit_cap(f: Form, runs: Tuple[Run, ...]) -> None:
                          f"digits to expand, more than the cap of {DIGIT_CAP}")
 
 
-def _run_form(g: Form, i: int) -> Form:
-    """The i-th form of the run of 2s from g, by ``_along_run``."""
-    m, n, k = g
-    c = m + n + k
-    m, n = _along_run(m, n, c, i)
-    return _new_form(Form, (m, n, c - m - n))
+def _run_form(g: Tuple[int, int, int], i: int) -> Form:
+    """The form of the minus walk's state i steps into the run of 2s from
+    the state g, by ``_along_run``."""
+    p, q, m = _along_run(*g, i)
+    return _state_form(p, q, -m)
 
 
 def _state_form(p: int, q: int, q_prev: int) -> Form:
@@ -392,9 +406,10 @@ def _state_form(p: int, q: int, q_prev: int) -> Form:
     ``q_prev`` is the Q of a state that the regular walk steps from into
     (p, q).  As Q_{j-1} * Q_j is d - P_j**2, the middle coefficient
     (p**2 - d) / (2q) is -q_prev / 2; every state stepping into (p, q) has
-    the same Q.
+    the same Q.  The minus walk's state (P, Q, M) carries M = -q_prev, so
+    its form is ``_state_form(P, Q, -M)``.
     """
-    return Form(q // 2, -q_prev // 2, -p)
+    return _new_form(Form, (q // 2, -q_prev // 2, -p))
 
 
 def _check_word(s: Tuple[int, ...]) -> None:
@@ -435,22 +450,24 @@ def cf_surd(f: Form) -> CFExpansion:
     d = require_indefinite(f)
     if f.m == 0:
         raise ValueError(f"form {f} has m=0; apply R first")
-    if is_square(d):
-        num, den = -f.k + isqrt(d), 2 * f.m
+    r = isqrt(d)
+    if r * r == d:
+        num, den = -f.k + r, 2 * f.m
         if den < 0:
             num, den = -num, -den
         return cf_rational(num, den)
-    ps, qs, preperiod = _preperiod_walk(-f.k, 2 * f.m, d)
-    return CFExpansion(preperiod, _period_walk(ps[-1], qs[-1], d)[2])
+    ps, qs, preperiod = _preperiod_walk(-f.k, 2 * f.m, d, r)
+    return CFExpansion(preperiod, _period_walk(ps[-1], qs[-1], d, r)[2])
 
 
-def _require_nonsquare(f: Form) -> int:
-    """The discriminant of f, which must be positive and not a square; so
-    m != 0, as m = 0 gives delta = k**2."""
+def _require_nonsquare(f: Form) -> Tuple[int, int]:
+    """(d, isqrt(d)) for the discriminant d of f, which must be positive and
+    not a square; so m != 0, as m = 0 gives delta = k**2."""
     d = require_indefinite(f)
-    if is_square(d):
+    r = isqrt(d)
+    if r * r == d:
         raise SquareDiscriminantError(f"form {f} has square discriminant {d}")
-    return d
+    return d, r
 
 
 def modular_cf_surd(f: Form) -> ModularCF:
@@ -460,8 +477,7 @@ def modular_cf_surd(f: Form) -> ModularCF:
     reduced form is purely periodic.  More than DIGIT_CAP digits in all
     raise ValueError.
     """
-    _require_nonsquare(f)
-    runs, _, start = _minus_walk(f)
+    runs, _, start = _minus_walk(f, *_require_nonsquare(f))
     _require_digit_cap(f, runs)
     return ModularCF(_digits(runs[:start]), _digits(runs[start:]))
 

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 from .census import StatRow, _stat_rows, _sweep, check_census
 from .cf import (_period_walk, _preperiod_walk, _state_form, cf_surd,
                  modular_cf_surd)
-from .exact import is_square
+from .exact import is_square, isqrt
 from .forms import (Form, InternalError, antipodal, complementary,
                     discriminant, domain_of, require_indefinite, word_str)
 from .oracle import orbit_bfs
@@ -209,8 +209,9 @@ def _orbit_tour(f: Form) -> List[str]:
     if f.m < 0:  # H0R member: complementary partner lies in the same class
         f = complementary(f)
     d = discriminant(f)
-    ps, qs, preperiod = _preperiod_walk(-f.k, 2 * f.m, d)
-    ps, qs, period = _period_walk(ps[-1], qs[-1], d)
+    r = isqrt(d)
+    ps, qs, preperiod = _preperiod_walk(-f.k, 2 * f.m, d, r)
+    ps, qs, period = _period_walk(ps[-1], qs[-1], d, r)
     n = len(period)
     lines = []
     for i in range(n if n % 2 == 0 else 2 * n):

@@ -234,9 +234,10 @@ def classify_class(f: Form) -> ClassReport:
     """Full report for the class of f.  Non-square delta requires no search;
     square delta is first normalized to its (m, 0, k) representative."""
     d = require_indefinite(f)
-    if is_square(d):
+    # m = 0 gives delta = k**2, and otherwise xi_plus is rational, its
+    # expansion finite, exactly when delta is a square.
+    if f.m == 0 or (exp := cf_surd(f)).is_finite:
         return _square_report(normalize_square_form(f))
-    exp = cf_surd(f)
     gamma = exp.period
     t, t_up, t_down = _counts_nonsquare(gamma, len(exp.preperiod) % 2 == 1)
     return ClassReport(f, d, gamma, None, len(gamma), t, t_up, t_down,

@@ -19,7 +19,7 @@ from typing import NamedTuple, Tuple
 from .cf import (Run, SquareDiscriminantError, Walk, _digits, _index_in_run,
                  _minus_walk, _preperiod_walk, _require_digit_cap,
                  _require_nonsquare, _run_form, _state_form)
-from .exact import is_square, isqrt
+from .exact import isqrt
 from .forms import (Form, GeneratorWord, InternalError, antipodal, conjugate,
                     gen_power, is_reduced, require_indefinite)
 from .periods import SymmetryType
@@ -36,15 +36,20 @@ def reduced_representative(f: Form) -> Form:
     one regular step past it where the preperiod is odd: the period itself
     is never walked.
     """
-    d = _require_nonsquare(f)
+    return _reduced_representative(f, *_require_nonsquare(f))
+
+
+def _reduced_representative(f: Form, d: int, r: int) -> Form:
+    """``reduced_representative`` of f, of the non-square discriminant d
+    with r = isqrt(d)."""
     if is_reduced(*f):
         return f
     # The j-th state form of the expansion lies in C(f) exactly when j is even.
-    ps, qs, preperiod = _preperiod_walk(-f.k, 2 * f.m, d)
+    ps, qs, preperiod = _preperiod_walk(-f.k, 2 * f.m, d, r)
     p, q = ps[-1], qs[-1]
     q_prev = (d - p * p) // q  # the Q of every state that steps into (p, q)
     if len(preperiod) % 2:  # _preperiod_walk's step; Q > 0 on the cycle
-        a = (p + isqrt(d)) // q
+        a = (p + r) // q
         p, q, q_prev = a * q - p, q_prev + a * (2 * p - a * q), q
     h = gen_power(_state_form(p, q, q_prev), "A", -1)
     if not is_reduced(*h):
@@ -55,14 +60,14 @@ def reduced_representative(f: Form) -> Form:
 class CycleForms(Sequence):
     """The reduced forms of a cycle, read off its runs of minus-CF digits.
 
-    ``firsts[i]`` is the (m, n, k) of the form that starts the i-th run, a
-    plain triple as ``cf._minus_walk`` gives it, and ``counts[i]`` its
-    number of digits (more than 1 only for a run of 2s).  The length is the
-    sum of the counts; each form, read by index, by iteration or by slice,
-    is built as a Form by the closed form of its run (``cf._run_form``).
-    No other form is kept.  Membership, ``index`` and ``count`` look at each
-    run once, without building its forms.  It compares and hashes as the
-    tuple of its forms.
+    ``firsts[i]`` is the minus walk's state (P, Q, M) = (-k, 2m, 2n) of the
+    form that starts the i-th run, as ``cf._minus_walk`` gives it, and
+    ``counts[i]`` its number of digits (more than 1 only for a run of 2s).
+    The length is the sum of the counts; each form, read by index, by
+    iteration or by slice, is built as a Form from the state of its run's
+    closed form (``cf._run_form``).  No other form is kept.  Membership,
+    ``index`` and ``count`` look at each run once, without building its
+    forms.  It compares and hashes as the tuple of its forms.
     """
 
     __slots__ = ("_firsts", "_counts", "_offsets")
@@ -93,15 +98,16 @@ class CycleForms(Sequence):
 
     def _find(self, h) -> int:
         """The index of the form h, or -1 if h is not in the cycle.  h is
-        either a run's first form or inside a run of 2s; along a run
-        m + n + k stays fixed, so only runs with h's are searched, each by
-        ``cf._index_in_run``.  The forms of a cycle are distinct."""
+        either a run's first form or inside a run of 2s, where
+        ``cf._index_in_run`` finds it by one O(1) test per run, on h's
+        state (-k, 2m, 2n).  The forms of a cycle are distinct."""
         if isinstance(h, tuple) and len(h) == 3:
-            h, c = Form(*h), sum(h)
+            m, n, k = h
+            h = (-k, 2 * m, 2 * n)
             for g, count, offset in zip(self._firsts, self._counts, self._offsets):
                 if g == h:
                     return offset
-                i = count > 1 and sum(g) == c and _index_in_run(g[0], g[1], c, count, h)
+                i = count > 1 and _index_in_run(g, count, h)
                 if i:
                     return offset + i
         return -1
@@ -153,12 +159,14 @@ def reduced_cycle(f: Form) -> ReducedCycle:
     reduced, so two members of one class give rotations of one cycle.
     Successive forms are R(A^{c_i}(previous)) for the period digits c_i,
     closing back at h: the forms of the minus CF walk of xi_plus(h).  Only
-    the coefficients of the form that starts each run of the walk are kept
-    here, no Form is built and no digit is expanded; ``forms`` builds each
-    form when it is indexed or iterated.
+    the state of the form that starts each run of the walk is kept here,
+    no Form is built and no digit is expanded; ``forms`` builds each form
+    when it is indexed or iterated.  The discriminant is checked, and its
+    square root taken, once for the representative and the walk.
     """
-    h0 = reduced_representative(f)
-    runs, firsts, start = _minus_walk(h0)
+    d, r = _require_nonsquare(f)
+    h0 = _reduced_representative(f, d, r)
+    runs, firsts, start = _minus_walk(h0, d, r)
     if start:
         raise InternalError(f"minus CF of reduced form {h0} is not purely periodic")
     return ReducedCycle(CycleForms(firsts, tuple(map(itemgetter(1), runs))),
@@ -191,7 +199,7 @@ def _conjugate_preperiod(f: Form, d: int, r: int
     a_1 = 1, the head would be too short to hold the rewritten digits, and
     conjugate(f) is walked itself.
     """
-    ps, qs, a = _preperiod_walk(-f.k, 2 * f.m, d)
+    ps, qs, a = _preperiod_walk(-f.k, 2 * f.m, d, r)
     j = len(a) - 1
     while j > 0:
         p, q = ps[j], qs[j]
@@ -203,8 +211,8 @@ def _conjugate_preperiod(f: Form, d: int, r: int
     elif j >= 3 and a[1] == 1:
         head = (-a[0] - 1, a[2] + 1, *a[3:j])
     else:
-        return (), _preperiod_walk(f.k, 2 * f.m, d)
-    return head, _preperiod_walk(-ps[j], -qs[j], d)
+        return (), _preperiod_walk(f.k, 2 * f.m, d, r)
+    return head, _preperiod_walk(-ps[j], -qs[j], d, r)
 
 
 def reduce_to_H0(f: Form) -> Tuple[Form, GeneratorWord, str]:
@@ -235,13 +243,13 @@ def reduce_to_H0(f: Form) -> Tuple[Form, GeneratorWord, str]:
     d = require_indefinite(f)
     if f.m * f.n <= 0:
         return f, (), "identity"
-    if is_square(d):
+    r = isqrt(d)
+    if r * r == d:
         raise SquareDiscriminantError(
             f"form {f} has square discriminant {d}; use normalize_square_form")
     tag = "identity" if f.m * f.k < 0 else "conjugate"
-    r = isqrt(d)
     if tag == "identity":
-        head, (ps, qs, digits) = (), _preperiod_walk(-f.k, 2 * f.m, d)
+        head, (ps, qs, digits) = (), _preperiod_walk(-f.k, 2 * f.m, d, r)
     else:
         head, (ps, qs, digits) = _conjugate_preperiod(f, d, r)
     # The walk ends at the first reduced state, which has P**2 < delta; for
@@ -275,15 +283,16 @@ def reduce_classical(f: Form) -> Tuple[Form, GeneratorWord]:
     """Reduce a form with m > 0, n > 0, k < 0 by the word R A^{b_M} ... R A^{b_0},
     where b_0 ... b_M is the minus-CF preperiod of xi_plus(f).  A preperiod
     of more than ``cf.DIGIT_CAP`` digits raises ValueError."""
-    _require_nonsquare(f)
+    d, r = _require_nonsquare(f)
     if not (f.m > 0 and f.n > 0 and f.k < 0):
         raise ValueError(f"reduce_classical needs m>0, n>0, k<0; got {f}")
     # Each step R A^b is one step of the minus walk.
-    runs, firsts, start = _minus_walk(f)
+    runs, firsts, start = _minus_walk(f, d, r)
     preperiod = runs[:start]
     _require_digit_cap(f, preperiod)
-    return Form(*firsts[0]), tuple(step for b in _digits(preperiod)
-                                   for step in (("A", b), ("R", 1)))
+    p, q, m = firsts[0]
+    return _state_form(p, q, -m), tuple(step for b in _digits(preperiod)
+                                        for step in (("A", b), ("R", 1)))
 
 
 _SUM_RULE_TYPES = frozenset((SymmetryType.SUPERSYMMETRIC,

@@ -2,14 +2,17 @@
 
 The value of a finite expansion, the first digits of an expansion, the
 period of a class's regular expansion, the regular walk with its two halves
-joined, and a reset of the walk's memo are used by tests alone; the
-program never needs them, so they live here rather than in ``surdsym.cf``.
+joined, the minus walk of a form with its discriminant's checks and square
+root taken for it, and a reset of the walk's memo are used by tests alone;
+the program never needs them, so they live here rather than in
+``surdsym.cf``.
 """
 from fractions import Fraction
 from typing import Tuple
 
-from surdsym.cf import (CFExpansion, _period_walk, _preperiod_walk,
-                        _require_nonsquare, cf_surd)
+from surdsym.cf import (CFExpansion, _minus_walk, _period_walk,
+                        _preperiod_walk, _require_nonsquare, cf_surd)
+from surdsym.exact import isqrt
 from surdsym.forms import Form
 
 
@@ -46,10 +49,18 @@ def period_of_class(f: Form) -> Tuple[int, ...]:
 def regular_walk(p: int, q: int, d: int):
     """(states, digits, start) of the whole regular walk from (p, q), as
     ``regular_walk_by_states`` gives them: the period is ``digits[start:]``."""
-    ps, qs, preperiod = _preperiod_walk(p, q, d)
-    cycle_ps, cycle_qs, period = _period_walk(ps[-1], qs[-1], d)
+    r = isqrt(d)
+    ps, qs, preperiod = _preperiod_walk(p, q, d, r)
+    cycle_ps, cycle_qs, period = _period_walk(ps[-1], qs[-1], d, r)
     states = tuple(zip(ps[:-1] + cycle_ps, qs[:-1] + cycle_qs))
     return states, preperiod + period, len(preperiod)
+
+
+def minus_walk(f: Form):
+    """``cf._minus_walk`` of f, given f's discriminant and its isqrt as
+    ``modular_cf_surd`` gives them; a square discriminant raises
+    SquareDiscriminantError."""
+    return _minus_walk(f, *_require_nonsquare(f))
 
 
 def clear_walk_memos() -> None:

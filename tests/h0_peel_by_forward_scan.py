@@ -11,7 +11,7 @@ positive.
 from typing import Tuple
 
 from surdsym.cf import SquareDiscriminantError, _preperiod_walk, _state_form
-from surdsym.exact import is_square
+from surdsym.exact import is_square, isqrt
 from surdsym.forms import (Form, GeneratorWord, InternalError, antipodal,
                            involution, require_indefinite)
 
@@ -34,7 +34,7 @@ def h0_peel_by_forward_scan(f: Form) -> Tuple[Form, GeneratorWord, str]:
             break
     else:
         raise InternalError(f"no involution of {f} has a positive first root")
-    ps, qs, digits = _preperiod_walk(-g.k, 2 * g.m, d)
+    ps, qs, digits = _preperiod_walk(-g.k, 2 * g.m, d, isqrt(d))
     first = next(((j, p, q) for j, (p, q) in enumerate(zip(ps, qs))
                   if p * p < d), None)
     if first is None:

@@ -1,20 +1,56 @@
-"""Reference run walk of the minus continued fraction for the suite: one loop.
+"""Reference run walk of the minus continued fraction for the suite: one loop
+on forms.
 
-``cf._minus_walk`` walks the preperiod and the period in two loops, and its
-period loop drops the sign branches that a reduced form never takes.  This
-module walks both in one loop, which tests at every form whether the
-period has begun, and takes each run length and digit with the branches
-for either sign of c = m + n + k and of 2m.
+``cf._minus_walk`` walks the integer states (P, Q, M) = (-k, 2m, 2n) in two
+loops, and its period loop drops the sign branches that a reduced state
+never takes.  This module walks the forms R(A^b(g)) themselves in one loop,
+which tests at every form whether the period has begun, and takes each run
+length and digit with the branches for either sign of c = m + n + k and of
+2m.  Its closed forms for a run of 2s are its own, in the coefficients m, n
+and c: ``run_form`` and ``index_in_run``.
 """
 from math import isqrt
+from typing import Tuple
 
-from surdsym.cf import _along_run, _index_in_run, _step_bound
+from surdsym.cf import _step_bound
 from surdsym.forms import Form, InternalError, is_reduced
 
 
+def run_form(m: int, n: int, c: int, i: int) -> Tuple[int, int]:
+    """(m_i, n_i) of the i-th form of the run of 2s from (m, n, c - m - n).
+
+    A step with digit 2 keeps c = m + n + k and gives m' = 2m - n + 2c and
+    n' = m, so m_i = m + i * d0 + c * i * (i - 1) with d0 = m - n + 2c, and
+    n_i = m_{i-1}; i = 0 gives (m, n) back."""
+    d0 = m - n + 2 * c
+    return m + i * (d0 + c * (i - 1)), m + (i - 1) * (d0 + c * (i - 2))
+
+
+def index_in_run(m: int, n: int, c: int, run: int, h: Form) -> int:
+    """The i with 0 < i < run at which the run of 2s from (m, n, c - m - n)
+    passes h, or 0 if it does not; h must have m + n + k = c.
+
+    m_i = h.m is c i**2 + (d0 - c) i + (m - h.m) = 0, solved exactly with
+    isqrt; a root that is an integer in range is h when n_i = h.n too,
+    as then k_i = c - m_i - n_i = h.k."""
+    b = m - n + c  # d0 - c
+    disc = b * b - 4 * c * (m - h.m)
+    if disc < 0:
+        return 0
+    s = isqrt(disc)
+    if s * s != disc:
+        return 0
+    for num in (s - b, -s - b):
+        i, rest = divmod(num, 2 * c)
+        if not rest and 0 < i < run and run_form(m, n, c, i)[1] == h.n:
+            return i
+    return 0
+
+
 def minus_walk_by_one_loop(f: Form):
-    """(runs, firsts, start) as ``cf._minus_walk`` gives them for the form f
-    of non-square discriminant: the (digit, count) runs, the reduced form
+    """(runs, firsts, start) for the form f of non-square discriminant, as
+    ``cf._minus_walk`` gives them but with each period run's first state
+    given as its reduced form: the (digit, count) runs, the reduced form
     that starts each period run, and the index of the period's first run."""
     m, n, k = f
     d = k * k - 4 * m * n
@@ -34,7 +70,7 @@ def minus_walk_by_one_loop(f: Form):
                 return tuple(runs), tuple(firsts), start
             firsts.append(g)
             if run > 0 and c == first_c:
-                i = _index_in_run(m, n, c, run, first)
+                i = index_in_run(m, n, c, run, first)
                 if i:
                     runs.append((2, i))
                     return tuple(runs), tuple(firsts), start
@@ -47,7 +83,7 @@ def minus_walk_by_one_loop(f: Form):
                 run = entry
         if run > 0:
             runs.append((2, run))
-            m, n = _along_run(m, n, c, run)
+            m, n = run_form(m, n, c, run)
             k = c - m - n
             continue
         q = 2 * m

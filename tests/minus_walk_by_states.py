@@ -1,9 +1,12 @@
-"""Reference minus continued fraction for the suite: the (P, Q) state walk.
+"""Reference minus continued fraction for the suite: the (P, Q) state walk
+with a dict and a division.
 
-``cf._minus_walk`` walks the forms R(A^b(g)) of the expansion and starts its
-period at the first reduced form.  This module walks the integer states
-(P, Q) of the complete quotients (P + sqrt(d)) / Q instead, keeps each state
-in a dict, and finds the period at the first repeated state.
+``cf._minus_walk`` steps the same states, (P, Q) with M = (P**2 - d) / Q
+carried along so that Q' = M + b(P' - P) takes no division, and starts its
+period at the first reduced state; it keeps no state, and takes each run
+of 2s in one stride.  This module differs from it only there: it keeps
+each state (P, Q) in a dict and finds the period at the first repeated
+state, takes each Q by a division, and takes one digit per step.
 """
 from math import isqrt
 from typing import Tuple

@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 
 import surdsym.cf
-from cf_helpers import cf_digits, cf_value, period_of_class, regular_walk
+from cf_helpers import (cf_digits, cf_value, minus_walk, period_of_class,
+                        regular_walk)
 from minus_walk_by_states import minus_walk_by_states, state_form
 from regular_walk_by_states import regular_walk_by_states
 from surdsym.census import _reduced_states
 from surdsym.cf import (CFExpansion, ModularCF, SquareDiscriminantError,
-                        _digits, _minus_walk, _period_walk, _preperiod_walk,
+                        _along_run, _digits, _period_walk, _preperiod_walk,
                         _state_form, cf_period_to_modular_period, cf_rational,
                         cf_surd, modular_cf_surd, period_to_forms)
 from surdsym.exact import is_square
@@ -20,9 +21,10 @@ from surdsym.forms import (INVOLUTION_NAMES, Form, InternalError, antipodal,
                            apply_word, complementary, conjugate, discriminant,
                            gen_power, involution)
 from surdsym.periods import classify_class, classify_square
-from surdsym.reduction import CycleForms, reduce_classical
+from surdsym.reduction import (CycleForms, reduce_classical, reduced_cycle,
+                               reduced_representative)
 from test_query_references import LONG_PERIOD, LONG_PERIOD_DISGUISED
-from test_reduction import NONSQUARE_GRID, run_in_child
+from test_reduction import NONSQUARE_GRID, form_queries, run_in_child
 
 
 def _above(p, q, d, c):
@@ -222,9 +224,9 @@ class TestRegularWalk:
         radicand 17 is not one, though 4 | 17 - 9; its walk's first
         reduced state, (3, 2), is."""
         with pytest.raises(InternalError, match="not on a cycle"):
-            _period_walk(-3, 4, 17)
-        assert _preperiod_walk(-3, 4, 17) == ((-3, 3), (4, 2), (0,))
-        assert _period_walk(3, 2, 17) == ((3, 3, 1), (2, 4, 4), (3, 1, 1))
+            _period_walk(-3, 4, 17, 4)
+        assert _preperiod_walk(-3, 4, 17, 4) == ((-3, 3), (4, 2), (0,))
+        assert _period_walk(3, 2, 17, 4) == ((3, 3, 1), (2, 4, 4), (3, 1, 1))
 
 
 def _recomputed_state_form(p, q, d):
@@ -268,8 +270,8 @@ def _expand_minus_walk(f):
     """The run walk of f as (period forms, digits, digit index of the
     period start), the forms as the lazy sequence a reduced cycle reads.
     Every run has a count of at least 1, and only runs of 2s more than 1;
-    each period run has its first form."""
-    runs, firsts, start = _minus_walk(f)
+    each period run has its first state."""
+    runs, firsts, start = minus_walk(f)
     assert all(count >= 1 and (count == 1 or b == 2) for b, count in runs), f
     assert len(firsts) == len(runs) - start
     counts = tuple(count for _, count in runs)
@@ -277,16 +279,29 @@ def _expand_minus_walk(f):
             sum(counts[:start]))
 
 
+def _period_states(walk):
+    """The state (P, Q, M) of every step of the minus period of the walk
+    (runs, firsts, start), each read off its run's first state by
+    ``cf._along_run``."""
+    runs, firsts, start = walk
+    return [_along_run(*g, i) for g, (_, count) in zip(firsts, runs[start:])
+            for i in range(count)]
+
+
 def _assert_minus_walk_matches_states(f):
-    """The form walk of f against the (P, Q) state walk: the same digits and
-    period start.  Stepping from f by R(A^b) for each digit b passes the
-    form of each state, and from the period start on the walk's forms, each
-    built as the lazy sequence iterates it; the step after the last digit
-    returns to the period's first form."""
+    """The run walk of f against the (P, Q) state walk with its dict and
+    its division: the same digits and period start, and the same state at
+    every step of the period, with M = (P**2 - d) / Q.  Stepping from f by
+    R(A^b) for each digit b passes the form of each state, and from the
+    period start on the walk's forms, each built as the lazy sequence
+    iterates it; the step after the last digit returns to the period's
+    first form."""
     d = discriminant(f)
     forms, digits, start = _expand_minus_walk(f)
     states, ref_digits, ref_start = minus_walk_by_states(-f.k, 2 * f.m, d)
     assert (digits, start) == (ref_digits, ref_start), f
+    assert _period_states(minus_walk(f)) == [(p, q, (p * p - d) // q)
+                                             for p, q in states[start:]], f
     assert len(forms) == len(digits) - start
     g = f
     period = iter(forms)
@@ -355,9 +370,45 @@ class TestMinusWalk:
         assert r_a_minus_2_power(f0, 1000) == apply_word(
             f0, (("A-", 2), ("R", 1)) * 1000)
         big = 10 ** 6
-        runs, firsts, start = _minus_walk(r_a_minus_2_power(f0, big))
+        runs, firsts, start = minus_walk(r_a_minus_2_power(f0, big))
         assert runs == ((0, 1), (2, big - 1), (5, 1), (3, 1)) and start == 3
-        assert firsts == (f0,)
+        assert firsts == ((-f0.k, 2 * f0.m, 2 * f0.n),)  # the state of f0
+
+    @pytest.mark.parametrize("f", [period_to_forms((1, 9))[0],
+                                   Form(17, 9, -42)], ids=["(1,9)", "(17,9,-42)"])
+    def test_states_match_where_the_cycle_closes_inside_a_run(self, f):
+        """From every member of the class of the regular period (1, 9),
+        minus period (3, 2, 2, 2, 2, 2, 2, 2, 2), and of that of
+        (17, 9, -42), minus period (3, 2, 2, 2, 5): from a member after
+        its run's first the cycle closes inside the run."""
+        inside = 0
+        for g in reduced_cycle(f).forms:
+            _, digits, _ = _assert_minus_walk_matches_states(g)
+            inside += digits[0] == digits[-1] == 2
+        assert inside > 0
+
+    def test_states_match_on_the_query_representatives(self):
+        """On the reduced representative of each non-square query form of
+        the form_queries benchmark, seeds 0-2, the forms whose cycles its
+        queries walk: the same digits, a period from the first state, and
+        the same states."""
+        walked = 0
+        for seed in range(3):
+            for q in form_queries.make_queries(seed, 4000, 100):
+                f = Form(*q.form)
+                d = discriminant(f)
+                if is_square(d):
+                    continue
+                h = reduced_representative(f)
+                walk = runs, _, start = minus_walk(h)
+                states, digits, ref_start = minus_walk_by_states(
+                    -h.k, 2 * h.m, d)
+                assert (_digits(runs), start) == (digits, ref_start) == \
+                    (digits, 0), f
+                assert _period_states(walk) == [
+                    (p, q, (p * p - d) // q) for p, q in states], f
+                walked += len(digits)
+        assert walked > 2 * 10 ** 6
 
 
 class TestStepBound:
@@ -374,11 +425,11 @@ class TestStepBound:
         assert "did not close within its step bound" in proc.stdout
 
     def test_minus_walk_that_cannot_close(self):
-        """With is_reduced true of every form, the minus walk of the
-        unreduced (2, -1, -3) starts its period at that form, which lies
-        outside the cycle and never comes back."""
+        """With the reducedness test true of every state, the minus walk of
+        the unreduced (2, -1, -3) starts its period at that form's state,
+        which lies outside the cycle and never comes back."""
         self._assert_stops(
-            "cf.is_reduced = lambda m, n, k: True\n"
+            "cf._is_reduced_state = lambda p, q, q_prev: True\n"
             "try:\n"
             "    cf.modular_cf_surd(Form(2, -1, -3))\n"
             "except InternalError as e:\n"
@@ -511,7 +562,7 @@ class TestWalkCap:
 
     def test_the_cap_is_the_last_state_count_allowed(self, monkeypatch):
         d = discriminant(self.F)
-        key = (-self.F.k, 2 * self.F.m, d)
+        key = (-self.F.k, 2 * self.F.m, d, math.isqrt(d))
         walk = ps, qs, digits = _period_walk(*key)
         assert len(ps) == len(qs) == len(digits) == 9
         monkeypatch.setattr(surdsym.cf, "WALK_CAP", 9)
@@ -525,15 +576,15 @@ class TestWalkCap:
         """From a form outside the cycle: its preperiod's runs do not
         count."""
         f = gen_power(self.F, "B", 5)
-        walk = runs, _, start = _minus_walk(f)
+        walk = runs, _, start = minus_walk(f)
         assert start == 3 and len(runs) == 20
         monkeypatch.setattr(surdsym.cf, "WALK_CAP", 17)
-        assert _minus_walk(f) == walk
+        assert minus_walk(f) == walk
         monkeypatch.setattr(surdsym.cf, "WALK_CAP", 16)
         with pytest.raises(ValueError, match=rf"the minus period of "
                            rf"{re.escape(repr(f))} is longer than the cap "
                            r"of 16 runs"):
-            _minus_walk(f)
+            minus_walk(f)
 
     @pytest.mark.parametrize("f", [LONG_PERIOD, LONG_PERIOD_DISGUISED],
                              ids=["found", "disguised"])

@@ -2,7 +2,8 @@
 against the forward scan of the regular walk's states, the preperiod of
 conjugate(f) that it reads off f's walk against the walk of conjugate(f),
 ``reduced_representative`` against the state table of the whole walk, and
-the two loops of ``cf._minus_walk`` against one loop, on the test grid, on
+the two state loops of ``cf._minus_walk`` against one loop on forms, on the
+test grid, on
 seeded disguised forms of 100-400 bits, on forms a few generator powers
 from a reduced one, and on cycles that close inside a run of 2s."""
 
@@ -11,14 +12,15 @@ from collections import Counter
 
 import pytest
 
-from surdsym.cf import (_minus_walk, _preperiod_walk, _state_form,
-                        is_primitive_period, period_to_forms)
+from surdsym.cf import (_preperiod_walk, _state_form, is_primitive_period,
+                        period_to_forms)
 from surdsym.exact import isqrt
 from surdsym.forms import (Form, INVOLUTION_NAMES, apply_word, discriminant,
                            gen_power, involution, is_reduced)
 from surdsym.reduction import (_conjugate_preperiod, reduce_to_H0,
                                reduced_cycle, reduced_representative)
 
+from cf_helpers import minus_walk
 from h0_peel_by_forward_scan import h0_peel_by_forward_scan
 from minus_walk_by_one_loop import minus_walk_by_one_loop
 from regular_walk_by_states import regular_walk_by_states
@@ -144,7 +146,7 @@ class TestReducedRepresentative:
         answers within a second, as the state table's first states give."""
         f = gen_power(LONG_PERIOD, generator, 1)
         d = discriminant(f)
-        ps, qs, digits = _preperiod_walk(-f.k, 2 * f.m, d)
+        ps, qs, digits = _preperiod_walk(-f.k, 2 * f.m, d, isqrt(d))
         assert len(digits) == preperiod
         proc = run_in_child(
             "import sys, time\n"
@@ -176,14 +178,15 @@ def conjugate_branch(f: Form) -> str:
     itself."""
     d = discriminant(f)
     head, (ps, qs, digits) = _conjugate_preperiod(f, d, isqrt(d))
-    conjugate_ps, conjugate_qs, conjugate_digits = _preperiod_walk(f.k, 2 * f.m, d)
+    conjugate_ps, conjugate_qs, conjugate_digits = _preperiod_walk(
+        f.k, 2 * f.m, d, isqrt(d))
     assert head + digits == conjugate_digits, f
     assert ps == conjugate_ps[len(head):], f
     assert qs == conjugate_qs[len(head):], f
     if not head:
         return "fallback"
     assert len(digits) <= 3, f
-    a_1 = _preperiod_walk(-f.k, 2 * f.m, d)[2][1]
+    a_1 = _preperiod_walk(-f.k, 2 * f.m, d, isqrt(d))[2][1]
     return f"a1>=2 J={len(head) - 1}" if a_1 >= 2 else f"a1=1 J={len(head) + 1}"
 
 
@@ -218,14 +221,21 @@ class TestConjugatePreperiod:
         assert reduce_to_H0(f) == h0_peel_by_forward_scan(f)
 
 
+def minus_walk_with_forms(f: Form):
+    """``cf._minus_walk`` of f with each period run's first state (P, Q, M)
+    made the form (Q / 2, M / 2, -P) that ``minus_walk_by_one_loop`` walks."""
+    runs, firsts, start = minus_walk(f)
+    return runs, tuple(_state_form(p, q, -m) for p, q, m in firsts), start
+
+
 class TestMinusWalk:
     def test_matches_one_loop_on_grid(self):
         for f in NONSQUARE_GRID:
-            assert _minus_walk(f) == minus_walk_by_one_loop(f), f
+            assert minus_walk_with_forms(f) == minus_walk_by_one_loop(f), f
 
     def test_matches_one_loop_on_disguised_forms(self, seeded_forms):
         for f in seeded_forms:
-            assert _minus_walk(f) == minus_walk_by_one_loop(f), f
+            assert minus_walk_with_forms(f) == minus_walk_by_one_loop(f), f
 
     @pytest.mark.parametrize("period", [(1, 9), (1, 40), (2, 7, 1, 30),
                                         (3, 1, 1, 1, 25)])
@@ -238,7 +248,8 @@ class TestMinusWalk:
         for f in period_to_forms(period):
             for g in reduced_cycle(f).forms:
                 for h in (g, gen_power(g, "R", 1)):
-                    assert _minus_walk(h) == minus_walk_by_one_loop(h), h
-                runs, _, start = _minus_walk(g)
+                    assert minus_walk_with_forms(h) == \
+                        minus_walk_by_one_loop(h), h
+                runs, _, start = minus_walk(g)
                 inside += runs[start][0] == runs[-1][0] == 2
         assert inside > 0

@@ -40,6 +40,11 @@ def run_in_child(code: str, *args, timeout: float = 30):
                           capture_output=True, text=True, timeout=timeout)
 
 
+def minus_state(f: Form):
+    """The minus walk's state (P, Q, M) = (-k, 2m, 2n) of the form f."""
+    return -f.k, 2 * f.m, 2 * f.n
+
+
 def r_a_steps_close(cyc: ReducedCycle) -> bool:
     """forms[i+1] == R(A^{c_i}(forms[i])) for every i, cyclically."""
     forms = cyc.forms
@@ -119,12 +124,13 @@ class TestReducedCycle:
             assert modular_cf_surd(g).is_purely_periodic
 
     def test_leaving_the_reduced_set_fails_loudly(self, monkeypatch, capsys):
-        """A walk whose reducedness test rejects the second of the five
-        forms of the cycle of (2, 4, -7) raises InternalError, and
+        """A walk whose reducedness test rejects the state of the second of
+        the five forms of the cycle of (2, 4, -7) raises InternalError, and
         `surdsym modular 2 4 -7` exits 2."""
-        second = reduced_cycle(Form(2, 4, -7)).forms[1]
-        monkeypatch.setattr(surdsym.cf, "is_reduced", lambda m, n, k: (
-            (m, n, k) != second and surdsym.forms.is_reduced(m, n, k)))
+        second = minus_state(reduced_cycle(Form(2, 4, -7)).forms[1])
+        reduced = surdsym.cf._is_reduced_state
+        monkeypatch.setattr(surdsym.cf, "_is_reduced_state", lambda *g: (
+            g != second and reduced(*g)))
         with pytest.raises(InternalError, match="left the reduced set"):
             reduced_cycle(Form(2, 4, -7))
         assert main(["modular", "2", "4", "-7"]) == 2
@@ -149,14 +155,15 @@ class TestReducedCycle:
     def test_leaving_the_reduced_set_after_a_run_fails_loudly(
             self, monkeypatch, capsys):
         """The cycle of (17, 9, -42) has the minus period (3, 2, 2, 2, 5).
-        A reducedness test that rejects the form after the run of three 2s,
-        the first the walk tests after the run's first, raises
+        A reducedness test that rejects the state of the form after the run
+        of three 2s, the first the walk tests after the run's first, raises
         InternalError, and `surdsym modular 17 9 -42` exits 2."""
         cyc = reduced_cycle(Form(17, 9, -42))
         assert cyc.modular_period == (3, 2, 2, 2, 5)
-        after = cyc.forms[4]
-        monkeypatch.setattr(surdsym.cf, "is_reduced", lambda m, n, k: (
-            (m, n, k) != after and surdsym.forms.is_reduced(m, n, k)))
+        after = minus_state(cyc.forms[4])
+        reduced = surdsym.cf._is_reduced_state
+        monkeypatch.setattr(surdsym.cf, "_is_reduced_state", lambda *g: (
+            g != after and reduced(*g)))
         with pytest.raises(InternalError, match="left the reduced set"):
             reduced_cycle(Form(17, 9, -42))
         assert main(["modular", "17", "9", "-42"]) == 2

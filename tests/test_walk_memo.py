@@ -2,7 +2,11 @@
 regular walk of f per form query, the same answers with a cold and a warm
 cache, immutable cached walks, and a cache that never grows past its
 constant size.  The period walk, cf._period_walk, keeps no memo: a query
-walks f's period at most once, and reduction never walks one."""
+walks f's period at most once, and reduction never walks one.  Nor does a
+query take the square root of its discriminant more than once per entry
+point."""
+
+import sys
 
 import pytest
 
@@ -12,6 +16,7 @@ from cf_helpers import clear_walk_memos
 from surdsym.census import census_for_delta
 from surdsym.cf import _WALK_MEMO_SIZE, _period_walk, _preperiod_walk, cf_surd
 from surdsym.cli import _orbit_tour
+from surdsym.exact import isqrt
 from surdsym.forms import INVOLUTION_NAMES, Form, discriminant, involution
 from surdsym.periods import classify_class
 from surdsym.reduction import (is_reduced, reduce_to_H0, reduced_cycle,
@@ -108,7 +113,8 @@ def test_a_query_walks_the_expansion_of_f_once(preperiod_misses, period_walks):
         warm_answers(f)
         assert len(period_walks) <= 1, f
         assert len(preperiod_misses) <= 2, f
-        assert preperiod_misses[0][0] == (-f.k, 2 * f.m, discriminant(f)), f
+        d = discriminant(f)
+        assert preperiod_misses[0][0] == (-f.k, 2 * f.m, d, isqrt(d)), f
         if not is_reduced(*f):
             assert _preperiod_walk.cache_info().hits >= 1, f
             shared += 1
@@ -133,7 +139,8 @@ def test_reduce_reads_the_conjugate_preperiod_off_f(preperiod_misses,
         assert len(period_walks) == 1, f
         assert len(preperiod_misses) == 2, f
         assert len(preperiod_misses[1][1]) <= 3, f
-        conjugate_walk = _preperiod_walk(f.k, 2 * f.m, discriminant(f))
+        d = discriminant(f)
+        conjugate_walk = _preperiod_walk(f.k, 2 * f.m, d, isqrt(d))
         assert len(conjugate_walk[2]) > 3, f
 
 
@@ -161,7 +168,8 @@ def test_reduction_walks_no_regular_period(monkeypatch):
 
 def test_cached_walk_is_immutable():
     f = Form(5, -3, -13)
-    key = (-f.k, 2 * f.m, discriminant(f))
+    d = discriminant(f)
+    key = (-f.k, 2 * f.m, d, isqrt(d))
     clear_walk_memos()
     ps, qs, digits = walk = _preperiod_walk(*key)
     hash(walk)  # every part is a tuple of ints
@@ -190,3 +198,29 @@ def test_cache_stays_at_its_constant_size():
     info = _preperiod_walk.cache_info()
     assert info == before
     assert info.maxsize == info.currsize == _WALK_MEMO_SIZE
+
+
+def test_a_query_takes_the_square_root_once_per_entry_point(monkeypatch):
+    """classify_class, reduce_to_H0 and reduced_cycle of a disguised form
+    that none of them answers without a walk each test the discriminant
+    for a square and take its isqrt once, and pass the root down to the
+    walks: at most three calls of isqrt and of is_square, counted under
+    every name that a surdsym module holds them by."""
+    f = next(g for g in disguised_forms(SEEDS[0], 100)
+             if g.m * g.n > 0 and not is_reduced(*g))
+    calls = {"isqrt": 0, "is_square": 0}
+    for name in calls:
+        for module in [m for key, m in sys.modules.items()
+                       if key.partition(".")[0] == "surdsym"]:
+            fn = getattr(module, name, None)
+            if fn is not None:
+                def counted(*args, fn=fn, name=name):
+                    calls[name] += 1
+                    return fn(*args)
+                monkeypatch.setattr(module, name, counted)
+    clear_walk_memos()
+    answers = warm_answers(f)
+    monkeypatch.undo()
+    clear_walk_memos()
+    assert answers == warm_answers(f)
+    assert calls["isqrt"] <= 3 and calls["is_square"] <= 3, calls
