@@ -40,14 +40,14 @@ from operator import attrgetter
 from typing import (Any, Callable, Dict, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
-from .cf import _period_walk
+from .cf import _digits, _minus_walk, _period_walk, _require_digit_cap
 from .exact import is_square
 from .forms import Form
 from .oracle import (_genus_exponent, ambiguous_classes, h0_point_count,
                      square_symmetry)
 from .periods import (ClassReport, SymmetryType, _square_report,
                       _classify_period, _counts_nonsquare)
-from .reduction import _SUM_RULE_TYPES, check_sum_rule, reduced_cycle
+from .reduction import _SUM_RULE_TYPES, check_sum_rule
 
 
 def valid_deltas(delta_max: int) -> List[int]:
@@ -284,14 +284,17 @@ def _gate_violations(reports: Sequence[ClassReport]) -> Tuple[int, List[str]]:
     """``check_census``'s emit: (super/anti/(m+n) classes checked, one
     VIOLATION line per failed gate) for the reports of one delta, checked
     against facts found apart from the census's walk of its states: the
-    minus walk of each reduced cycle (sum-rule, and t-up: its length is
-    t_up), which starts from ``reduced_representative``, itself a regular
-    walk of the representative's own preperiod; genus theory (ambiguous,
-    parity), divisor counts of the H0 forms (h0-points), congruences
-    (square-type), and one identity of the counts (t-balance: sum t_up =
-    sum t_down over the classes, as both count half the H0 forms)."""
+    minus walk of each representative (sum-rule, and t-up: its period has
+    t_up digits), whose period is the class's reduced cycle; genus theory
+    (ambiguous, parity), divisor counts of the H0 forms (h0-points),
+    congruences (square-type), and one identity of the counts (t-balance:
+    sum t_up = sum t_down over the classes, as both count half the H0
+    forms).  The representative is H0, m > 0 > n, so xi_plus > 0 > xi_minus,
+    and the minus step from it lands on a reduced form: the walk's preperiod
+    is that one step, and any longer one would only delay the period."""
     S = SymmetryType
     delta = reports[0].delta
+    root = isqrt(delta)
     head = f"VIOLATION delta={delta} gate="
     lines, checked = [], 0
     points, expected = sum(r.t for r in reports), h0_point_count(delta)
@@ -309,14 +312,17 @@ def _gate_violations(reports: Sequence[ClassReport]) -> Tuple[int, List[str]]:
                              f"expected={want.code}")
         elif sym in _SUM_RULE_TYPES:
             checked += 1
-            cycle = reduced_cycle(rep)
-            if len(cycle.forms) != r.t_up:
+            runs, _, start = _minus_walk(rep, delta, root)
+            period = runs[start:]
+            reduced = sum(count for _, count in period)
+            if reduced != r.t_up:
                 lines.append(f"{head}t-up rep={rep} t_up={r.t_up} "
-                             f"reduced_forms={len(cycle.forms)}")
-            if not check_sum_rule(cycle, sym):
-                period = ",".join(map(str, cycle.modular_period))
+                             f"reduced_forms={reduced}")
+            if not check_sum_rule(period, sym):
+                _require_digit_cap(rep, period)
+                digits = ",".join(map(str, _digits(period)))
                 lines.append(f"{head}sum-rule rep={rep} symmetry={sym.code} "
-                             f"period=(({period}))")
+                             f"period=(({digits}))")
     if is_square(delta):
         return checked, lines
     types = Counter(r.symmetry for r in reports)

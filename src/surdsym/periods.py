@@ -36,32 +36,6 @@ class ClassificationError(InternalError):
     """A period matched two supposedly exclusive symmetry patterns."""
 
 
-def canonical_rotation(s: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Lexicographically least rotation of s, by Booth's algorithm (Booth,
-    Lexicographically least circular substrings, 1980) in O(len(s)): a
-    failure function over s + s, as in Knuth-Morris-Pratt, relative to the
-    least rotation found so far, which starts at ``k``."""
-    s = tuple(s)
-    n = len(s)
-    dbl = s + s
-    fail = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        a = dbl[j]
-        i = fail[j - k - 1]
-        while i != -1 and a != dbl[k + i + 1]:
-            if a < dbl[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if i == -1 and a != dbl[k]:  # then k + i + 1 == k
-            if a < dbl[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return dbl[k:k + n]
-
-
 def _reflection_kinds(s: Tuple[int, ...], p: int) -> Tuple[bool, bool]:
     """(palindromic, bipalindromic) from the reflections of the cyclic word.
 

@@ -300,10 +300,12 @@ _SUM_RULE_TYPES = frozenset((SymmetryType.SUPERSYMMETRIC,
                              SymmetryType.M_PLUS_N_SYMMETRIC))
 
 
-def check_sum_rule(cycle: ReducedCycle, symmetry: SymmetryType) -> bool:
-    """Sum rule: for the three symmetric types, sum(c_i) == 3t exactly;
-    True for the other types, which it does not constrain."""
+def check_sum_rule(runs: Tuple[Run, ...], symmetry: SymmetryType) -> bool:
+    """Sum rule on a minus-CF period given as (digit, count) runs, such as
+    ``ReducedCycle.runs``: for the three symmetric types, sum(c_i) == 3t
+    exactly, t the number of digits; True for the other types, which it does
+    not constrain."""
     if symmetry not in _SUM_RULE_TYPES:
         return True
-    return sum(b * count for b, count in cycle.runs) == \
-        3 * sum(map(itemgetter(1), cycle.runs))
+    return sum(b * count for b, count in runs) == \
+        3 * sum(map(itemgetter(1), runs))

@@ -16,10 +16,11 @@ from surdsym.cli import main as cli_main
 from surdsym.exact import is_square
 from surdsym.forms import Form
 from surdsym.oracle import h0_class_key, verify_counts, verify_symmetry
-from surdsym.periods import SymmetryType, canonical_rotation, classify_class
+from surdsym.periods import SymmetryType, classify_class
 from surdsym.reduction import reduced_cycle
 
 from goldens import NONSQUARE_ROWS, SQUARE_ROWS
+from palindromes_by_rotation import least_rotation_by_rotation
 
 S = SymmetryType
 
@@ -43,10 +44,10 @@ def test_criterion_1_nonsquare_golden_table():
         if report is None:
             mismatches.append((row, "class not found"))
             continue
-        got = (canonical_rotation(report.gamma), report.p_or_l,
+        got = (least_rotation_by_rotation(report.gamma), report.p_or_l,
                report.t_up, report.t_down, report.symmetry.value,
                0 if report.primitive else 1)
-        want = (canonical_rotation(gamma), p, t_up, t_down, sym, star)
+        want = (least_rotation_by_rotation(gamma), p, t_up, t_down, sym, star)
         if got != want:
             mismatches.append((row, got))
     elapsed = time.monotonic() - t0
@@ -84,7 +85,7 @@ def test_criterion_2_square_golden_table():
 def test_criterion_3_worked_example():
     r = classify_class(Form(2, -1, -3))
     checks = [
-        canonical_rotation(r.gamma) == (1, 1, 3),
+        least_rotation_by_rotation(r.gamma) == (1, 1, 3),
         r.t == 10 and r.t_up == 5 and r.t_down == 5,
         r.symmetry is S.SUPERSYMMETRIC,
     ]
@@ -92,8 +93,8 @@ def test_criterion_3_worked_example():
     checks.append(mcf.is_purely_periodic and mcf.period == (3, 5, 3, 2, 2))
     cycle = reduced_cycle(Form(2, 4, -7))
     checks.append(len(cycle.forms) == 5 and
-                  canonical_rotation(cycle.modular_period) ==
-                  canonical_rotation(mcf.period))
+                  least_rotation_by_rotation(cycle.modular_period) ==
+                  least_rotation_by_rotation(mcf.period))
     checks.append(cf_period_to_modular_period((1, 1, 3, 1, 1, 3)) ==
                   (3, 5, 3, 2, 2))
     _line(3, all(checks),
@@ -113,7 +114,8 @@ def test_criterion_4_first_occurrence_sweep():
         f, _ = period_to_forms(word)
         rep = classify_class(f)
         checks.append(rep.delta == delta and rep.symmetry is sym and
-                      canonical_rotation(rep.gamma) == canonical_rotation(word))
+                      least_rotation_by_rotation(rep.gamma) ==
+                      least_rotation_by_rotation(word))
         checks.append(by_delta[delta].count_of(sym) > 0)
     # below 100, non-square discriminants show only super- and k-symmetric
     checks.append(all(r.count_of(s) == 0

@@ -13,14 +13,16 @@ from surdsym.census import (SYMMETRY_ORDER, StatRow, _gate_violations,
                             census_for_delta, census_square,
                             first_occurrence, full_census, stats_rows,
                             valid_deltas)
+from surdsym.cf import _minus_walk
 from surdsym.exact import is_square
 from surdsym.forms import Form, content, discriminant, is_primitive, scale
 from surdsym.oracle import (ambiguous_classes, h0_class_key, h0_point_count,
                             square_symmetry)
-from surdsym.periods import SymmetryType, canonical_rotation, classify_class
+from surdsym.periods import SymmetryType, classify_class
 from surdsym.reduction import _SUM_RULE_TYPES, check_sum_rule, reduced_cycle
 
 from h0_points_by_trial_division import h0_points_by_trial_division
+from palindromes_by_rotation import least_rotation_by_rotation
 from states_by_divisors import smallest_prime_factors, states_by_divisors
 
 
@@ -64,8 +66,8 @@ class TestCensusRows:
                 assert direct.p_or_l == r.p_or_l
                 assert direct.primitive == r.primitive
                 if r.gamma is not None:
-                    assert canonical_rotation(direct.gamma) == \
-                        canonical_rotation(r.gamma)
+                    assert least_rotation_by_rotation(direct.gamma) == \
+                        least_rotation_by_rotation(r.gamma)
                 else:
                     assert direct.cf_of_k_over_m == r.cf_of_k_over_m
 
@@ -312,16 +314,25 @@ class TestSumRule:
 
     def test_sweep_matches_checking_the_census_to_3000(self):
         """The checker's sum-rule count equals checking every class of the
-        census one by one, in delta and representative order."""
+        census one by one, in delta and representative order.  For each
+        class the checker gates, the minus walk from its representative has
+        a preperiod of one run, and its period's runs are a rotation of its
+        reduced cycle's."""
         census = full_census(3000)
         checked, failures = 0, []
-        for reports in census.values():
+        for d, reports in census.items():
             for r in reports:
                 if not r.square and r.symmetry in _SUM_RULE_TYPES:
                     checked += 1
-                    if not check_sum_rule(reduced_cycle(r.representative),
-                                          r.symmetry):
+                    cycle = reduced_cycle(r.representative).runs
+                    if not check_sum_rule(cycle, r.symmetry):
                         failures.append(r)
+                    runs, _, start = _minus_walk(r.representative, d,
+                                                 isqrt(d))
+                    period = runs[start:]
+                    assert start == 1 and any(
+                        period[i:] + period[:i] == cycle
+                        for i in range(len(period))), r
         assert (checked, failures) == (1409, [])
         assert check_census(3000, jobs=2) == (1500, checked, [])
 
@@ -476,12 +487,23 @@ class TestGatesFire:
 
     def test_sum_rule(self, small_census, monkeypatch):
         monkeypatch.setattr(surdsym.census, "check_sum_rule",
-                            lambda cycle, symmetry: False)
+                            lambda runs, symmetry: False)
         checked, lines = _gate_violations(small_census[148])
         assert checked == 4
         assert self.gates(small_census[148]) == ["gate=sum-rule"] * 4
         assert lines[1] == ("VIOLATION delta=148 gate=sum-rule rep=(2,-18,-2) "
                             "symmetry=super period=((3,2,2,2,2,3,7))")
+
+    def test_k_class_relabelled_super(self, small_census):
+        """A k class relabelled super breaks the sum rule on its own minus
+        period and no other gate: super + k, the period parities and t_up
+        are all unchanged."""
+        rows = list(small_census[316])
+        assert rows[0].symmetry is SymmetryType.K_SYMMETRIC
+        rows[0] = rows[0]._replace(symmetry=SymmetryType.SUPERSYMMETRIC)
+        assert _gate_violations(rows) == (1, [
+            "VIOLATION delta=316 gate=sum-rule rep=(1,-79,0) symmetry=super "
+            "period=((9,18))"])
 
     def test_t_up_off_by_one(self, small_census):
         """A sum-rule class whose t_up is one off fails the t-up gate, which

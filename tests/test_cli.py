@@ -17,6 +17,8 @@ import surdsym.census
 from surdsym.census import _windows, check_census
 from surdsym.cli import _orbit_tour, build_parser, main
 from surdsym.forms import Form, InternalError
+from surdsym.reduction import reduced_cycle
+from palindromes_by_rotation import least_rotation_by_rotation
 from test_reduction import NONSQUARE_GRID
 from tour_by_h0_walk import tour_by_h0_walk
 
@@ -344,19 +346,50 @@ class TestSumRule:
                 run(capsys, "check", "--delta-max", "600", "--jobs", "3"))
 
     def test_violation_exits_2(self, capsys, monkeypatch):
+        """Each printed period is the representative's minus period, from
+        the step after it: a rotation of its reduced cycle's period."""
         monkeypatch.setattr(surdsym.census, "check_sum_rule",
-                            lambda cycle, symmetry: False)
+                            lambda runs, symmetry: False)
         rc, out, _ = run(capsys, "check", "--delta-max", "13")
         assert rc == 2
         assert out == (
             "VIOLATION delta=5 gate=sum-rule rep=(1,-1,-1) symmetry=super "
             "period=((3))\n"
             "VIOLATION delta=8 gate=sum-rule rep=(1,-2,0) symmetry=super "
-            "period=((4,2))\n"
+            "period=((2,4))\n"
             "VIOLATION delta=13 gate=sum-rule rep=(1,-3,-1) symmetry=super "
-            "period=((5,2,2))\n"
+            "period=((2,2,5))\n"
             "checked 7 discriminants and 3 super/anti/(m+n) classes with "
             "delta <= 13: 3 violations\n")
+        for rep, period in (((1, -1, -1), (3,)), ((1, -2, 0), (2, 4)),
+                            ((1, -3, -1), (2, 2, 5))):
+            cycle = reduced_cycle(Form(*rep)).modular_period
+            assert least_rotation_by_rotation(period) == \
+                least_rotation_by_rotation(cycle)
+
+    def test_check_runs_no_regular_walk(self, capsys, monkeypatch):
+        """With the regular preperiod walk, the reduced cycle and the reduced
+        representative raising, wherever a surdsym module binds them, the
+        checker's answers and bytes are unchanged, serial and in workers."""
+        expected = (check_census(600),
+                    run(capsys, "check", "--delta-max", "600"))
+
+        def no_regular_walk(*args):
+            raise AssertionError(f"a regular walk from {args}")
+
+        names = ("_preperiod_walk", "reduced_cycle", "_reduced_representative")
+        patched = 0
+        for module in [m for name, m in sys.modules.items()
+                       if name.split(".")[0] == "surdsym"]:
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, no_regular_walk)
+                    patched += 1
+        assert patched >= 5  # cf, cli and reduction bind the three names
+        assert (check_census(600),
+                run(capsys, "check", "--delta-max", "600", "--jobs", "2")) \
+            == expected
+        assert expected[0][2] == [] and expected[1][0] == 0
 
 
 class TestCheck:

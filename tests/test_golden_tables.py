@@ -11,10 +11,10 @@ from math import isqrt
 import pytest
 
 from goldens import NONSQUARE_ROWS, SQUARE_ROWS
+from palindromes_by_rotation import least_rotation_by_rotation
 from surdsym.census import full_census
 from surdsym.forms import Form, discriminant
 from surdsym.oracle import h0_class_key
-from surdsym.periods import canonical_rotation
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +25,7 @@ def census():
 def rotations_equal(a, b):
     if len(a) != len(b):
         return False
-    return canonical_rotation(a) == canonical_rotation(b)
+    return least_rotation_by_rotation(a) == least_rotation_by_rotation(b)
 
 
 class TestGoldenDataIntegrity:

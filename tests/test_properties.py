@@ -7,11 +7,12 @@ Every property runs at least 500 randomized cases with exact assertions
 from hypothesis import assume, given, settings, strategies as st
 
 from cf_helpers import period_of_class
-from surdsym.cf import cf_surd, period_to_forms
-from surdsym.exact import is_square
+from palindromes_by_rotation import least_rotation_by_rotation
+from surdsym.cf import _minus_walk, cf_surd, period_to_forms
+from surdsym.exact import is_square, isqrt
 from surdsym.forms import (INVOLUTION_NAMES, Form, apply_word, discriminant,
                            gen_power, involution, is_primitive)
-from surdsym.periods import (SymmetryType, canonical_rotation, classify_class,
+from surdsym.periods import (SymmetryType, classify_class,
                              classify_period, classify_square,
                              _counts_nonsquare,
                              is_bipalindromic, is_palindromic_cyclic,
@@ -71,7 +72,8 @@ def test_period_inverse_relation(f):
     gamma = period_of_class(f)
     gamma_inv = period_of_class(Form(f.m, f.n, -f.k))
     rev = tuple(reversed(gamma))
-    assert canonical_rotation(gamma_inv) == canonical_rotation(rev)
+    assert least_rotation_by_rotation(gamma_inv) == \
+        least_rotation_by_rotation(rev)
 
 
 @BASE
@@ -81,9 +83,23 @@ def test_period_invariant_under_words(f, w):
     assume(nonsquare_h0(f))
     g = apply_word(f, w)
     assume(g.m != 0)  # avoid the m=0 reroute; R-images of boundary-ish forms
-    base = canonical_rotation(period_of_class(f))
-    moved = canonical_rotation(period_of_class(g))
+    base = least_rotation_by_rotation(period_of_class(f))
+    moved = least_rotation_by_rotation(period_of_class(g))
     assert base == moved
+
+
+@BASE
+@given(st.builds(Form, st.integers(min_value=1, max_value=10 ** 4),
+                 st.integers(min_value=-10 ** 4, max_value=-1),
+                 st.integers(min_value=-10 ** 4, max_value=10 ** 4)))
+def test_minus_walk_from_h0_has_one_preperiod_digit(f):
+    """From an H0 form, xi_plus > 0 > xi_minus, so one minus step lands on
+    xi_1 > 1 > xi_1' > 0, a reduced form: the census's representatives
+    give the checker their reduced cycles after one digit."""
+    assume(nonsquare_h0(f))
+    d = discriminant(f)
+    runs, _, start = _minus_walk(f, d, isqrt(d))
+    assert start == 1 and runs[0][1] == 1
 
 
 @BASE
@@ -204,8 +220,8 @@ def test_large_coefficient_reduction(s, word):
     h = reduced_representative(f)
     assert is_reduced(*h)
     assert h in reduced_cycle(f0).forms
-    assert canonical_rotation(cf_surd(f).period) == \
-        canonical_rotation(cf_surd(h).period)
+    assert least_rotation_by_rotation(cf_surd(f).period) == \
+        least_rotation_by_rotation(cf_surd(h).period)
     assert r_a_steps_close(reduced_cycle(f))
     assert h0_word_holds(f)
 

@@ -289,9 +289,9 @@ class TestReducedCycle:
             "t = time.perf_counter()\n"
             "cycle = reduced_cycle(f)\n"
             "n = len(cycle.forms)\n"
-            "rule = check_sum_rule(cycle, SymmetryType.SUPERSYMMETRIC)\n"
+            "rule = check_sum_rule(cycle.runs, SymmetryType.SUPERSYMMETRIC)\n"
             "t = time.perf_counter() - t\n"
-            "assert check_sum_rule(cycle, classify_class(f).symmetry)\n"
+            "assert check_sum_rule(cycle.runs, classify_class(f).symmetry)\n"
             "try:\n"
             "    cycle.modular_period\n"
             "except ValueError as exc:\n"
@@ -476,7 +476,7 @@ class TestSumRule:
     def test_super_class_holds(self):
         f = Form(2, -1, -3)
         cyc = reduced_cycle(f)
-        assert check_sum_rule(cyc, classify_class(f).symmetry) is True
+        assert check_sum_rule(cyc.runs, classify_class(f).symmetry) is True
         assert sum(cyc.modular_period) == 3 * len(cyc.modular_period)
 
     def test_k_class_not_applicable(self):
@@ -486,12 +486,12 @@ class TestSumRule:
         sym = classify_class(f).symmetry
         assert sym is SymmetryType.K_SYMMETRIC
         assert cyc.modular_period == (3, 2)
-        assert check_sum_rule(cyc, sym) is True
-        assert check_sum_rule(cyc, SymmetryType.SUPERSYMMETRIC) is False
+        assert check_sum_rule(cyc.runs, sym) is True
+        assert check_sum_rule(cyc.runs, SymmetryType.SUPERSYMMETRIC) is False
 
     def test_anti_class_holds(self):
         f = Form(7, -3, -8)  # delta 148, antisymmetric
         cyc = reduced_cycle(f)
         sym = classify_class(f).symmetry
         assert sym is SymmetryType.ANTISYMMETRIC
-        assert check_sum_rule(cyc, sym) is True
+        assert check_sum_rule(cyc.runs, sym) is True
