@@ -14,10 +14,12 @@ starts at the first reduced state, that of a reduced form, as the minus CF
 of a quadratic irrational xi is purely periodic exactly when
 xi > 1 > xi' > 0 (Zagier, Zetafunktionen und quadratische Koerper, 1981),
 and ends where the walk returns to that state.  It takes each run of 2s in
-one stride and returns (digit, count) runs with the state that starts each
-period run, as a plain (P, Q, M) triple; the states inside a run follow
-from that one by a closed form (``_along_run``), and the reader that asks
-for a form builds it (``_state_form``, ``reduction.CycleForms``,
+one stride and returns (digit, count) runs with the period's first state,
+as a plain (P, Q, M) triple, and keeps no other state: a reader that asks
+for a form replays the period's runs from that state once, to the state
+that starts each run (``_run_starts``), the states inside a run follow
+from that one by a closed form (``_along_run``), and the reader builds
+the form (``_state_form``, ``reduction.CycleForms``,
 ``reduction.reduce_classical``).  Neither walk stores a state table or
 builds a per-step object that no caller reads, and each raises
 InternalError if it has not closed within a step bound taken from its
@@ -31,8 +33,8 @@ recurrence.  Every form that reduction and the H0 tour take from the
 regular walk is a ``_state_form``, read off a state and the Q of the state
 before it, with no squaring or division.  Each walk takes r = isqrt(D) from
 its caller, so that an entry point (``cf_surd``, ``modular_cf_surd``,
-``reduction.reduce_to_H0``, ``reduction.reduced_cycle``) checks D and takes
-its root once.  The preperiod loop keeps its last ``_WALK_MEMO_SIZE``
+``periods.classify_class``, ``reduction.reduce_to_H0``,
+``reduction.reduced_cycle``) checks D and takes its root once.  The preperiod loop keeps its last ``_WALK_MEMO_SIZE``
 walks, so the calls that answer one form query (classify, reduce to H0,
 reduced cycle) walk the form's preperiod once: reduce_to_H0 reads the
 preperiod of conjugate(f) off f's and walks at most three digits of its
@@ -104,9 +106,9 @@ def cf_rational(num: int, den: int) -> CFExpansion:
 # (ps, qs, digits): the P and the Q of each state, and the digits.
 Walk = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
 Run = Tuple[int, int]
-# (runs, firsts, start): firsts are the minus walk's (P, Q, M) = (-k, 2m, 2n)
-# states, not Forms.
-MinusWalk = Tuple[Tuple[Run, ...], Tuple[Tuple[int, int, int], ...], int]
+# (runs, first, start): first is the minus walk's state (P, Q, M) =
+# (-k, 2m, 2n) of the period's first reduced form, not a Form.
+MinusWalk = Tuple[Tuple[Run, ...], Tuple[int, int, int], int]
 
 # Walks kept by _preperiod_walk.  A form query holds f's preperiod, which
 # classify, reduce_to_H0 and the reduced representative each read, across
@@ -228,6 +230,29 @@ def _along_run(p: int, q: int, q_prev: int, i: int) -> Tuple[int, int, int]:
     return q_i - t, q_i, q_i - e - 2 * t
 
 
+def _run_starts(first: Tuple[int, int, int], runs: Tuple[Run, ...]
+                ) -> Tuple[Tuple[int, int, int], ...]:
+    """The minus walk's state (P, Q, M) that starts each of the period's
+    runs, replayed from the period's first state ``first`` as
+    ``_minus_walk`` returns them: a single digit b by P' = bQ - P,
+    Q' = M + b(P' - P), M' = Q, and a run of 2s by ``_along_run``.  The
+    replay must end on ``first``, where the period closes; if it does not,
+    the runs are not first's period, and it raises InternalError."""
+    starts = []
+    p, q, q_prev = first
+    for b, count in runs:
+        starts.append((p, q, q_prev))
+        if b == 2:
+            p, q, q_prev = _along_run(p, q, q_prev, count)
+        else:
+            p_next = b * q - p
+            p, q, q_prev = p_next, q_prev + b * (p_next - p), q
+    if (p, q, q_prev) != first:
+        raise InternalError(f"the minus period runs from state {first} end "
+                            f"on {(p, q, q_prev)}, not where they started")
+    return tuple(starts)
+
+
 def _index_in_run(g: Tuple[int, int, int], run: int,
                   h: Tuple[int, int, int]) -> int:
     """The i with 0 < i < run at which the run of 2s from the minus walk's
@@ -258,14 +283,15 @@ def _minus_walk(f: Form, d: int, r: int) -> MinusWalk:
     xi -> 1 / (b - xi) with b the ceiling of xi, which takes g to
     R(A^b(g)): P' = bQ - P, Q' = M + b(P' - P) and M' = Q, the regular
     walk's division-free step with the sign of P - P' flipped.  Returns
-    (runs, firsts, start).  ``runs`` are (digit, count) pairs, the digits
+    (runs, first, start).  ``runs`` are (digit, count) pairs, the digits
     of every step from f on in order: a run of 2s is one pair, and every
     other digit a pair with count 1.  The period ``runs[start:]`` starts at
-    the first reduced state and ends when the walk returns to it;
-    ``firsts[i]`` is the state (P, Q, M) that starts ``runs[start + i]``,
-    which the reader makes a Form (``_state_form``).  No other state
-    is kept: those inside a run follow from its first by ``_along_run``,
-    and the preperiod's not at all.
+    the first reduced state and ends when the walk returns to it; ``first``
+    is that state (P, Q, M), which the reader makes a Form
+    (``_state_form``).  No other state is kept: the state that starts each
+    period run follows from ``first`` by replaying the runs
+    (``_run_starts``), those inside a run from its start by
+    ``_along_run``, and the preperiod's not at all.
 
     A run of 2s is taken in one stride.  The digit is 2 exactly while
     1 < xi < 2, and each step lowers eta = 1 / (xi - 1) = (sqrt(d) + Q - P)
@@ -334,10 +360,8 @@ def _minus_walk(f: Form, d: int, r: int) -> MinusWalk:
     start = len(runs)
     first = p, q, q_prev
     p0, q0, e0 = p, q, 2 * p - q - q_prev
-    firsts = []
     cap = _walk_cap(d)
     for _ in range(min(bound - steps, cap)):
-        firsts.append((p, q, q_prev))
         b = (p + r) // q + 1
         if b == 2:
             e = 2 * p - q - q_prev
@@ -367,7 +391,7 @@ def _minus_walk(f: Form, d: int, r: int) -> MinusWalk:
                              f"cap of {cap} runs")
         raise InternalError(
             f"minus CF of {f} did not close within its step bound")
-    return tuple(runs), tuple(firsts), start
+    return tuple(runs), first, start
 
 
 # The most minus-CF digits that ``modular_cf_surd``,

@@ -13,8 +13,8 @@ import enum
 from math import gcd
 from typing import NamedTuple, Optional, Tuple
 
-from .cf import (_check_word, _find_word, _least_period, cf_rational,
-                 cf_surd, is_primitive_period)
+from .cf import (_check_word, _find_word, _least_period, _period_walk,
+                 _preperiod_walk, cf_rational, is_primitive_period)
 from .exact import is_square, isqrt
 from .forms import (Form, InternalError, discriminant, is_primitive,
                     require_indefinite)
@@ -208,11 +208,11 @@ def classify_class(f: Form) -> ClassReport:
     """Full report for the class of f.  Non-square delta requires no search;
     square delta is first normalized to its (m, 0, k) representative."""
     d = require_indefinite(f)
-    # m = 0 gives delta = k**2, and otherwise xi_plus is rational, its
-    # expansion finite, exactly when delta is a square.
-    if f.m == 0 or (exp := cf_surd(f)).is_finite:
+    r = isqrt(d)
+    if r * r == d:  # m = 0 gives delta = k**2
         return _square_report(normalize_square_form(f))
-    gamma = exp.period
-    t, t_up, t_down = _counts_nonsquare(gamma, len(exp.preperiod) % 2 == 1)
+    ps, qs, preperiod = _preperiod_walk(-f.k, 2 * f.m, d, r)
+    gamma = _period_walk(ps[-1], qs[-1], d, r)[2]
+    t, t_up, t_down = _counts_nonsquare(gamma, len(preperiod) % 2 == 1)
     return ClassReport(f, d, gamma, None, len(gamma), t, t_up, t_down,
                        _classify_period(gamma), is_primitive(f))

@@ -5,8 +5,10 @@ A form is *reduced* when m > 0, n > 0, k < 0 and m + n < |k|
 discriminant contains finitely many reduced forms, cyclically permuted by
 h -> R(A^c(h)) where the exponents c_i are the minus-CF period digits; the
 cycle length equals the class's t_up count.  Most of them lie inside runs
-of 2s, so a cycle keeps only the form that starts each run and builds the
-others when they are read (``CycleForms``).
+of 2s, so a cycle keeps only its digit runs and its first form's state; the
+first read of its other forms replays the runs once to the form that
+starts each run, and the others are built when they are read
+(``CycleForms``).
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from typing import NamedTuple, Tuple
 
 from .cf import (Run, SquareDiscriminantError, Walk, _digits, _index_in_run,
                  _minus_walk, _preperiod_walk, _require_digit_cap,
-                 _require_nonsquare, _run_form, _state_form)
+                 _require_nonsquare, _run_form, _run_starts, _state_form)
 from .exact import isqrt
 from .forms import (Form, GeneratorWord, InternalError, antipodal, conjugate,
                     gen_power, is_reduced, require_indefinite)
@@ -60,26 +62,38 @@ def _reduced_representative(f: Form, d: int, r: int) -> Form:
 class CycleForms(Sequence):
     """The reduced forms of a cycle, read off its runs of minus-CF digits.
 
-    ``firsts[i]`` is the minus walk's state (P, Q, M) = (-k, 2m, 2n) of the
-    form that starts the i-th run, as ``cf._minus_walk`` gives it, and
-    ``counts[i]`` its number of digits (more than 1 only for a run of 2s).
-    The length is the sum of the counts; each form, read by index, by
-    iteration or by slice, is built as a Form from the state of its run's
-    closed form (``cf._run_form``).  No other form is kept.  Membership,
-    ``index`` and ``count`` look at each run once, without building its
-    forms.  It compares and hashes as the tuple of its forms.
+    ``first`` is the minus walk's state (P, Q, M) = (-k, 2m, 2n) of the
+    cycle's first form and ``runs`` the cycle's (digit, count) runs, as
+    ``cf._minus_walk`` gives them.  The length is the sum of the counts,
+    and the first form is built from ``first`` alone.  The first other
+    index, iteration or membership read replays the runs once to the state
+    that starts each run (``cf._run_starts``), which raises InternalError
+    if they do not close on ``first``, and keeps those states with the
+    runs' offsets; each form, read by index, by iteration or by slice, is
+    built as a Form from the state of its run's closed form
+    (``cf._run_form``).  No other form is kept.  Membership, ``index`` and
+    ``count`` look at each run once, without building its forms.  It
+    compares and hashes as the tuple of its forms.
     """
 
-    __slots__ = ("_firsts", "_counts", "_offsets")
+    __slots__ = ("_first", "_runs", "_length", "_starts", "_offsets")
 
-    def __init__(self, firsts: Tuple[Tuple[int, int, int], ...],
-                 counts: Tuple[int, ...]):
-        self._firsts = firsts
-        self._counts = counts
-        self._offsets = tuple(accumulate(counts, initial=0))
+    def __init__(self, first: Tuple[int, int, int], runs: Tuple[Run, ...]):
+        self._first = first
+        self._runs = runs
+        self._length = sum(map(itemgetter(1), runs))
+        self._starts = self._offsets = None
+
+    def _replay(self) -> Tuple[tuple, Tuple[int, ...]]:
+        """The state that starts each run, and each run's offset."""
+        if self._starts is None:
+            self._starts = _run_starts(self._first, self._runs)
+            self._offsets = tuple(accumulate(map(itemgetter(1), self._runs),
+                                             initial=0))
+        return self._starts, self._offsets
 
     def __len__(self) -> int:
-        return self._offsets[-1]
+        return self._length
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -89,11 +103,15 @@ class CycleForms(Sequence):
             j += len(self)
         if not 0 <= j < len(self):
             raise IndexError(f"cycle index {i} out of range")
-        run = bisect_right(self._offsets, j) - 1
-        return _run_form(self._firsts[run], j - self._offsets[run])
+        if not j:
+            return _run_form(self._first, 0)
+        starts, offsets = self._replay()
+        run = bisect_right(offsets, j) - 1
+        return _run_form(starts[run], j - offsets[run])
 
     def __iter__(self):
-        return (_run_form(g, i) for g, count in zip(self._firsts, self._counts)
+        starts, _ = self._replay()
+        return (_run_form(g, i) for g, (_, count) in zip(starts, self._runs)
                 for i in range(count))
 
     def _find(self, h) -> int:
@@ -104,7 +122,8 @@ class CycleForms(Sequence):
         if isinstance(h, tuple) and len(h) == 3:
             m, n, k = h
             h = (-k, 2 * m, 2 * n)
-            for g, count, offset in zip(self._firsts, self._counts, self._offsets):
+            starts, offsets = self._replay()
+            for g, (_, count), offset in zip(starts, self._runs, offsets):
                 if g == h:
                     return offset
                 i = count > 1 and _index_in_run(g, count, h)
@@ -139,7 +158,9 @@ class CycleForms(Sequence):
 class ReducedCycle(NamedTuple):
     """The reduced forms of a class and the minus-CF exponents linking them,
     as (digit, count) runs: ``forms[i + 1]`` is R(A^c(forms[i])) for the
-    i-th digit c of the runs expanded."""
+    i-th digit c of the runs expanded.  ``forms`` is a ``CycleForms`` over
+    the same runs: its length and its first form, like ``runs`` and
+    ``modular_period``, take no replay of the runs."""
 
     forms: Sequence[Form]
     runs: Tuple[Run, ...]
@@ -159,18 +180,18 @@ def reduced_cycle(f: Form) -> ReducedCycle:
     reduced, so two members of one class give rotations of one cycle.
     Successive forms are R(A^{c_i}(previous)) for the period digits c_i,
     closing back at h: the forms of the minus CF walk of xi_plus(h).  Only
-    the state of the form that starts each run of the walk is kept here,
-    no Form is built and no digit is expanded; ``forms`` builds each form
-    when it is indexed or iterated.  The discriminant is checked, and its
-    square root taken, once for the representative and the walk.
+    the walk's runs and the state of h are kept here, no Form is built and
+    no digit is expanded; ``forms`` replays the runs to the state that
+    starts each run on its first read past h, and builds each form when it
+    is indexed or iterated.  The discriminant is checked, and its square
+    root taken, once for the representative and the walk.
     """
     d, r = _require_nonsquare(f)
     h0 = _reduced_representative(f, d, r)
-    runs, firsts, start = _minus_walk(h0, d, r)
+    runs, first, start = _minus_walk(h0, d, r)
     if start:
         raise InternalError(f"minus CF of reduced form {h0} is not purely periodic")
-    return ReducedCycle(CycleForms(firsts, tuple(map(itemgetter(1), runs))),
-                        runs)
+    return ReducedCycle(CycleForms(first, runs), runs)
 
 
 def _conjugate_preperiod(f: Form, d: int, r: int
@@ -287,10 +308,9 @@ def reduce_classical(f: Form) -> Tuple[Form, GeneratorWord]:
     if not (f.m > 0 and f.n > 0 and f.k < 0):
         raise ValueError(f"reduce_classical needs m>0, n>0, k<0; got {f}")
     # Each step R A^b is one step of the minus walk.
-    runs, firsts, start = _minus_walk(f, d, r)
+    runs, (p, q, m), start = _minus_walk(f, d, r)
     preperiod = runs[:start]
     _require_digit_cap(f, preperiod)
-    p, q, m = firsts[0]
     return _state_form(p, q, -m), tuple(step for b in _digits(preperiod)
                                         for step in (("A", b), ("R", 1)))
 

@@ -3,15 +3,16 @@
 The value of a finite expansion, the first digits of an expansion, the
 period of a class's regular expansion, the regular walk with its two halves
 joined, the minus walk of a form with its discriminant's checks and square
-root taken for it, and a reset of the walk's memo are used by tests alone;
-the program never needs them, so they live here rather than in
-``surdsym.cf``.
+root taken for it, with or without its period runs' starts replayed, and a
+reset of the walk's memo are used by tests alone; the program never needs
+them, so they live here rather than in ``surdsym.cf``.
 """
 from fractions import Fraction
 from typing import Tuple
 
 from surdsym.cf import (CFExpansion, _minus_walk, _period_walk,
-                        _preperiod_walk, _require_nonsquare, cf_surd)
+                        _preperiod_walk, _require_nonsquare, _run_starts,
+                        cf_surd)
 from surdsym.exact import isqrt
 from surdsym.forms import Form
 
@@ -61,6 +62,14 @@ def minus_walk(f: Form):
     ``modular_cf_surd`` gives them; a square discriminant raises
     SquareDiscriminantError."""
     return _minus_walk(f, *_require_nonsquare(f))
+
+
+def minus_walk_with_starts(f: Form):
+    """(runs, starts, start): ``minus_walk`` of f with the period's first
+    state replaced by the state (P, Q, M) that starts each period run, as
+    ``cf._run_starts`` replays them from it."""
+    runs, first, start = minus_walk(f)
+    return runs, _run_starts(first, runs[start:]), start
 
 
 def clear_walk_memos() -> None:

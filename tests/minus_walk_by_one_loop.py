@@ -48,10 +48,11 @@ def index_in_run(m: int, n: int, c: int, run: int, h: Form) -> int:
 
 
 def minus_walk_by_one_loop(f: Form):
-    """(runs, firsts, start) for the form f of non-square discriminant, as
-    ``cf._minus_walk`` gives them but with each period run's first state
-    given as its reduced form: the (digit, count) runs, the reduced form
-    that starts each period run, and the index of the period's first run."""
+    """(runs, firsts, start) for the form f of non-square discriminant: the
+    (digit, count) runs and the index of the period's first run, as
+    ``cf._minus_walk`` gives them, and the reduced form that starts each
+    period run, as this loop meets it, for the states that ``cf._run_starts``
+    replays."""
     m, n, k = f
     d = k * k - 4 * m * n
     r = isqrt(d)

@@ -2,20 +2,23 @@
 
 import math
 import re
+import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
 import surdsym.cf
-from cf_helpers import (cf_digits, cf_value, minus_walk, period_of_class,
-                        regular_walk)
+from cf_helpers import (cf_digits, cf_value, minus_walk,
+                        minus_walk_with_starts, period_of_class, regular_walk)
+from minus_walk_by_one_loop import minus_walk_by_one_loop
 from minus_walk_by_states import minus_walk_by_states, state_form
 from regular_walk_by_states import regular_walk_by_states
 from surdsym.census import _reduced_states
 from surdsym.cf import (CFExpansion, ModularCF, SquareDiscriminantError,
                         _along_run, _digits, _period_walk, _preperiod_walk,
-                        _state_form, cf_period_to_modular_period, cf_rational,
-                        cf_surd, modular_cf_surd, period_to_forms)
+                        _run_starts, _state_form, cf_period_to_modular_period,
+                        cf_rational, cf_surd, modular_cf_surd, period_to_forms)
 from surdsym.exact import is_square
 from surdsym.forms import (INVOLUTION_NAMES, Form, InternalError, antipodal,
                            apply_word, complementary, conjugate, discriminant,
@@ -268,36 +271,47 @@ def r_a_minus_2_power(f, big):
 
 def _expand_minus_walk(f):
     """The run walk of f as (period forms, digits, digit index of the
-    period start), the forms as the lazy sequence a reduced cycle reads.
-    Every run has a count of at least 1, and only runs of 2s more than 1;
-    each period run has its first state."""
-    runs, firsts, start = minus_walk(f)
+    period start), the forms as the lazy sequence a reduced cycle reads,
+    over the period's runs from its first state.  Every run has a count of
+    at least 1, and only runs of 2s more than 1."""
+    runs, first, start = minus_walk(f)
     assert all(count >= 1 and (count == 1 or b == 2) for b, count in runs), f
-    assert len(firsts) == len(runs) - start
     counts = tuple(count for _, count in runs)
-    return (CycleForms(firsts, counts[start:]), _digits(runs),
+    return (CycleForms(first, runs[start:]), _digits(runs),
             sum(counts[:start]))
 
 
 def _period_states(walk):
     """The state (P, Q, M) of every step of the minus period of the walk
-    (runs, firsts, start), each read off its run's first state by
-    ``cf._along_run``."""
-    runs, firsts, start = walk
-    return [_along_run(*g, i) for g, (_, count) in zip(firsts, runs[start:])
+    (runs, first, start), each read off its run's start, replayed from
+    ``first`` by ``cf._run_starts``, by ``cf._along_run``."""
+    runs, first, start = walk
+    period = runs[start:]
+    return [_along_run(*g, i)
+            for g, (_, count) in zip(_run_starts(first, period), period)
             for i in range(count)]
 
 
 def _assert_minus_walk_matches_states(f):
     """The run walk of f against the (P, Q) state walk with its dict and
     its division: the same digits and period start, and the same state at
-    every step of the period, with M = (P**2 - d) / Q.  Stepping from f by
-    R(A^b) for each digit b passes the form of each state, and from the
-    period start on the walk's forms, each built as the lazy sequence
-    iterates it; the step after the last digit returns to the period's
-    first form."""
+    every step of the period, with M = (P**2 - d) / Q; and against the one
+    loop on forms: the same runs and period start, and the form that
+    starts each period run, both from the replayed run starts and as the
+    lazy sequence reads it.  Stepping from f by R(A^b) for each digit b
+    passes the form of each state, and from the period start on the walk's
+    forms, each built as the lazy sequence iterates it; the step after the
+    last digit returns to the period's first form."""
     d = discriminant(f)
     forms, digits, start = _expand_minus_walk(f)
+    runs, starts, start_run = minus_walk_with_starts(f)
+    ref_runs, ref_firsts, ref_start_run = minus_walk_by_one_loop(f)
+    assert (runs, start_run) == (ref_runs, ref_start_run), f
+    assert tuple(_state_form(p, q, -m) for p, q, m in starts) == \
+        ref_firsts, f
+    offsets = accumulate((count for _, count in runs[start_run:-1]),
+                         initial=0)
+    assert tuple(map(forms.__getitem__, offsets)) == ref_firsts, f
     states, ref_digits, ref_start = minus_walk_by_states(-f.k, 2 * f.m, d)
     assert (digits, start) == (ref_digits, ref_start), f
     assert _period_states(minus_walk(f)) == [(p, q, (p * p - d) // q)
@@ -370,9 +384,10 @@ class TestMinusWalk:
         assert r_a_minus_2_power(f0, 1000) == apply_word(
             f0, (("A-", 2), ("R", 1)) * 1000)
         big = 10 ** 6
-        runs, firsts, start = minus_walk(r_a_minus_2_power(f0, big))
+        runs, first, start = minus_walk(r_a_minus_2_power(f0, big))
         assert runs == ((0, 1), (2, big - 1), (5, 1), (3, 1)) and start == 3
-        assert firsts == ((-f0.k, 2 * f0.m, 2 * f0.n),)  # the state of f0
+        assert first == (-f0.k, 2 * f0.m, 2 * f0.n)  # the state of f0
+        assert _run_starts(first, runs[start:]) == (first,)
 
     @pytest.mark.parametrize("f", [period_to_forms((1, 9))[0],
                                    Form(17, 9, -42)], ids=["(1,9)", "(17,9,-42)"])
@@ -609,6 +624,28 @@ class TestWalkCap:
         assert proc.stderr.startswith(f"error: the {walk} period of ")
         assert proc.stderr.endswith(f" is longer than the cap of {cap} "
                                     f"{'runs' if walk == 'minus' else 'states'}\n")
+
+
+class TestWalkMemory:
+    def test_the_minus_walk_holds_its_runs_only(self):
+        """The principal form of delta = 1,000,000,021, through its reduced
+        representative (3527, 1, -31623), has a minus period of 21,580 runs
+        and 212,705 digits, walked in about 0.02 s.  The walk's result holds
+        64 bytes per run by tracemalloc, its runs; where it also kept the
+        state (P, Q, M) that starts each run it held 211.  The bound is
+        100."""
+        d = 1000000021
+        f = reduced_representative(Form(1, (1 - d) // 4, 1))
+        assert f == Form(3527, 1, -31623)
+        tracemalloc.start()
+        try:
+            walk = minus_walk(f)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        runs = walk[0]
+        assert len(runs) == 21580 and sum(c for _, c in runs) == 212705
+        assert held / len(runs) < 100, held / len(runs)
 
 
 class TestPeriodConversion:

@@ -2,9 +2,9 @@
 against the forward scan of the regular walk's states, the preperiod of
 conjugate(f) that it reads off f's walk against the walk of conjugate(f),
 ``reduced_representative`` against the state table of the whole walk, and
-the two state loops of ``cf._minus_walk`` against one loop on forms, on the
-test grid, on
-seeded disguised forms of 100-400 bits, on forms a few generator powers
+the two state loops of ``cf._minus_walk``, with its period runs' starts
+replayed by ``cf._run_starts``, against one loop on forms, on the test grid,
+on seeded disguised forms of 100-400 bits, on forms a few generator powers
 from a reduced one, and on cycles that close inside a run of 2s."""
 
 import random
@@ -20,7 +20,7 @@ from surdsym.forms import (Form, INVOLUTION_NAMES, apply_word, discriminant,
 from surdsym.reduction import (_conjugate_preperiod, reduce_to_H0,
                                reduced_cycle, reduced_representative)
 
-from cf_helpers import minus_walk
+from cf_helpers import minus_walk, minus_walk_with_starts
 from h0_peel_by_forward_scan import h0_peel_by_forward_scan
 from minus_walk_by_one_loop import minus_walk_by_one_loop
 from regular_walk_by_states import regular_walk_by_states
@@ -222,10 +222,12 @@ class TestConjugatePreperiod:
 
 
 def minus_walk_with_forms(f: Form):
-    """``cf._minus_walk`` of f with each period run's first state (P, Q, M)
-    made the form (Q / 2, M / 2, -P) that ``minus_walk_by_one_loop`` walks."""
-    runs, firsts, start = minus_walk(f)
-    return runs, tuple(_state_form(p, q, -m) for p, q, m in firsts), start
+    """``cf._minus_walk`` of f with the state (P, Q, M) that starts each
+    period run, replayed from the period's first state by
+    ``cf._run_starts``, made the form (Q / 2, M / 2, -P) that
+    ``minus_walk_by_one_loop`` walks."""
+    runs, starts, start = minus_walk_with_starts(f)
+    return runs, tuple(_state_form(p, q, -m) for p, q, m in starts), start
 
 
 class TestMinusWalk:

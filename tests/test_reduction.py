@@ -10,6 +10,7 @@ import pytest
 
 import surdsym.cf
 import surdsym.forms
+import surdsym.reduction
 from surdsym.cf import (SquareDiscriminantError, modular_cf_surd,
                         period_to_forms)
 from surdsym.cli import main
@@ -18,8 +19,8 @@ from surdsym.forms import (Form, INVOLUTION_NAMES, InternalError, apply_word,
                            discriminant, domain_of, DomainLabel, gen_power,
                            involution)
 from surdsym.periods import SymmetryType, classify_class
-from surdsym.reduction import (ReducedCycle, check_sum_rule, is_reduced,
-                               reduce_classical, reduce_to_H0,
+from surdsym.reduction import (CycleForms, ReducedCycle, check_sum_rule,
+                               is_reduced, reduce_classical, reduce_to_H0,
                                reduced_cycle, reduced_representative)
 
 
@@ -43,6 +44,12 @@ def run_in_child(code: str, *args, timeout: float = 30):
 def minus_state(f: Form):
     """The minus walk's state (P, Q, M) = (-k, 2m, 2n) of the form f."""
     return -f.k, 2 * f.m, 2 * f.n
+
+
+def no_replay(first, runs):
+    """A stand-in for ``cf._run_starts`` that raises, so that a read which
+    replays a cycle's runs shows."""
+    raise RuntimeError("replayed")
 
 
 def r_a_steps_close(cyc: ReducedCycle) -> bool:
@@ -305,6 +312,45 @@ class TestReducedCycle:
         assert head == [f"{10 ** 12} {((3, 1), (2, 10 ** 12 - 1))} False"]
         assert float(seconds) < 1
         assert f"has {10 ** 12} digits to expand" in error
+
+    def test_length_and_runs_need_no_replay(self, monkeypatch):
+        """With the replay of the runs' starts made to raise, the cycle of
+        (17, 9, -42) still gives its length and its runs, and any other
+        read of its forms raises."""
+        monkeypatch.setattr(surdsym.reduction, "_run_starts", no_replay)
+        cyc = reduced_cycle(Form(17, 9, -42))
+        assert len(cyc.forms) == 5 and cyc.runs == ((3, 1), (2, 3), (5, 1))
+        for read in (lambda: cyc.forms[1], lambda: tuple(cyc.forms),
+                     lambda: Form(17, 9, -42) in cyc.forms):
+            with pytest.raises(RuntimeError, match="replayed"):
+                read()
+
+    def test_first_form_and_digit_cap_need_no_replay(self, monkeypatch):
+        """With the replay made to raise and the digit cap at 4, the
+        cycle of (2, 4, -7), minus period (3, 5, 3, 2, 2), gives its first
+        form, and reading its period raises the cap's ValueError."""
+        monkeypatch.setattr(surdsym.reduction, "_run_starts", no_replay)
+        monkeypatch.setattr(surdsym.cf, "DIGIT_CAP", 4)
+        cyc = reduced_cycle(Form(2, 4, -7))
+        assert cyc.forms[0] == cyc.forms[-5] == Form(2, 4, -7)
+        with pytest.raises(ValueError, match="has 5 digits to expand, more "
+                           "than the cap of 4"):
+            cyc.modular_period
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_a_run_count_off_by_one_fails_on_first_read(self, count):
+        """The cycle of (17, 9, -42) has the runs (3, 1), (2, 3), (5, 1).
+        Forms over its first state and runs with the run of 2s one shorter
+        or one longer do not close where they started: their first indexed
+        read raises InternalError, as does iterating them.  Their length
+        and first form take no replay."""
+        first = minus_state(Form(17, 9, -42))
+        assert reduced_cycle(Form(17, 9, -42)).runs == ((3, 1), (2, 3), (5, 1))
+        forms = CycleForms(first, ((3, 1), (2, count), (5, 1)))
+        for read in (lambda: forms[1], lambda: tuple(forms)):
+            with pytest.raises(InternalError, match="not where they started"):
+                read()
+        assert len(forms) == count + 2 and forms[0] == Form(17, 9, -42)
 
     def test_rotation_invariance(self):
         base = reduced_cycle(Form(2, 4, -7))

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import surdsym.cf
+import surdsym.periods
 import surdsym.reduction
 from cf_helpers import clear_walk_memos
 from surdsym.census import census_for_delta
@@ -80,22 +81,24 @@ def preperiod_misses(monkeypatch):
             missed.append((key, walk[2]))
         return walk
 
-    for module in (surdsym.cf, surdsym.reduction):
+    for module in (surdsym.cf, surdsym.periods, surdsym.reduction):
         monkeypatch.setattr(module, "_preperiod_walk", recorder)
     return missed
 
 
 @pytest.fixture
 def period_walks(monkeypatch):
-    """The keys of the period walks, in call order: ``cf_surd``, the one
-    caller in a query, calls ``_period_walk`` through a recorder."""
+    """The keys of the period walks, in call order: ``classify_class``, the
+    one caller in a query, and ``cf_surd`` call ``_period_walk`` through a
+    recorder."""
     walked = []
 
     def recorder(*key):
         walked.append(key)
         return _period_walk(*key)
 
-    monkeypatch.setattr(surdsym.cf, "_period_walk", recorder)
+    for module in (surdsym.cf, surdsym.periods):
+        monkeypatch.setattr(module, "_period_walk", recorder)
     return walked
 
 
@@ -224,3 +227,23 @@ def test_a_query_takes_the_square_root_once_per_entry_point(monkeypatch):
     clear_walk_memos()
     assert answers == warm_answers(f)
     assert calls["isqrt"] <= 3 and calls["is_square"] <= 3, calls
+
+
+def test_classify_computes_the_discriminant_once(monkeypatch):
+    """classify_class of a disguised form computes its discriminant once,
+    counted under every name that a surdsym module holds ``discriminant``
+    by, and passes it with its isqrt to the two regular walks."""
+    f = disguised_forms(SEEDS[0], 1)[0]
+    expected = classify_class(f)
+    calls = []
+    for module in [m for key, m in sys.modules.items()
+                   if key.partition(".")[0] == "surdsym"]:
+        fn = getattr(module, "discriminant", None)
+        if fn is not None:
+            def counted(g, fn=fn):
+                calls.append(g)
+                return fn(g)
+            monkeypatch.setattr(module, "discriminant", counted)
+    clear_walk_memos()
+    assert classify_class(f) == expected
+    assert calls == [f]
