@@ -50,11 +50,6 @@ from .periods import (ClassReport, SymmetryType, _square_report,
 from .reduction import _SUM_RULE_TYPES, check_sum_rule
 
 
-def valid_deltas(delta_max: int) -> List[int]:
-    """Discriminants 1 <= delta <= delta_max with delta = 0 or 1 mod 4."""
-    return [d for d in range(1, delta_max + 1) if d % 4 < 2]
-
-
 def _reduced_states(lo: int, hi: int) -> Dict[int, array]:
     """Every reduced surd (P + sqrt(delta)) / Q whose form (Q/2, -c, -P),
     c = (delta - P**2) / (2Q), is integral, for every delta = 0, 1 mod 4 in
@@ -248,9 +243,6 @@ class StatRow(NamedTuple):
     counts: Tuple[int, ...]       # aligned with SYMMETRY_ORDER
     fractions: Tuple[Fraction, ...]
 
-    def count_of(self, sym: SymmetryType) -> int:
-        return self.counts[SYMMETRY_ORDER.index(sym)]
-
 
 def _type_counts(reports: Sequence[ClassReport]) -> Tuple[int, ...]:
     """How many of the reports have each type, in SYMMETRY_ORDER."""
@@ -269,15 +261,6 @@ def _stat_rows(delta_max: int, jobs: int = 1) -> Iterator[StatRow]:
 def stats_rows(delta_max: int, jobs: int = 1) -> List[StatRow]:
     """One row per valid delta <= delta_max, delta ascending."""
     return list(_stat_rows(delta_max, jobs))
-
-
-def first_occurrence(rows: Sequence[StatRow], sym: SymmetryType) -> Optional[int]:
-    """Smallest non-square delta whose row shows at least one class of the
-    given type."""
-    for row in rows:
-        if not row.square and row.count_of(sym) > 0:
-            return row.delta
-    return None
 
 
 def _gate_violations(reports: Sequence[ClassReport]) -> Tuple[int, List[str]]:

@@ -19,8 +19,7 @@ as a plain (P, Q, M) triple, and keeps no other state: a reader that asks
 for a form replays the period's runs from that state once, to the state
 that starts each run (``_run_starts``), the states inside a run follow
 from that one by a closed form (``_along_run``), and the reader builds
-the form (``_state_form``, ``reduction.CycleForms``,
-``reduction.reduce_classical``).  Neither walk stores a state table or
+the form (``_state_form``, ``reduction.CycleForms``).  Neither walk stores a state table or
 builds a per-step object that no caller reads, and each raises
 InternalError if it has not closed within a step bound taken from its
 input (``_step_bound``), and ValueError if its period runs past a cap
@@ -48,10 +47,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, repeat, starmap
-from math import gcd
+from math import gcd, isqrt
 from typing import NamedTuple, Tuple
 
-from .exact import isqrt
 from .forms import Form, InternalError, antipodal, require_indefinite
 
 # tuple.__new__(Form, (m, n, k)) builds a Form without a Python-level call.
@@ -70,10 +68,6 @@ class CFExpansion(NamedTuple):
 
     preperiod: Tuple[int, ...]
     period: Tuple[int, ...]
-
-    @property
-    def is_finite(self) -> bool:
-        return not self.period
 
 
 class ModularCF(NamedTuple):
@@ -394,9 +388,8 @@ def _minus_walk(f: Form, d: int, r: int) -> MinusWalk:
     return tuple(runs), first, start
 
 
-# The most minus-CF digits that ``modular_cf_surd``,
-# ``reduction.reduce_classical`` and ``reduction.ReducedCycle.modular_period``
-# expand into a tuple.  A run of 2s is as long as the coefficients are large,
+# The most minus-CF digits that ``modular_cf_surd`` and
+# ``reduction.ReducedCycle.modular_period`` expand into a tuple.  A run of 2s is as long as the coefficients are large,
 # not as their logarithm: (R A^-2)^M (1, 1, -3) has M - 1 of them in its
 # preperiod, and the class of regular period (1, M) M - 1 in its period.
 DIGIT_CAP = 10 ** 6
@@ -504,28 +497,6 @@ def modular_cf_surd(f: Form) -> ModularCF:
     runs, _, start = _minus_walk(f, *_require_nonsquare(f))
     _require_digit_cap(f, runs)
     return ModularCF(_digits(runs[:start]), _digits(runs[start:]))
-
-
-def cf_period_to_modular_period(pi: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Rewrite an even-length regular period as a minus-CF period.
-
-    Odd positions (1-indexed) map to a+2; each even-position digit a becomes
-    a-1 copies of 2.  The input must be aligned so that position 1 carries an
-    A-run; the output then equals, up to rotation, the minus-CF period of
-    the class's reduced cycle.  No rotation is distinguished: the cycle of
-    ``reduction.reduced_cycle`` starts wherever its input enters it.
-    """
-    pi = tuple(pi)
-    if len(pi) % 2 != 0:
-        raise ValueError(f"period length must be even, got {len(pi)} (double it first)")
-    _check_word(pi)
-    out = []
-    for i, a in enumerate(pi):
-        if i % 2 == 0:  # 1-indexed odd position
-            out.append(a + 2)
-        else:
-            out.extend([2] * (a - 1))
-    return tuple(out)
 
 
 def period_to_forms(s: Tuple[int, ...]) -> Tuple[Form, Form]:

@@ -16,6 +16,7 @@ import os
 import sys
 import tempfile
 from functools import partial
+from math import isqrt
 from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional, Sequence
 
@@ -25,7 +26,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 from .census import StatRow, _stat_rows, _sweep, check_census
 from .cf import (_period_walk, _preperiod_walk, _state_form, cf_surd,
                  modular_cf_surd)
-from .exact import is_square, isqrt
+from .exact import is_square
 from .forms import (Form, InternalError, antipodal, complementary,
                     discriminant, domain_of, require_indefinite, word_str)
 from .oracle import orbit_bfs

@@ -1,9 +1,8 @@
-"""Exact integer square roots.
+"""Exact perfect-square test.
 
 Quadratic surds (P + sqrt(D)) / Q are never stored as numbers: the
 continued-fraction code in :mod:`surdsym.cf` carries them as integer states
-(P, Q) and takes floors from ``isqrt(D)``.  ``isqrt`` is ``math.isqrt``,
-exact for every size and a ValueError for negative n.
+(P, Q) and takes floors from ``math.isqrt(D)``.
 """
 from __future__ import annotations
 

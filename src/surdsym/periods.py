@@ -10,12 +10,12 @@ is read off one Euclidean expansion of k/m and its twin of the other length.
 from __future__ import annotations
 
 import enum
-from math import gcd
+from math import gcd, isqrt
 from typing import NamedTuple, Optional, Tuple
 
-from .cf import (_check_word, _find_word, _least_period, _period_walk,
-                 _preperiod_walk, cf_rational, is_primitive_period)
-from .exact import is_square, isqrt
+from .cf import (_check_word, _find_word, _period_walk, _preperiod_walk,
+                 cf_rational, is_primitive_period)
+from .exact import is_square
 from .forms import (Form, InternalError, discriminant, is_primitive,
                     require_indefinite)
 
@@ -32,12 +32,9 @@ class SymmetryType(enum.Enum):
         return self.value
 
 
-class ClassificationError(InternalError):
-    """A period matched two supposedly exclusive symmetry patterns."""
-
-
-def _reflection_kinds(s: Tuple[int, ...], p: int) -> Tuple[bool, bool]:
-    """(palindromic, bipalindromic) from the reflections of the cyclic word.
+def _reflection_kinds(s: Tuple[int, ...]) -> Tuple[bool, bool]:
+    """(palindromic, bipalindromic) from the reflections of the primitive
+    cyclic word s.
 
     A reflection is a c with s[j] == s[(c - j) mod n] for all j; the rotation
     of s[::-1] starting at n - 1 - c equals s exactly then.  A rotation
@@ -48,33 +45,15 @@ def _reflection_kinds(s: Tuple[int, ...], p: int) -> Tuple[bool, bool]:
 
     Two reflections compose to a rotation by their difference, so a
     primitive word has at most one, found by one linear search of s in
-    s[::-1] * 2.  A word s = u * (n / p), with u primitive of length
-    p = _least_period(s) (n for a primitive word), has the reflections c + jp
-    of u's one reflection c: of c's parity alone when p is even, of both
-    when p is odd and n even.
+    s[::-1] * 2, and is palindromic or bipalindromic, never both.
     """
     n = len(s)
-    root = s[:p]
-    o = _find_word(root, root[::-1] * 2)  # c = p - 1 - o
+    o = _find_word(s, s[::-1] * 2)  # c = n - 1 - o
     if o < 0:
         return False, False
     if n % 2:
         return True, False
-    if p % 2:
-        return True, True
     return o % 2 == 0, o % 2 == 1
-
-
-def is_palindromic_cyclic(s: Tuple[int, ...]) -> bool:
-    """True iff some rotation of s reads the same forwards and backwards."""
-    s = tuple(s)
-    return bool(s) and _reflection_kinds(s, _least_period(s))[0]
-
-
-def is_bipalindromic(s: Tuple[int, ...]) -> bool:
-    """True iff some rotation splits into two odd-length plain palindromes."""
-    s = tuple(s)
-    return bool(s) and _reflection_kinds(s, _least_period(s))[1]
 
 
 def classify_period(s: Tuple[int, ...]) -> SymmetryType:
@@ -89,11 +68,8 @@ def classify_period(s: Tuple[int, ...]) -> SymmetryType:
 def _classify_period(s: Tuple[int, ...]) -> SymmetryType:
     """``classify_period`` of a word known to be a primitive tuple of
     positive integers, such as a continued-fraction walk's period."""
-    pal, bip = _reflection_kinds(s, len(s))
+    pal, bip = _reflection_kinds(s)
     odd = len(s) % 2 == 1
-    if pal and bip:
-        # For primitive words the two reflection types exclude each other.
-        raise ClassificationError(f"period {s} is both palindromic and bipalindromic")
     if pal:
         return SymmetryType.SUPERSYMMETRIC if odd else SymmetryType.M_PLUS_N_SYMMETRIC
     if bip:

@@ -1,4 +1,5 @@
-"""Reduction theory: reduced forms, the reduced cycle, and the sum rule.
+"""Reduction theory: reduced forms, the reduced cycle, reduction to H0, and the
+sum rule.
 
 A form is *reduced* when m > 0, n > 0, k < 0 and m + n < |k|
 (``forms.is_reduced``, re-exported here).  Each class of non-square
@@ -15,20 +16,21 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from itertools import accumulate, cycle
+from math import isqrt
 from operator import index, itemgetter
 from typing import NamedTuple, Tuple
 
 from .cf import (Run, SquareDiscriminantError, Walk, _digits, _index_in_run,
                  _minus_walk, _preperiod_walk, _require_digit_cap,
                  _require_nonsquare, _run_form, _run_starts, _state_form)
-from .exact import isqrt
 from .forms import (Form, GeneratorWord, InternalError, antipodal, conjugate,
                     gen_power, is_reduced, require_indefinite)
 from .periods import SymmetryType
 
 
-def reduced_representative(f: Form) -> Form:
-    """A reduced form in the class of f (non-square delta).
+def _reduced_representative(f: Form, d: int, r: int) -> Form:
+    """A reduced form in the class of f, of the non-square discriminant d
+    with r = isqrt(d).
 
     Which reduced form depends on f, not only on its class: an
     already-reduced f is its own representative.  Otherwise, run the
@@ -38,12 +40,6 @@ def reduced_representative(f: Form) -> Form:
     one regular step past it where the preperiod is odd: the period itself
     is never walked.
     """
-    return _reduced_representative(f, *_require_nonsquare(f))
-
-
-def _reduced_representative(f: Form, d: int, r: int) -> Form:
-    """``reduced_representative`` of f, of the non-square discriminant d
-    with r = isqrt(d)."""
     if is_reduced(*f):
         return f
     # The j-th state form of the expansion lies in C(f) exactly when j is even.
@@ -176,8 +172,8 @@ class ReducedCycle(NamedTuple):
 def reduced_cycle(f: Form) -> ReducedCycle:
     """All reduced forms of C(f), in cycle order, with the minus-CF period.
 
-    Starts at h = reduced_representative(f), which is f itself when f is
-    reduced, so two members of one class give rotations of one cycle.
+    Starts at h = _reduced_representative(f, d, r), which is f itself when
+    f is reduced, so two members of one class give rotations of one cycle.
     Successive forms are R(A^{c_i}(previous)) for the period digits c_i,
     closing back at h: the forms of the minus CF walk of xi_plus(h).  Only
     the walk's runs and the state of h are kept here, no Form is built and
@@ -298,21 +294,6 @@ def reduce_to_H0(f: Form) -> Tuple[Form, GeneratorWord, str]:
         word = word[1:]
     out = cur if tag == "identity" else conjugate(cur)
     return out, word, tag
-
-
-def reduce_classical(f: Form) -> Tuple[Form, GeneratorWord]:
-    """Reduce a form with m > 0, n > 0, k < 0 by the word R A^{b_M} ... R A^{b_0},
-    where b_0 ... b_M is the minus-CF preperiod of xi_plus(f).  A preperiod
-    of more than ``cf.DIGIT_CAP`` digits raises ValueError."""
-    d, r = _require_nonsquare(f)
-    if not (f.m > 0 and f.n > 0 and f.k < 0):
-        raise ValueError(f"reduce_classical needs m>0, n>0, k<0; got {f}")
-    # Each step R A^b is one step of the minus walk.
-    runs, (p, q, m), start = _minus_walk(f, d, r)
-    preperiod = runs[:start]
-    _require_digit_cap(f, preperiod)
-    return _state_form(p, q, -m), tuple(step for b in _digits(preperiod)
-                                        for step in (("A", b), ("R", 1)))
 
 
 _SUM_RULE_TYPES = frozenset((SymmetryType.SUPERSYMMETRIC,

@@ -3,23 +3,24 @@
 The value of a finite expansion, the first digits of an expansion, the
 period of a class's regular expansion, the regular walk with its two halves
 joined, the minus walk of a form with its discriminant's checks and square
-root taken for it, with or without its period runs' starts replayed, and a
-reset of the walk's memo are used by tests alone; the program never needs
-them, so they live here rather than in ``surdsym.cf``.
+root taken for it, with or without its period runs' starts replayed, the
+classical reduction of a form by its minus-CF preperiod, and a reset of the
+walk's memo are used by tests alone; the program never needs them, so they
+live here rather than in ``surdsym.cf``.
 """
 from fractions import Fraction
+from math import isqrt
 from typing import Tuple
 
 from surdsym.cf import (CFExpansion, _minus_walk, _period_walk,
                         _preperiod_walk, _require_nonsquare, _run_starts,
-                        cf_surd)
-from surdsym.exact import isqrt
-from surdsym.forms import Form
+                        cf_surd, modular_cf_surd)
+from surdsym.forms import Form, GeneratorWord, apply_word
 
 
 def cf_value(cf: CFExpansion) -> Fraction:
     """Exact value of a finite expansion."""
-    if not cf.is_finite:
+    if cf.period:
         raise ValueError("cf_value needs a finite expansion")
     if not cf.preperiod:
         raise ValueError("empty expansion has no value")
@@ -70,6 +71,15 @@ def minus_walk_with_starts(f: Form):
     ``cf._run_starts`` replays them from it."""
     runs, first, start = minus_walk(f)
     return runs, _run_starts(first, runs[start:]), start
+
+
+def reduce_classical(f: Form) -> Tuple[Form, GeneratorWord]:
+    """The classical reduction of f, on the public API alone: the word
+    R A^{b_M} ... R A^{b_0} over the minus-CF preperiod b_0 ... b_M of
+    xi_plus(f), and the reduced form apply_word(f, word) it reaches."""
+    word = tuple(step for b in modular_cf_surd(f).preperiod
+                 for step in (("A", b), ("R", 1)))
+    return apply_word(f, word), word
 
 
 def clear_walk_memos() -> None:

@@ -8,10 +8,11 @@ the involution it picks itself, scans the states from the first on, and
 builds the word digit by digit, leaving out every digit that is not
 positive.
 """
+from math import isqrt
 from typing import Tuple
 
 from surdsym.cf import SquareDiscriminantError, _preperiod_walk, _state_form
-from surdsym.exact import is_square, isqrt
+from surdsym.exact import is_square
 from surdsym.forms import (Form, GeneratorWord, InternalError, antipodal,
                            involution, require_indefinite)
 

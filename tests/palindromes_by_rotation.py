@@ -1,11 +1,11 @@
 """Reference word tests for the suite: every rotation, every cut.
 
-``periods.is_palindromic_cyclic`` and ``periods.is_bipalindromic`` read both
-answers off one linear search for the word's reflection.  This module
-decides them from the definitions instead, by reversing each rotation and,
-for the bipalindromic test, each split of a rotation into two odd-length
-pieces.  The tests compare periods up to rotation by the least of all
-rotations, which no production path needs.
+``periods.classify_period`` reads both answers for a primitive word off one
+linear search for its reflection: palindromic makes it super or m+n,
+bipalindromic k.  This module decides them from the definitions instead,
+by reversing each rotation and, for the bipalindromic test, each split of
+a rotation into two odd-length pieces.  The tests compare periods up to
+rotation by the least of all rotations, which no production path needs.
 """
 
 

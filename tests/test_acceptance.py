@@ -8,10 +8,9 @@ import csv
 import time
 from fractions import Fraction
 
-from surdsym.census import (check_census, first_occurrence, full_census,
+from surdsym.census import (SYMMETRY_ORDER, check_census, full_census,
                             stats_rows)
-from surdsym.cf import (cf_period_to_modular_period, modular_cf_surd,
-                        period_to_forms)
+from surdsym.cf import modular_cf_surd, period_to_forms
 from surdsym.cli import main as cli_main
 from surdsym.exact import is_square
 from surdsym.forms import Form
@@ -20,6 +19,7 @@ from surdsym.periods import SymmetryType, classify_class
 from surdsym.reduction import reduced_cycle
 
 from goldens import NONSQUARE_ROWS, SQUARE_ROWS
+from modular_period_by_runs import cf_period_to_modular_period
 from palindromes_by_rotation import least_rotation_by_rotation
 
 S = SymmetryType
@@ -116,17 +116,18 @@ def test_criterion_4_first_occurrence_sweep():
         checks.append(rep.delta == delta and rep.symmetry is sym and
                       least_rotation_by_rotation(rep.gamma) ==
                       least_rotation_by_rotation(word))
-        checks.append(by_delta[delta].count_of(sym) > 0)
+        checks.append(by_delta[delta].counts[SYMMETRY_ORDER.index(sym)] > 0)
     # below 100, non-square discriminants show only super- and k-symmetric
-    checks.append(all(r.count_of(s) == 0
+    checks.append(all(r.counts[SYMMETRY_ORDER.index(s)] == 0
                       for r in rows if not r.square and r.delta <= 100
                       for s in (S.M_PLUS_N_SYMMETRIC, S.ANTISYMMETRIC,
                                 S.ASYMMETRIC)))
     # the named classes are not the minimal ones: the sweep itself puts the
     # true non-square firsts at 136 (m+n), 145 (anti) and 316 (asymmetric)
-    checks.append(first_occurrence(rows, S.M_PLUS_N_SYMMETRIC) == 136)
-    checks.append(first_occurrence(rows, S.ANTISYMMETRIC) == 145)
-    checks.append(first_occurrence(rows, S.ASYMMETRIC) == 316)
+    for sym, first in ((S.M_PLUS_N_SYMMETRIC, 136), (S.ANTISYMMETRIC, 145),
+                       (S.ASYMMETRIC, 316)):
+        checks.append(first == next(r.delta for r in rows if not r.square and
+                                    r.counts[SYMMETRY_ORDER.index(sym)]))
     _line(4, all(checks),
           "named classes present at delta 148/221/396 with the stated "
           "period rotations; delta <= 100 non-square all super/k; minimal "

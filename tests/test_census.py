@@ -10,9 +10,8 @@ import surdsym.census
 from surdsym.census import (SYMMETRY_ORDER, StatRow, _gate_violations,
                             _reduced_states, _shard, _sweep, _type_counts,
                             _windows, check_census,
-                            census_for_delta, census_square,
-                            first_occurrence, full_census, stats_rows,
-                            valid_deltas)
+                            census_for_delta, census_square, full_census,
+                            stats_rows)
 from surdsym.cf import _minus_walk
 from surdsym.exact import is_square
 from surdsym.forms import Form, content, discriminant, is_primitive, scale
@@ -24,6 +23,11 @@ from surdsym.reduction import _SUM_RULE_TYPES, check_sum_rule, reduced_cycle
 from h0_points_by_trial_division import h0_points_by_trial_division
 from palindromes_by_rotation import least_rotation_by_rotation
 from states_by_divisors import smallest_prime_factors, states_by_divisors
+
+
+def valid_deltas(delta_max):
+    """Discriminants 1 <= delta <= delta_max with delta = 0 or 1 mod 4."""
+    return [d for d in range(1, delta_max + 1) if d % 4 < 2]
 
 
 def nonsquare_deltas(delta_max):
@@ -41,9 +45,6 @@ def rows():
 
 
 class TestValidDeltas:
-    def test_small_list(self):
-        assert valid_deltas(20) == [1, 4, 5, 8, 9, 12, 13, 16, 17, 20]
-
     def test_square_filter(self):
         assert nonsquare_deltas(20) == [5, 8, 12, 13, 17, 20]
         assert [d for d in valid_deltas(20) if is_square(d)] == [1, 4, 9, 16]
@@ -278,19 +279,18 @@ class TestStats:
 
     def test_first_occurrences(self, rows):
         S = SymmetryType
-        firsts = {s: first_occurrence(rows, s) for s in SYMMETRY_ORDER}
+        firsts = {s: next(r.delta for r in rows if not r.square and
+                          r.counts[SYMMETRY_ORDER.index(s)])
+                  for s in SYMMETRY_ORDER}
         assert firsts == {S.SUPERSYMMETRIC: 5, S.K_SYMMETRIC: 12,
                           S.M_PLUS_N_SYMMETRIC: 136, S.ANTISYMMETRIC: 145,
                           S.ASYMMETRIC: 316}
-        with_sq = {s: next(r.delta for r in rows if r.count_of(s) > 0)
+        with_sq = {s: next(r.delta for r in rows
+                           if r.counts[SYMMETRY_ORDER.index(s)])
                    for s in SYMMETRY_ORDER}
         assert with_sq == {S.SUPERSYMMETRIC: 1, S.K_SYMMETRIC: 9,
                            S.M_PLUS_N_SYMMETRIC: 25, S.ANTISYMMETRIC: 145,
                            S.ASYMMETRIC: 49}
-
-    def test_first_occurrence_none_when_absent(self):
-        short = stats_rows(50)
-        assert first_occurrence(short, SymmetryType.ANTISYMMETRIC) is None
 
     def test_small_deltas_only_super_and_k(self, rows):
         """Non-square delta <= 100 shows only super- and k-symmetric classes."""
@@ -298,9 +298,8 @@ class TestStats:
         for r in rows:
             if r.square or r.delta > 100:
                 continue
-            assert r.count_of(S.M_PLUS_N_SYMMETRIC) == 0
-            assert r.count_of(S.ANTISYMMETRIC) == 0
-            assert r.count_of(S.ASYMMETRIC) == 0
+            for s in (S.M_PLUS_N_SYMMETRIC, S.ANTISYMMETRIC, S.ASYMMETRIC):
+                assert r.counts[SYMMETRY_ORDER.index(s)] == 0
 
 
 class TestSumRule:

@@ -10,22 +10,23 @@ import pytest
 
 import surdsym.cf
 from cf_helpers import (cf_digits, cf_value, minus_walk,
-                        minus_walk_with_starts, period_of_class, regular_walk)
+                        minus_walk_with_starts, period_of_class,
+                        reduce_classical, regular_walk)
 from minus_walk_by_one_loop import minus_walk_by_one_loop
 from minus_walk_by_states import minus_walk_by_states, state_form
+from modular_period_by_runs import cf_period_to_modular_period
 from regular_walk_by_states import regular_walk_by_states
 from surdsym.census import _reduced_states
 from surdsym.cf import (CFExpansion, ModularCF, SquareDiscriminantError,
                         _along_run, _digits, _period_walk, _preperiod_walk,
-                        _run_starts, _state_form, cf_period_to_modular_period,
-                        cf_rational, cf_surd, modular_cf_surd, period_to_forms)
+                        _run_starts, _state_form, cf_rational, cf_surd,
+                        modular_cf_surd, period_to_forms)
 from surdsym.exact import is_square
 from surdsym.forms import (INVOLUTION_NAMES, Form, InternalError, antipodal,
                            apply_word, complementary, conjugate, discriminant,
                            gen_power, involution)
 from surdsym.periods import classify_class, classify_square
-from surdsym.reduction import (CycleForms, reduce_classical, reduced_cycle,
-                               reduced_representative)
+from surdsym.reduction import CycleForms, reduced_cycle
 from test_query_references import LONG_PERIOD, LONG_PERIOD_DISGUISED
 from test_reduction import NONSQUARE_GRID, form_queries, run_in_child
 
@@ -68,7 +69,7 @@ class TestRationalCF:
         for num in range(-30, 31):
             for den in range(1, 12):
                 cf = cf_rational(num, den)
-                assert cf.is_finite
+                assert not cf.period
                 if len(cf.preperiod) > 1:
                     assert cf.preperiod[-1] >= 2
 
@@ -143,7 +144,6 @@ class TestCFSurd:
 
     def test_square_delta_finite(self):
         cf = cf_surd(Form(1, 0, 3))
-        assert cf.is_finite
         assert cf.period == ()
 
     def test_digit_stream(self):
@@ -340,9 +340,10 @@ class TestMinusWalk:
 
     def test_long_preperiod(self):
         """(R A^-2)^1000 applied to (1, 1, -3): a minus preperiod of 1001
-        digits, 0 and then 999 2s and a 5.  reduce_classical takes its
-        conjugate, and its complementary form, whose preperiod of 1000
-        digits makes a word of 2000 steps."""
+        digits, 0 and then 999 2s and a 5.  The classical reduction by the
+        minus-CF preperiod takes its conjugate, and its complementary form,
+        whose preperiod of 1000 digits makes a word of 2000 steps, to the
+        first form of the state walk's period."""
         f = apply_word(Form(1, 1, -3), (("A-", 2), ("R", 1)) * 1000)
         _, digits, start = _assert_minus_walk_matches_states(f)
         assert start == 1001 and digits[:start] == (0,) + (2,) * 999 + (5,)
@@ -350,7 +351,7 @@ class TestMinusWalk:
             forms, _, start = _assert_minus_walk_matches_states(g)
             h, word = reduce_classical(g)
             assert h == forms[0] == Form(1, 1, -3)
-            assert apply_word(g, word) == h and len(word) == 2 * start == steps
+            assert len(word) == 2 * start == steps
 
     def test_runs_that_cross_the_period_start(self):
         """On the grid, some walks reach their first reduced form inside a
@@ -403,10 +404,10 @@ class TestMinusWalk:
         assert inside > 0
 
     def test_states_match_on_the_query_representatives(self):
-        """On the reduced representative of each non-square query form of
-        the form_queries benchmark, seeds 0-2, the forms whose cycles its
-        queries walk: the same digits, a period from the first state, and
-        the same states."""
+        """On the reduced cycle of each non-square query form of the
+        form_queries benchmark, seeds 0-2, the cycles its queries walk: from
+        its first form, the reduced representative, the same digits, a
+        period from the first state, and the same states."""
         walked = 0
         for seed in range(3):
             for q in form_queries.make_queries(seed, 4000, 100):
@@ -414,12 +415,12 @@ class TestMinusWalk:
                 d = discriminant(f)
                 if is_square(d):
                     continue
-                h = reduced_representative(f)
-                walk = runs, _, start = minus_walk(h)
-                states, digits, ref_start = minus_walk_by_states(
+                cycle = reduced_cycle(f)
+                h = cycle.forms[0]
+                states, digits, start = minus_walk_by_states(
                     -h.k, 2 * h.m, d)
-                assert (_digits(runs), start) == (digits, ref_start) == \
-                    (digits, 0), f
+                assert (_digits(cycle.runs), 0) == (digits, start), f
+                walk = cycle.runs, (-h.k, 2 * h.m, 2 * h.n), 0
                 assert _period_states(walk) == [
                     (p, q, (p * p - d) // q) for p, q in states], f
                 walked += len(digits)
@@ -513,10 +514,10 @@ class TestModularCF:
 
 
 class TestDigitCap:
-    """modular_cf_surd and reduce_classical count the digits of the minus
-    walk's runs before they expand them, and raise ValueError past
-    cf.DIGIT_CAP.  (R A^-2)^M (1, 1, -3) has M + 2 of them, M - 1 in its
-    preperiod's run of 2s, and its complementary form M in its preperiod."""
+    """modular_cf_surd counts the digits of the minus walk's runs before it
+    expands them, and raises ValueError past cf.DIGIT_CAP.
+    (R A^-2)^M (1, 1, -3) has M + 2 of them, M - 1 in its preperiod's run
+    of 2s."""
 
     def test_the_cap_is_the_last_digit_count_allowed(self, monkeypatch):
         monkeypatch.setattr(surdsym.cf, "DIGIT_CAP", 1000)
@@ -525,10 +526,6 @@ class TestDigitCap:
         assert len(mcf.preperiod) + len(mcf.period) == 1000
         with pytest.raises(ValueError, match="has 1001 digits"):
             modular_cf_surd(r_a_minus_2_power(f0, 999))
-        _, word = reduce_classical(complementary(r_a_minus_2_power(f0, 1000)))
-        assert len(word) == 2000
-        with pytest.raises(ValueError, match="has 1001 digits"):
-            reduce_classical(complementary(r_a_minus_2_power(f0, 1001)))
 
     def test_modular_of_a_trillion_digits_exits_1_at_once(self):
         """In a child process with 1 GB of address space, so that expanding
@@ -546,19 +543,6 @@ class TestDigitCap:
             f"error: the minus continued fraction of {f!r} has "
             f"{10 ** 12 + 2} digits to expand, more than the cap of "
             f"{surdsym.cf.DIGIT_CAP}\n")
-
-    def test_reduce_classical_of_a_trillion_digits_raises(self):
-        f = complementary(r_a_minus_2_power(Form(1, 1, -3), 10 ** 12))
-        proc = run_in_child(
-            "import sys\n"
-            "from surdsym.forms import Form\n"
-            "from surdsym.reduction import reduce_classical\n"
-            "try:\n"
-            "    reduce_classical(Form(*map(int, sys.argv[1:])))\n"
-            "except ValueError as exc:\n"
-            "    print(exc)\n", *f)
-        assert proc.returncode == 0, proc.stderr
-        assert f"has {10 ** 12} digits to expand" in proc.stdout
 
 
 class TestWalkCap:
@@ -635,7 +619,7 @@ class TestWalkMemory:
         state (P, Q, M) that starts each run it held 211.  The bound is
         100."""
         d = 1000000021
-        f = reduced_representative(Form(1, (1 - d) // 4, 1))
+        f = reduced_cycle(Form(1, (1 - d) // 4, 1)).forms[0]
         assert f == Form(3527, 1, -31623)
         tracemalloc.start()
         try:

@@ -1,7 +1,11 @@
 """The package root: what ``import surdsym`` loads, and its exports."""
 
+import ast
 import json
+import re
+from pathlib import Path
 
+import surdsym
 from test_reduction import run_in_child
 
 # Modules that classifying one form never needs.
@@ -38,3 +42,44 @@ def test_census_exports_resolve_on_first_use():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "50\n"
 
+
+
+# Public names that only the tests and benchmarks/ call.
+UNCALLED_BUT_KEPT = {
+    "period_to_forms",  # imported by benchmarks/, goes with ROADMAP item 1b
+    "classify_period",  # imported by benchmarks/, goes with ROADMAP item 1b
+    "classify_square",  # imported by benchmarks/, goes with ROADMAP item 1b
+}
+
+
+def test_every_public_engine_function_has_a_caller():
+    """Every public top-level function and public method of cf, periods,
+    census and reduction is referenced, as a name or an attribute, somewhere
+    in surdsym's code (docstrings and comments do not count), or is named
+    in README's "Library" section.  oracle, the reference module, and forms,
+    the paper's vocabulary, are out of scope."""
+    package = Path(surdsym.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in package.glob("*.py")}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"\w+", library))
+    defined = []
+    for module in ("cf", "periods", "census", "reduction"):
+        for node in trees[module].body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            defined += [f"{module}.{fn.name}" for fn in members
+                        if isinstance(fn, ast.FunctionDef)
+                        and not fn.name.startswith("_")]
+    assert len(defined) > 20
+    uncalled = [name for name in defined
+                if name.rpartition(".")[2] not in used | named
+                | UNCALLED_BUT_KEPT]
+    assert uncalled == []

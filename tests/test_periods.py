@@ -13,12 +13,10 @@ from surdsym.cf import cf_surd
 from surdsym.exact import is_square
 from surdsym.forms import Form, discriminant
 from surdsym.oracle import orbit_bfs
-from surdsym.periods import (ClassificationError, ClassReport, SymmetryType,
-                             classify_class,
+from surdsym.periods import (ClassReport, SymmetryType, classify_class,
                              classify_period, classify_square,
-                             _counts_nonsquare,
-                             is_bipalindromic, is_palindromic_cyclic,
-                             is_primitive_period, normalize_square_form)
+                             _counts_nonsquare, is_primitive_period,
+                             normalize_square_form)
 from test_reduction import NONSQUARE_GRID, run_in_child
 
 SUPER = SymmetryType.SUPERSYMMETRIC
@@ -36,31 +34,35 @@ class TestRotationsAndPredicates:
         assert not is_primitive_period((2, 2))
 
     def test_palindromic_cyclic(self):
-        assert is_palindromic_cyclic((1, 1, 3))       # rotation (1,3,1)
-        assert is_palindromic_cyclic((1, 2, 2, 1))    # already its own reverse
-        assert is_palindromic_cyclic((5,))
-        assert not is_palindromic_cyclic((1, 2, 3))
+        # a palindromic rotation: super for odd length, m+n for even
+        assert classify_period((1, 1, 3)) is SUPER    # rotation (1,3,1)
+        assert classify_period((1, 2, 2, 1)) is MPN   # already its own reverse
+        assert classify_period((5,)) is SUPER
+        assert classify_period((1, 2, 3)) is ANTI
         # (2,1) reversed is (1,2), a rotation of (2,1) but no rotation is
         # its own reverse: achirality is not cyclic palindromicity
-        assert not is_palindromic_cyclic((2, 1))
+        assert classify_period((2, 1)) is K
 
     def test_bipalindromic(self):
-        assert is_bipalindromic((2, 1))       # split into (2) and (1)
-        assert is_bipalindromic((5, 2, 1, 2))  # (5) + (2,1,2)
-        assert not is_bipalindromic((1, 2, 3))
-        assert not is_bipalindromic((1, 2, 2, 1))
+        assert classify_period((2, 1)) is K         # split into (2) and (1)
+        assert classify_period((5, 2, 1, 2)) is K   # (5) + (2,1,2)
+        assert classify_period((1, 2, 3)) is not K
+        assert classify_period((1, 2, 2, 1)) is not K
 
     def test_predicates_match_rotation_reference(self):
-        # every word over {1,2,3} of length <= 10, primitive or not, and
-        # over digits a byte cannot hold, negative or past the last code
-        # point, of length <= 6
-        words = [w for n in range(11)
+        """classify_period reads palindromic (super, m+n) and bipalindromic
+        (k) off one search for the word's reflection, as the rotation
+        reference decides them, on every primitive word over {1,2,3} of
+        length <= 10, and over digits a byte cannot hold, up to past the
+        last code point, of length <= 7."""
+        words = [w for n in range(1, 11)
                  for w in itertools.product((1, 2, 3), repeat=n)]
-        words += [w for n in range(7)
-                  for w in itertools.product((1, 300, -2, 2 ** 70), repeat=n)]
-        for w in words:
-            assert is_palindromic_cyclic(w) == palindromic_by_rotation(w), w
-            assert is_bipalindromic(w) == bipalindromic_by_rotation(w), w
+        words += [w for n in range(1, 8)
+                  for w in itertools.product((1, 300, 2 ** 70), repeat=n)]
+        for w in filter(is_primitive_period, words):
+            sym = classify_period(w)
+            assert (sym in (SUPER, MPN)) == palindromic_by_rotation(w), w
+            assert (sym is K) == bipalindromic_by_rotation(w), w
 
     def test_long_words_take_linear_time(self):
         """classify_period on words of about 10**5 digits, whose types
@@ -290,7 +292,6 @@ class TestClassificationExclusivity:
                     continue
                 sym = classify_period(digits)  # must not raise
                 seen.add(sym)
-                pal = is_palindromic_cyclic(digits)
-                bip = is_bipalindromic(digits)
-                assert not (pal and bip), digits
+                assert not (palindromic_by_rotation(digits) and
+                            bipalindromic_by_rotation(digits)), digits
         assert seen == {SUPER, K, MPN, ANTI, ASYM}

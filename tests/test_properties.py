@@ -4,20 +4,23 @@ Every property runs at least 500 randomized cases with exact assertions
 (derandomized so the suite is reproducible).
 """
 
+from math import isqrt
+
 from hypothesis import assume, given, settings, strategies as st
 
 from cf_helpers import period_of_class
-from palindromes_by_rotation import least_rotation_by_rotation
+from palindromes_by_rotation import (bipalindromic_by_rotation,
+                                     least_rotation_by_rotation,
+                                     palindromic_by_rotation)
 from surdsym.cf import _minus_walk, cf_surd, period_to_forms
-from surdsym.exact import is_square, isqrt
+from surdsym.exact import is_square
 from surdsym.forms import (INVOLUTION_NAMES, Form, apply_word, discriminant,
                            gen_power, involution, is_primitive)
 from surdsym.periods import (SymmetryType, classify_class,
                              classify_period, classify_square,
-                             _counts_nonsquare,
-                             is_bipalindromic, is_palindromic_cyclic,
-                             is_primitive_period, normalize_square_form)
-from surdsym.reduction import is_reduced, reduced_cycle, reduced_representative
+                             _counts_nonsquare, is_primitive_period,
+                             normalize_square_form)
+from surdsym.reduction import is_reduced, reduced_cycle
 from test_reduction import h0_word_holds, r_a_steps_close
 from test_walk_memo import cold_answers, warm_answers
 
@@ -131,8 +134,8 @@ def test_classification_exclusivity(w):
     """Each primitive word is exactly one of the five symmetry types."""
     assume(is_primitive_period(w))
     sym = classify_period(w)
-    pal = is_palindromic_cyclic(w)
-    bip = is_bipalindromic(w)
+    pal = palindromic_by_rotation(w)
+    bip = bipalindromic_by_rotation(w)
     odd = len(w) % 2 == 1
     assert not (pal and bip)
     if pal:
@@ -217,12 +220,13 @@ def test_large_coefficient_reduction(s, word):
     assume(is_primitive_period(s))
     f0 = period_to_forms(s)[0]
     f = _disguise(f0, word)
-    h = reduced_representative(f)
+    cycle = reduced_cycle(f)
+    h = cycle.forms[0]
     assert is_reduced(*h)
     assert h in reduced_cycle(f0).forms
     assert least_rotation_by_rotation(cf_surd(f).period) == \
         least_rotation_by_rotation(cf_surd(h).period)
-    assert r_a_steps_close(reduced_cycle(f))
+    assert r_a_steps_close(cycle)
     assert h0_word_holds(f)
 
 

@@ -1,7 +1,8 @@
 """The single-form query path against its references: ``reduce_to_H0``
 against the forward scan of the regular walk's states, the preperiod of
 conjugate(f) that it reads off f's walk against the walk of conjugate(f),
-``reduced_representative`` against the state table of the whole walk, and
+the reduced representative, the first form of ``reduced_cycle``, against
+the state table of the whole walk, and
 the two state loops of ``cf._minus_walk``, with its period runs' starts
 replayed by ``cf._run_starts``, against one loop on forms, on the test grid,
 on seeded disguised forms of 100-400 bits, on forms a few generator powers
@@ -9,16 +10,15 @@ from a reduced one, and on cycles that close inside a run of 2s."""
 
 import random
 from collections import Counter
+from math import isqrt
 
 import pytest
 
 from surdsym.cf import (_preperiod_walk, _state_form, is_primitive_period,
                         period_to_forms)
-from surdsym.exact import isqrt
 from surdsym.forms import (Form, INVOLUTION_NAMES, apply_word, discriminant,
                            gen_power, involution, is_reduced)
-from surdsym.reduction import (_conjugate_preperiod, reduce_to_H0,
-                               reduced_cycle, reduced_representative)
+from surdsym.reduction import _conjugate_preperiod, reduce_to_H0, reduced_cycle
 
 from cf_helpers import minus_walk, minus_walk_with_starts
 from h0_peel_by_forward_scan import h0_peel_by_forward_scan
@@ -116,7 +116,7 @@ def test_reduce_never_walks_the_period(f, tag):
 
 
 def representative_by_states(f: Form) -> Form:
-    """reduced_representative by its definition, on the state table of the
+    """The reduced representative by its definition, on the state table of the
     whole regular walk of xi_plus(f): f itself if it is reduced, else the
     state form at the first even index at or past the period start, pulled
     back by A^-1."""
@@ -132,16 +132,16 @@ def representative_by_states(f: Form) -> Form:
 class TestReducedRepresentative:
     def test_matches_the_state_table_on_grid(self):
         for f in NONSQUARE_GRID:
-            assert reduced_representative(f) == representative_by_states(f), f
+            assert reduced_cycle(f).forms[0] == representative_by_states(f), f
 
     def test_matches_the_state_table_on_disguised_forms(self, seeded_forms):
         for f in seeded_forms:
-            assert reduced_representative(f) == representative_by_states(f), f
+            assert reduced_cycle(f).forms[0] == representative_by_states(f), f
 
     @pytest.mark.parametrize("generator, preperiod", [("B", 3), ("R", 1)])
     def test_never_walks_the_period(self, generator, preperiod):
         """From B and R of LONG_PERIOD, whose preperiods have 3 and 1
-        digits, an odd count, reduced_representative steps once past the
+        digits, an odd count, _reduced_representative steps once past the
         first reduced state: in a child capped at 1 GB of address space it
         answers within a second, as the state table's first states give."""
         f = gen_power(LONG_PERIOD, generator, 1)
@@ -150,11 +150,13 @@ class TestReducedRepresentative:
         assert len(digits) == preperiod
         proc = run_in_child(
             "import sys, time\n"
-            "from surdsym.forms import Form\n"
-            "from surdsym.reduction import reduced_representative\n"
+            "from math import isqrt\n"
+            "from surdsym.forms import Form, discriminant\n"
+            "from surdsym.reduction import _reduced_representative\n"
             "f = Form(*map(int, sys.argv[1:]))\n"
+            "d = discriminant(f)\n"
             "start = time.perf_counter()\n"
-            "h = reduced_representative(f)\n"
+            "h = _reduced_representative(f, d, isqrt(d))\n"
             "print(time.perf_counter() - start)\n"
             "print(repr(h))\n", *f)
         assert proc.returncode == 0, proc.stderr

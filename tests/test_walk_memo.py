@@ -7,6 +7,7 @@ query take the square root of its discriminant more than once per entry
 point."""
 
 import sys
+from math import isqrt
 
 import pytest
 
@@ -17,11 +18,9 @@ from cf_helpers import clear_walk_memos
 from surdsym.census import census_for_delta
 from surdsym.cf import _WALK_MEMO_SIZE, _period_walk, _preperiod_walk, cf_surd
 from surdsym.cli import _orbit_tour
-from surdsym.exact import isqrt
 from surdsym.forms import INVOLUTION_NAMES, Form, discriminant, involution
 from surdsym.periods import classify_class
-from surdsym.reduction import (is_reduced, reduce_to_H0, reduced_cycle,
-                               reduced_representative)
+from surdsym.reduction import is_reduced, reduce_to_H0, reduced_cycle
 from test_query_references import SEEDS, disguised_forms
 from test_reduction import NONSQUARE_GRID
 
@@ -103,7 +102,7 @@ def period_walks(monkeypatch):
 
 
 def test_a_query_walks_the_expansion_of_f_once(preperiod_misses, period_walks):
-    """classify_class and reduced_cycle (through reduced_representative)
+    """classify_class and reduced_cycle (through its reduced representative)
     share one walk of f's preperiod, although reduce_to_H0 walks another
     preperiod between them, and only classify_class walks the period: at
     most one period walk and two preperiod walks per query.  The first
@@ -148,13 +147,14 @@ def test_reduce_reads_the_conjugate_preperiod_off_f(preperiod_misses,
 
 
 def test_reduction_walks_no_regular_period(monkeypatch):
-    """With cf._period_walk raising, reduce_to_H0, reduced_representative
-    and reduced_cycle each answer from a cold memo, as they do with it, on
-    the grid and on the seeded disguised forms.  The name is patched in
-    reduction too, so that an import of it there cannot hide a walk."""
+    """With cf._period_walk raising, reduce_to_H0 and reduced_cycle (with
+    its reduced representative) each answer from a cold memo, as they do
+    with it, on the grid and on the seeded disguised forms.  The name is
+    patched in reduction too, so that an import of it there cannot hide a
+    walk."""
     forms = NONSQUARE_GRID + [f for seed in SEEDS
                               for f in disguised_forms(seed, 100)]
-    calls = (reduce_to_H0, reduced_representative, reduced_cycle)
+    calls = (reduce_to_H0, reduced_cycle)
     expected = [[fn(f) for fn in calls] for f in forms]
 
     def no_period_walk(*key):
@@ -181,7 +181,6 @@ def test_cached_walk_is_immutable():
     cf_surd(f)
     classify_class(f)
     reduce_to_H0(f)
-    reduced_representative(f)
     reduced_cycle(f)
     _orbit_tour(f)
     assert _preperiod_walk(*key) is walk
